@@ -15,7 +15,7 @@ from math import ceil
 from typing import Callable, Optional, Sequence
 
 from .errors import EnumerationBudgetExceeded, WitnessTooSparse
-from .nset import DEFAULT_ENUMERATION_BUDGET, FiniteList, SymbolicSet
+from .nset import FiniteList, SymbolicSet, checked_budget
 
 # Reports keep at most this many profile points; longer evaluations are
 # decimated for storage (verdicts are still computed over every point).
@@ -336,7 +336,7 @@ def density(
     """
     if not 1 <= tail_window_start < horizon:
         raise ValueError("need 1 <= tail_window_start < horizon")
-    budget = budget or DEFAULT_ENUMERATION_BUDGET
+    budget = checked_budget(budget)
     exact = s.exact_density()
     runs = s.member_runs(horizon)
     if runs is not None:
@@ -375,6 +375,26 @@ def density(
     )
 
 
+def _as_ratio(v) -> tuple[int, int]:
+    """(numerator, denominator) of anything ``Fraction`` accepts, building a
+    ``Fraction`` only for values that are not already rational."""
+    try:
+        return v.numerator, v.denominator
+    except AttributeError:
+        v = Fraction(v)
+        return v.numerator, v.denominator
+
+
+def _deviation(p: int, q: int, tn: int, td: int) -> tuple[int, int]:
+    """|p/q - tn/td| as an unreduced (numerator, denominator) pair, for q, td > 0."""
+    return abs(p * td - tn * q), q * td
+
+
+def _at_least(dev: tuple[int, int], eps: tuple[int, int]) -> bool:
+    """dev >= eps for (numerator, positive denominator) pairs, by cross-multiplication."""
+    return dev[0] * eps[1] >= eps[0] * dev[1]
+
+
 def statistical_limit(
     x: Callable[[int], Fraction],
     target: Fraction,
@@ -390,20 +410,40 @@ def statistical_limit(
     "convergent at this tolerance profile" when every eps-row's tail stays
     within ``slack``.
     """
+    return _stat_table(
+        lambda k: _as_ratio(x(k)), target, eps_grid, checkpoints, slack, tail_window
+    )
+
+
+def _stat_table(
+    term: Callable[[int], tuple[int, int]],
+    target: Fraction,
+    eps_grid: Sequence[Fraction],
+    checkpoints: IndexSequence,
+    slack: Fraction,
+    tail_window: Optional[int] = None,
+) -> StatReport:
+    """``statistical_limit`` for x_k = p/q given as ``term(k) == (p, q)``, q > 0.
+
+    The scan is integer-only: a ``Fraction`` is built only at checkpoints.
+    """
     eps_list = [Fraction(e) for e in eps_grid]
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps grid must be positive")
     pts = list(checkpoints.points())
     target = Fraction(target)
+    tn, td = target.numerator, target.denominator
+    eps_pairs = [(e.numerator, e.denominator) for e in eps_list]
     counters = [0] * len(eps_list)
     table: list[list[tuple[int, Fraction]]] = [[] for _ in eps_list]
     it = iter(pts)
     nxt = next(it)
     for k in range(1, pts[-1] + 1):
-        dev = abs(Fraction(x(k)) - target)
-        for j, e in enumerate(eps_list):
-            if dev >= e:
-                counters[j] += 1
+        dev = _deviation(*term(k), tn, td)
+        if dev[0]:  # every eps is positive, so a zero deviation is no exception
+            for j, e in enumerate(eps_pairs):
+                if _at_least(dev, e):
+                    counters[j] += 1
         if k == nxt:
             for j in range(len(eps_list)):
                 table[j].append((k, Fraction(counters[j], k)))
@@ -448,6 +488,7 @@ def full_density_witness(
     ) or any(e <= 0 for e in schedule):
         raise ValueError("eps schedule must be nonempty, positive, decreasing")
     target = Fraction(target)
+    tn, td = target.numerator, target.denominator
 
     bounds = []
     b = stage_ratio
@@ -464,20 +505,24 @@ def full_density_witness(
         lo = hi + 1
 
     kept: list[int] = []
+    tail_max = (0, 1)  # largest kept deviation in the last stage
+    last_lo = stages[-1][0]
     for lo, hi, eps in stages:
+        bound = (eps.numerator, eps.denominator)
         for k in range(lo, hi + 1):
-            if abs(Fraction(x(k)) - target) < eps:
+            dev = _deviation(*_as_ratio(x(k)), tn, td)
+            if not _at_least(dev, bound):
                 kept.append(k)
+                if k >= last_lo and not _at_least(tail_max, dev):
+                    tail_max = dev
     ratio = Fraction(len(kept), horizon)
     if ratio < floor:
         raise WitnessTooSparse(ratio, floor)
-    last_lo = stages[-1][0]
-    tail_devs = [abs(Fraction(x(k)) - target) for k in kept if k >= last_lo]
     return WitnessReport(
         witness=FiniteList(tuple(kept)),
         ratio=ratio,
         horizon=horizon,
         stages=tuple(stages),
         removed=horizon - len(kept),
-        max_tail_deviation=max(tail_devs) if tail_devs else Fraction(0),
+        max_tail_deviation=Fraction(*tail_max),
     )

@@ -23,11 +23,11 @@ from .asymptotics import (
 )
 from .errors import EnumerationBudgetExceeded, NoViolationFound
 from .nset import (
-    DEFAULT_ENUMERATION_BUDGET,
     Empty,
     Full,
     Predicate,
     SymbolicSet,
+    checked_budget,
     inter,
     union,
 )
@@ -502,7 +502,7 @@ def find_invariance_violation(
     recur for non-Lévy-like permutations).  Raises NoViolationFound when the
     tail defect stays at or below ``threshold``.
     """
-    budget = budget or DEFAULT_ENUMERATION_BUDGET
+    budget = checked_budget(budget)
     if horizon > budget:
         raise EnumerationBudgetExceeded(horizon, budget, "violation scan")
     defects: list[Fraction] = []
@@ -573,7 +573,7 @@ def equal_measure_test(
     the window.  Side two: |mu(A) - mu(B)| for each sequence in the corpus.
     """
     start = tail_window_start if tail_window_start is not None else max(1, horizon // 10)
-    budget = budget or DEFAULT_ENUMERATION_BUDGET
+    budget = checked_budget(budget)
     if horizon > budget:
         raise EnumerationBudgetExceeded(horizon, budget, "difference scan")
     ca = a.count(start - 1, budget=budget)

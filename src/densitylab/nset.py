@@ -42,6 +42,16 @@ _RUNS_CAP = 200_000
 _UNKNOWN_PROBE_LIMIT = 1 << 62
 
 
+def checked_budget(budget: Optional[int]) -> int:
+    """``budget``, or the default budget when it is None; budgets below 1 are
+    rejected rather than silently replaced."""
+    if budget is None:
+        return DEFAULT_ENUMERATION_BUDGET
+    if budget < 1:
+        raise ValueError(f"enumeration budget must be >= 1, got {budget}")
+    return budget
+
+
 class Infinitude(Enum):
     FINITE = "finite"
     INFINITE = "infinite"
@@ -151,11 +161,12 @@ class SymbolicSet:
 
     def count(self, n: int, budget: Optional[int] = None) -> int:
         """Exact |S ∩ [1, n]|.  ``budget`` caps enumeration fallbacks."""
+        budget = checked_budget(budget)
         if n < 0:
             raise ValueError("count horizon must be >= 0")
         if n == 0:
             return 0
-        return self._count(n, budget or DEFAULT_ENUMERATION_BUDGET)
+        return self._count(n, budget)
 
     def _count(self, n: int, budget: int) -> int:
         raise NotImplementedError
@@ -185,7 +196,7 @@ class SymbolicSet:
         raise NotImplementedError
 
     def select(self, k: int, budget: Optional[int] = None) -> int:
-        """The k-th smallest element (k >= 1), by monotone search over count."""
+        """The k-th smallest element (k >= 1); see the module-level ``select``."""
         return select(self, k, budget=budget)
 
     def _runs_count(self, n: int) -> Optional[int]:
@@ -359,6 +370,15 @@ class Periodic(SymbolicSet):
             object.__setattr__(self, "_rset", cached)
         return cached
 
+    def _offsets(self) -> tuple[int, ...]:
+        """The members of [1, modulus], increasing (residue 0 stands for modulus)."""
+        cached = getattr(self, "_offs", None)
+        if cached is None:
+            res = self.residues
+            cached = res[1:] + (self.modulus,) if res and res[0] == 0 else res
+            object.__setattr__(self, "_offs", cached)
+        return cached
+
     def _count(self, n, budget):
         q, s = divmod(n, self.modulus)
         # residue 0 is hit at m, 2m, ..., qm; residue r >= 1 gets one extra
@@ -379,10 +399,9 @@ class Periodic(SymbolicSet):
         if not self.residues or horizon < 1:
             return []
         m = self.modulus
-        offsets = sorted(r if r >= 1 else m for r in self.residues)
         # maximal consecutive groups within one period
         groups: list[tuple[int, int]] = []
-        for off in offsets:
+        for off in self._offsets():
             if groups and groups[-1][1] == off - 1:
                 groups[-1] = (groups[-1][0], off)
             else:
@@ -404,7 +423,7 @@ class Periodic(SymbolicSet):
 
     def iter_elements(self, upto=None, budget=None):
         m = self.modulus
-        offsets = sorted(r if r >= 1 else m for r in self.residues)
+        offsets = self._offsets()
         for base in itertools.count(0, m):
             for off in offsets:
                 v = base + off
@@ -960,7 +979,9 @@ def _combine_runs(left: SymbolicSet, right: SymbolicSet, horizon, cap, op):
 def select(s: SymbolicSet, k: int, budget: Optional[int] = None) -> int:
     """Return the k-th smallest element of ``s``.
 
-    Satisfies ``count(select(s, k)) == k`` and ``contains(select(s, k))``.
+    Finite lists and periodic sets are indexed directly; every other set is
+    searched by bisection over ``count``.  Satisfies
+    ``count(select(s, k)) == k`` and ``contains(select(s, k))``.
     """
     if k < 1:
         raise ValueError("selection index must be >= 1")
@@ -968,6 +989,9 @@ def select(s: SymbolicSet, k: int, budget: Optional[int] = None) -> int:
         if k > len(s.elements):
             raise IndexBeyondSet(f"finite set has {len(s.elements)} < {k} elements")
         return s.elements[k - 1]
+    if isinstance(s, Periodic) and s.residues:
+        q, i = divmod(k - 1, len(s.residues))
+        return q * s.modulus + s._offsets()[i]
 
     flag = s.infinitude()
     if flag == Infinitude.FINITE:

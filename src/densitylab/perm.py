@@ -25,7 +25,7 @@ from .asymptotics import (
     Explicit,
     IndexSequence,
     StatReport,
-    statistical_limit,
+    _stat_table,
 )
 from .errors import (
     CardinalityMismatch,
@@ -33,16 +33,20 @@ from .errors import (
     UnknownInfinitude,
 )
 from .nset import (
-    DEFAULT_ENUMERATION_BUDGET,
     FiniteList,
     Infinitude,
     Predicate,
     SymbolicSet,
+    checked_budget,
     diff,
     inter,
 )
 
+# A pairing's partner table grows on demand, doubling from _PAIR_TABLE_START
+# pairs, up to _PAIR_CACHE pairs; past that, apply() falls back to count and
+# select.
 _PAIR_CACHE = 1 << 16
+_PAIR_TABLE_START = 1 << 8
 
 
 class Classification(Enum):
@@ -160,37 +164,48 @@ class InterlacedPairing(PermutationRule):
         object.__setattr__(self, "a_only", a_only)
         object.__setattr__(self, "b_only", b_only)
         object.__setattr__(self, "pair_total", size)
-        object.__setattr__(self, "_partner", None)
-        object.__setattr__(self, "_coverage", 0)
-        object.__setattr__(self, "_full_cover", False)
+        # (partner, pairs, coverage, full): partner maps a_i <-> b_i for the
+        # first ``pairs`` pairs at least, and is exact for every n <= coverage,
+        # or for every n if full
+        object.__setattr__(self, "_table", ({}, 0, 0, size == 0))
 
-    def _ensure_cache(self):
-        # lazy but idempotent: concurrent builders compute identical tables,
-        # so a race only wastes work
-        if self._partner is not None:
-            return
+    def _grown_table(self, n: int) -> tuple[dict, int, int, bool]:
+        """A partner table covering ``n``, or the largest the cap allows.
+
+        The table doubles until it covers ``n``.  Each growth walks fresh
+        iterators and only adds entries, which are the same whoever adds
+        them, so a caller holding an older snapshot still reads correct
+        values.  The new coverage is published as one snapshot once its
+        pairs are in, so a race between threads only wastes work.  Growing
+        in place, rather than building a second table, keeps the peak
+        memory of a growth to one table.
+        """
         limit = self.cache_pairs
         if self.pair_total is not None:
             limit = min(limit, self.pair_total)
-        pairs = list(
-            itertools.islice(
-                zip(self.a_only.iter_elements(), self.b_only.iter_elements()), limit
-            )
-        )
-        partner = {}
-        for a, b in pairs:
-            partner[a] = b
-            partner[b] = a
-        full = self.pair_total is not None and len(pairs) == self.pair_total
-        coverage = min(pairs[-1][0], pairs[-1][1]) if pairs else 0
-        object.__setattr__(self, "_partner", partner)
-        object.__setattr__(self, "_coverage", coverage)
-        object.__setattr__(self, "_full_cover", full)
+        table = self._table
+        partner, pairs, coverage, full = table
+        while not full and n > coverage and pairs < limit:
+            size = min(max(2 * pairs, _PAIR_TABLE_START), limit)
+            fresh = zip(self.a_only.iter_elements(), self.b_only.iter_elements())
+            for last in itertools.islice(fresh, pairs, size):
+                partner[last[0]] = last[1]
+                partner[last[1]] = last[0]
+            pairs = size
+            full = pairs == self.pair_total
+            coverage = min(last)
+            table = (partner, pairs, coverage, full)
+            if full or coverage > self._table[2]:  # never publish a smaller table
+                object.__setattr__(self, "_table", table)
+        return table
 
     def apply(self, n):
-        self._ensure_cache()
-        if self._full_cover or n <= self._coverage:
-            return self._partner.get(n, n)
+        partner, pairs, coverage, full = self._table
+        # a table that is neither full nor at its cap can still grow
+        if n > coverage and not full and pairs < self.cache_pairs:
+            partner, pairs, coverage, full = self._grown_table(n)
+        if full or n <= coverage:
+            return partner.get(n, n)
         if self.a_only.contains(n):
             return self.b_only.select(self.a_only.count(n))
         if self.b_only.contains(n):
@@ -402,7 +417,7 @@ def levy_defect_profile(
     """
     pts = list(seq.points())
     maxn = pts[-1]
-    budget = budget or DEFAULT_ENUMERATION_BUDGET
+    budget = checked_budget(budget)
     if maxn > budget:
         raise EnumerationBudgetExceeded(maxn, budget, "defect scan")
     if mode not in ("upward", "downward"):
@@ -446,7 +461,7 @@ def displacement_profile(
     """
     pts = list(seq.points())
     maxn = pts[-1]
-    budget = budget or DEFAULT_ENUMERATION_BUDGET
+    budget = checked_budget(budget)
     if maxn > budget:
         raise EnumerationBudgetExceeded(maxn, budget, "displacement scan")
     out = []
@@ -497,23 +512,31 @@ def ratio_stat_report(
     checkpoints: IndexSequence,
     slack_factor: Fraction = Fraction(1),
 ) -> RatioStatReport:
-    """Statistical-convergence table for π(n)/n at target 1, plus a verdict."""
-    report = statistical_limit(
-        lambda k: Fraction(pi.apply(k), k),
+    """Statistical-convergence table for π(n)/n at target 1, plus a verdict.
+
+    Each eps-row is classified by ``classify_tail``: the verdict is
+    non-Lévy-likely if any row is, Lévy-likely if every row is (so an empty
+    ``eps_grid`` is inconclusive), and inconclusive otherwise.
+    """
+    report = _stat_table(
+        lambda k: (pi.apply(k), k),
         Fraction(1),
         eps_grid,
         checkpoints,
         slack=Fraction(1, 100) * slack_factor,
     )
-    pts = report.checkpoints
-    tail = report.tail_window
-    hits_by_row = [
-        sum(1 for _, v in row.densities[-tail:] if v >= Fraction(1, 10))
+    verdicts = {
+        classify_tail(
+            report.checkpoints,
+            [v for _, v in row.densities],
+            slack_factor=slack_factor,
+            tail_window=report.tail_window,
+        )
         for row in report.rows
-    ]
-    if any(h >= 3 for h in hits_by_row):
+    }
+    if Classification.NON_LEVY_LIKELY in verdicts:
         cls = Classification.NON_LEVY_LIKELY
-    elif report.convergent and pts[-1] >= 10**4:
+    elif verdicts == {Classification.LEVY_LIKELY}:
         cls = Classification.LEVY_LIKELY
     else:
         cls = Classification.INCONCLUSIVE
@@ -539,7 +562,7 @@ def exceptional_sets(
     budget: Optional[int] = None,
 ) -> ExceptionalSets:
     """Exact finite materializations of the relative-displacement exceptions."""
-    budget = budget or DEFAULT_ENUMERATION_BUDGET
+    budget = checked_budget(budget)
     if horizon > budget:
         raise EnumerationBudgetExceeded(horizon, budget, "exceptional-set scan")
     eps = Fraction(eps)
@@ -589,7 +612,7 @@ def van_douwen_ratio_report(
     budget: Optional[int] = None,
 ) -> VanDouwenReport:
     """Check lim π(n)/n = 1 at desk scale: sup over the tail window."""
-    budget = budget or DEFAULT_ENUMERATION_BUDGET
+    budget = checked_budget(budget)
     if horizon > budget:
         raise EnumerationBudgetExceeded(horizon, budget, "ratio scan")
     start = tail_window_start if tail_window_start is not None else max(1, horizon // 10)

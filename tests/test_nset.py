@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
@@ -225,6 +227,30 @@ def test_select_is_inverse_of_count(s, k):
         return
     assert s.contains(v)
     assert s.count(v) == k
+
+
+def _select_by_bisection(s, k):
+    lo, hi = 1, k
+    while s.count(hi) < k:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if s.count(mid) >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_periodic_select_matches_bisection():
+    rng = random.Random(11)
+    sets = [Periodic(1, (0,)), Periodic(7, (0,)), Periodic(7, (3,)), Periodic(6, (0, 5))]
+    for _ in range(8):
+        m = rng.randrange(2, 40)
+        sets.append(Periodic(m, tuple(sorted(rng.sample(range(m), rng.randrange(1, m + 1))))))
+    for s in sets:
+        for k in range(1, 5001):
+            assert select(s, k) == _select_by_bisection(s, k), (s, k)
 
 
 def test_double_exponential_blocks_closed_form():

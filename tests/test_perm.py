@@ -1,11 +1,15 @@
+import random
+import sys
+import threading
 import warnings
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densitylab.asymptotics import Explicit
-from densitylab.corpus import standard_permutation_corpus
+from densitylab.asymptotics import Explicit, density, statistical_limit
+from densitylab.corpus import disjoint_periodic_pairs, standard_permutation_corpus
 from densitylab.errors import CardinalityMismatch, UnknownInfinitude
 from densitylab.nset import (
     Empty,
@@ -20,6 +24,7 @@ from densitylab.perm import (
     Compose,
     FiniteTable,
     Identity,
+    InterlacedPairing,
     Inverse,
     QuarterBlockSwap,
     displacement_classification,
@@ -95,6 +100,81 @@ def test_pairing_beyond_cache_matches_cached_path():
     object.__setattr__(small, "cache_pairs", 8)
     for n in range(1, 200):
         assert phi.apply(n) == small.apply(n)
+
+
+def _rank_matching(a_elems, b_elems):
+    """Brute pairing oracle: the i-th element of A' <-> the i-th of B'."""
+    a_elems, b_elems = list(a_elems), list(b_elems)
+    a_set, b_set = set(a_elems), set(b_elems)
+
+    def partner(n):
+        if n in a_set:
+            return b_elems[bisect_left(a_elems, n)]
+        if n in b_set:
+            return a_elems[bisect_left(b_elems, n)]
+        return n
+
+    return partner
+
+
+def _periodic_members(s, count):
+    """The first ``count`` members of a periodic set, period by period."""
+    offs = sorted(r or s.modulus for r in s.residues)
+    periods = count // len(offs) + 1
+    return [base + o for base in range(0, periods * s.modulus, s.modulus) for o in offs][:count]
+
+
+def test_pairing_matches_rank_matching_oracle():
+    horizon = 300_000
+    for a, b in disjoint_periodic_pairs(20, seed=4):
+        # ranks up to the larger count at the horizon, on both sides
+        need = max(a.count(horizon), b.count(horizon))
+        oracle = _rank_matching(_periodic_members(a, need), _periodic_members(b, need))
+        for cap in (None, 8):
+            phi = InterlacedPairing(a, b) if cap is None else InterlacedPairing(a, b, cache_pairs=cap)
+            points = list(range(1, 4097)) + list(range(4097, horizon + 1, 101))
+            assert [phi.apply(n) for n in points] == [oracle(n) for n in points], (a, b, cap)
+            # the table now covers the horizon or is at its cap: check both
+            # sides of where it stops
+            coverage = phi._table[2]
+            points = range(max(1, coverage - 300), min(horizon, coverage + 300) + 1)
+            assert [phi.apply(n) for n in points] == [oracle(n) for n in points], (a, b, cap)
+
+
+def test_finite_pairing_matches_rank_matching_oracle():
+    a, b = finite(1, 2, 3), blocks_explicit([(10, 13)])
+    oracle = _rank_matching([1, 2, 3], [10, 11, 12])
+    for cap, top in ((None, 300_000), (8, 300_000), (2, 2000)):
+        phi = InterlacedPairing(a, b) if cap is None else InterlacedPairing(a, b, cache_pairs=cap)
+        assert [phi.apply(n) for n in range(1, top + 1)] == [oracle(n) for n in range(1, top + 1)]
+        assert phi._table[3] == (cap != 2)  # full
+
+
+def test_pairing_table_growth_is_thread_safe():
+    a, b = periodic(8, [1, 6]), periodic(8, [3])
+    n_max = 30_000
+    reference = InterlacedPairing(a, b)
+    serial = [reference.apply(n) for n in range(1, n_max + 1)]
+    phi = InterlacedPairing(a, b)
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def worker(i):
+        start.wait(timeout=60)
+        results[i] = [phi.apply(n) for n in range(1, n_max + 1)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
 
 
 def test_pairing_preconditions():
@@ -274,6 +354,57 @@ def test_ratio_stat_pairing_scales_like_two_over_eps():
     rep = ratio_stat_report(phi, [eps], Explicit((10**4,)))
     # |phi(k)/k - 1| = 1/k, so exceptions stop at k = 1/eps
     assert rep.stat.rows[0].densities[0][1] == Fraction(100, 10**4)
+
+
+def _fraction_stat_densities(x, target, eps_list, pts):
+    """Reference exception densities, one Fraction per term."""
+    counts = [0] * len(eps_list)
+    rows = [[] for _ in eps_list]
+    for k in range(1, pts[-1] + 1):
+        dev = abs(Fraction(x(k)) - target)
+        for j, e in enumerate(eps_list):
+            counts[j] += dev >= e
+        if k in pts:
+            for j in range(len(eps_list)):
+                rows[j].append((k, Fraction(counts[j], k)))
+    return rows
+
+
+def test_statistical_limit_matches_fraction_reference_on_ties():
+    rng = random.Random(7)
+    q = QuarterBlockSwap()
+    # qswap: |q(k)/k - 1| is exactly 1 at k = 4^j and exactly 1/2 at k = 2*4^j
+    ties = [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 2)]
+    values = [Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)) for _ in range(5000)]
+    cases = [
+        (lambda k: Fraction(q.apply(k), k), Fraction(1)),
+        (lambda k: values[k - 1], Fraction(1, 2)),
+        (lambda k: values[k - 1].numerator // values[k - 1].denominator, Fraction(-1)),
+        (lambda k: float(values[k - 1]), Fraction(1, 4)),
+    ]
+    for x, target in cases:
+        for _ in range(3):
+            eps = sorted(rng.sample(ties, 2))
+            pts = sorted(rng.sample(range(1, 5001), 4))
+            got = statistical_limit(x, target, eps, Explicit(tuple(pts)))
+            want = _fraction_stat_densities(x, target, eps, pts)
+            assert [list(row.densities) for row in got.rows] == want
+    for eps in (Fraction(1), Fraction(1, 2)):
+        pts = (4**5, 2 * 4**5, 3 * 4**5, 4**6)
+        rep = ratio_stat_report(q, [eps], Explicit(pts))
+        want = _fraction_stat_densities(lambda k: Fraction(q.apply(k), k), 1, [eps], pts)
+        assert list(rep.stat.rows[0].densities) == want[0]
+
+
+def test_budget_below_one_is_rejected():
+    with pytest.raises(ValueError):
+        ODDS.count(10, budget=0)
+    with pytest.raises(ValueError):
+        levy_defect_profile(QuarterBlockSwap(), Explicit((16,)), budget=0)
+    with pytest.raises(ValueError):
+        density(ODDS, 100, 10, budget=0)
+    # None still means the default budget
+    assert ODDS.count(10, budget=None) == 5
 
 
 # ---------------------------------------------------------------------------
