@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import EnumerationBudgetExceeded, WitnessTooSparse
 from .nset import FiniteList, SymbolicSet, checked_budget
@@ -275,32 +275,50 @@ def limit_along(
     )
 
 
-def _extrema_from_runs(
-    s: SymbolicSet, runs: list[tuple[int, int]], lo: int, hi: int
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Exact (argmin, argmax) of A(n)/n over ALL integers in [lo, hi].
+def _checkpoint_ranges(points: Iterable[int], start: int = 1) -> Iterator[range]:
+    """Ranges [start, p_1], [p_1 + 1, p_2], ... for strictly increasing points
+    >= start: a scan loops over each block and reads its running totals at
+    the block's last element, the checkpoint."""
+    for p in points:
+        yield range(start, p + 1)
+        start = p + 1
 
-    Within a run of members the ratio is nondecreasing and within a gap it is
-    decreasing, so extrema can only occur at run boundaries or window ends.
+
+def _ratio_extrema(
+    pairs: Iterable[tuple[int, int]]
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The first (c, n) attaining the least c/n and the first attaining the
+    greatest, over nonempty pairs with n > 0, by cross-multiplication."""
+    it = iter(pairs)
+    mn = mx = next(it)
+    for c, n in it:
+        if c * mn[1] < mn[0] * n:
+            mn = (c, n)
+        elif c * mx[1] > mx[0] * n:
+            mx = (c, n)
+    return mn, mx
+
+
+def _run_boundary_counts(
+    runs: list[tuple[int, int]], lo: int, hi: int
+) -> Iterator[tuple[int, int]]:
+    """(A(n), n) at lo, at every run boundary in [lo, hi] and at hi, in
+    nondecreasing n, for ``runs`` the maximal member runs clipped to [1, hi].
+
+    A(n)/n is nondecreasing within a run of members and decreasing within a
+    gap, so only these points can hold its extrema over ALL of [lo, hi].
     """
-    candidates = {lo, hi}
+    yield sum(min(h, lo) - l + 1 for l, h in runs if l <= lo), lo
+    acc = 0  # A(l - 1)
     for l, h in runs:
-        if h < lo or l > hi:
-            continue
-        candidates.add(max(l, lo))
-        candidates.add(min(h, hi))
-        if l - 1 >= lo:
-            candidates.add(l - 1)
-        if h + 1 <= hi:
-            candidates.add(h + 1)
-    best_min = best_max = None
-    for n in sorted(candidates):
-        c = s.count(n)
-        if best_min is None or c * best_min[1] < best_min[0] * n:
-            best_min = (c, n)
-        if best_max is None or c * best_max[1] > best_max[0] * n:
-            best_max = (c, n)
-    return best_min, best_max
+        if l > lo:
+            yield acc, l - 1
+            yield acc + 1, l
+        acc += h - l + 1
+        if lo <= h < hi:
+            yield acc, h
+            yield acc, h + 1
+    yield acc, hi
 
 
 def _extrema_by_scan(
@@ -329,10 +347,17 @@ def density(
 ) -> DensityReport:
     """Estimate lower/upper asymptotic density over [tail_window_start, horizon].
 
-    The estimates are the exact inf/sup of A(n)/n over every integer in the
-    window (via run decomposition when the set admits one, otherwise a full
-    scan bounded by the budget).  ``exact_value`` is filled in whenever the
-    set has a closed-form density.
+    The ``grid`` of the report says how the estimates were found:
+
+    * ``window-extrema-via-runs`` -- the exact inf/sup of A(n)/n over every
+      integer in the window, read from the set's member runs;
+    * ``integer-scan`` -- the same exact inf/sup, by a scan of the window
+      bounded by the budget;
+    * ``geometric-sample`` -- for a set with a closed-form density and no
+      cheap run decomposition: the inf/sup over a geometric sample of the
+      window, which only brackets the extrema.
+
+    ``exact_value`` is filled in whenever the set has a closed-form density.
     """
     if not 1 <= tail_window_start < horizon:
         raise ValueError("need 1 <= tail_window_start < horizon")
@@ -340,25 +365,12 @@ def density(
     exact = s.exact_density()
     runs = s.member_runs(horizon)
     if runs is not None:
-        (mn, mx) = _extrema_from_runs(s, runs, tail_window_start, horizon)
+        mn, mx = _ratio_extrema(_run_boundary_counts(runs, tail_window_start, horizon))
         grid = "window-extrema-via-runs"
     elif exact is not None:
-        # closed-form density: a geometric sample of the window suffices for
-        # the bracketing estimates; always includes both window ends.
-        pts = sorted(
-            {tail_window_start, horizon}
-            | {
-                min(horizon, tail_window_start * 2**j)
-                for j in range(horizon.bit_length())
-            }
-        )
-        mn = mx = None
-        for n in pts:
-            c = s.count(n, budget=budget)
-            if mn is None or c * mn[1] < mn[0] * n:
-                mn = (c, n)
-            if mx is None or c * mx[1] > mx[0] * n:
-                mx = (c, n)
+        q = horizon // tail_window_start
+        pts = [tail_window_start << j for j in range(q.bit_length())] + [horizon]
+        mn, mx = _ratio_extrema((s.count(n, budget=budget), n) for n in pts)
         grid = "geometric-sample"
     else:
         (mn, mx) = _extrema_by_scan(s, tail_window_start, horizon, budget)
@@ -436,18 +448,16 @@ def _stat_table(
     eps_pairs = [(e.numerator, e.denominator) for e in eps_list]
     counters = [0] * len(eps_list)
     table: list[list[tuple[int, Fraction]]] = [[] for _ in eps_list]
-    it = iter(pts)
-    nxt = next(it)
-    for k in range(1, pts[-1] + 1):
-        dev = _deviation(*term(k), tn, td)
-        if dev[0]:  # every eps is positive, so a zero deviation is no exception
-            for j, e in enumerate(eps_pairs):
-                if _at_least(dev, e):
-                    counters[j] += 1
-        if k == nxt:
-            for j in range(len(eps_list)):
-                table[j].append((k, Fraction(counters[j], k)))
-            nxt = next(it, None)
+    for block in _checkpoint_ranges(pts):
+        for k in block:
+            dev = _deviation(*term(k), tn, td)
+            if dev[0]:  # every eps is positive, so a zero deviation is no exception
+                for j, e in enumerate(eps_pairs):
+                    if _at_least(dev, e):
+                        counters[j] += 1
+        k = block[-1]
+        for j in range(len(eps_list)):
+            table[j].append((k, Fraction(counters[j], k)))
 
     tail = _tail_len(len(pts), tail_window)
     rows = []

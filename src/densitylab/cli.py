@@ -12,13 +12,14 @@ Exit codes: 0 for any computed report (inconclusive verdicts included),
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .asymptotics import Doubled, DoubleExponential, Geometric, density
+from .asymptotics import Doubled, DoubleExponential, Geometric, _checkpoint_ranges, density
 from .errors import (
     ConfigError,
     DensityLabError,
@@ -39,7 +40,7 @@ from .perm import (
 from .report import emit_csv, emit_json, profile, profile_csv_rows, rat
 from .suite import counterexample_suite
 
-_SCHEMA = "densitylab/1"
+_SCHEMA = "densitylab/2"
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class ExperimentConfig:
     enumeration_budget: int = 10**7
     dexp_terms: int = 4
     output_format: str = "json"
-    random_seed: int = 1
 
     def __post_init__(self):
         tail = self.tail_start()
@@ -78,7 +78,6 @@ class ExperimentConfig:
             "enumeration_budget": self.enumeration_budget,
             "dexp_terms": self.dexp_terms,
             "output_format": self.output_format,
-            "random_seed": self.random_seed,
         }
 
 
@@ -231,11 +230,11 @@ def _run_pair(args, config):
     a = parse_expression(args.set_a, "set")
     b = parse_expression(args.set_b, "set")
     phi = parse_expression(f"pair({a.to_expr()},{b.to_expr()})", "perm")
-    shown = []
-    for x, y in zip(phi.a_only.iter_elements(), phi.b_only.iter_elements()):
-        shown.append([x, y])
-        if len(shown) >= 10:
-            break
+    # never ask for a pair past the last: a side that is finite by its
+    # eventual period can enumerate forever after its last element
+    limit = 10 if phi.pair_total is None else min(10, phi.pair_total)
+    pairs = zip(phi.a_only.iter_elements(), phi.b_only.iter_elements())
+    shown = [[x, y] for x, y in itertools.islice(pairs, limit)]
     sample_ok = all(
         phi.apply(phi.apply(n)) == n for n in range(1, min(1000, config.horizon) + 1)
     )
@@ -263,22 +262,16 @@ def _run_witness(args, config):
     cap = args.cap or config.horizon
     w = levy_witness_set(pi, cap)
     first = []
-    for k in range(1, cap + 1):
-        if w.contains(k):
-            first.append(k)
-            if len(first) >= 20:
-                break
-    checkpoints = [p for p in doubling_checkpoints(cap).points()]
     entries = []
     count = 0
-    it = iter(checkpoints)
-    nxt = next(it, None)
-    for k in range(1, cap + 1):
-        if w.contains(k):
-            count += 1
-        if k == nxt:
-            entries.append((k, Fraction(count, k)))
-            nxt = next(it, None)
+    for block in _checkpoint_ranges(doubling_checkpoints(cap).points()):
+        for k in block:
+            if w.contains(k):
+                count += 1
+                if count <= 20:
+                    first.append(k)
+        k = block[-1]
+        entries.append((k, Fraction(count, k)))
     result = {
         "witness": w.to_expr(),
         "cap": cap,
@@ -395,7 +388,6 @@ def _add_config_flags(sp, dexp_default: int):
     sp.add_argument("--dexp-terms", type=int, default=dexp_default,
                     help="terms of the double-exponential grid")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--seed", type=int, default=1, help="seed for corpus generation")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -458,7 +450,6 @@ def run_command(argv: list[str]) -> int:
             enumeration_budget=args.budget,
             dexp_terms=args.dexp_terms,
             output_format=args.format,
-            random_seed=args.seed,
         )
         report, sections = args.runner(args, config)
     except (EnumerationBudgetExceeded, PredicateCapExceeded) as exc:

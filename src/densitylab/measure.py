@@ -19,6 +19,7 @@ from .asymptotics import (
     Explicit,
     IndexSequence,
     LimitReport,
+    _checkpoint_ranges,
     limit_along,
 )
 from .errors import EnumerationBudgetExceeded, NoViolationFound
@@ -36,6 +37,7 @@ from .perm import (
     InterlacedPairing,
     PermutationRule,
     QuarterBlockSwap,
+    _defect_counts,
     levy_witness_set,
 )
 
@@ -469,23 +471,21 @@ class ViolationCertificate:
         pi = self.permutation
         w = self.witness_set
         img = ImageSet(pi, w)
-        maxn = self.subsequence.values[-1]
+        pts = self.subsequence.values
         want = dict(self.profile)
-        in_w = in_img = defect = 0
-        ok = True
-        targets = set(self.subsequence.values)
-        for n in range(1, maxn + 1):
-            if w.contains(n):
-                in_w += 1
-            if img.contains(n):
-                in_img += 1
-            defect += (1 if pi.apply(n) > n else 0) - (
-                1 if pi.invert(n) < n else 0
-            )
-            if n in targets:
-                gap = Fraction(in_w - in_img, n)
-                ok = ok and gap == want[n] and in_w - in_img == defect
-        return ok and min(want.values()) == self.gap_estimate
+        gaps = []
+        in_w = in_img = 0
+        for block in _checkpoint_ranges(pts):
+            for n in block:
+                if w.contains(n):
+                    in_w += 1
+                if img.contains(n):
+                    in_img += 1
+            gaps.append(in_w - in_img)
+        return all(
+            gap == defect and Fraction(gap, n) == want[n]
+            for n, gap, defect in zip(pts, gaps, _defect_counts(pi, pts))
+        ) and min(want.values()) == self.gap_estimate
 
 
 def find_invariance_violation(
@@ -505,11 +505,8 @@ def find_invariance_violation(
     budget = checked_budget(budget)
     if horizon > budget:
         raise EnumerationBudgetExceeded(horizon, budget, "violation scan")
-    defects: list[Fraction] = []
-    acc = 0
-    for n in range(1, horizon + 1):
-        acc += (1 if pi.apply(n) > n else 0) - (1 if pi.invert(n) < n else 0)
-        defects.append(Fraction(acc, n))
+    points = range(1, horizon + 1)
+    defects = list(map(Fraction, _defect_counts(pi, points), points))
     tail_max = max(defects[horizon // 2 :])
     if tail_max <= threshold:
         raise NoViolationFound(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -382,9 +383,12 @@ class Periodic(SymbolicSet):
     def _count(self, n, budget):
         q, s = divmod(n, self.modulus)
         # residue 0 is hit at m, 2m, ..., qm; residue r >= 1 gets one extra
-        # hit in the trailing partial period when r <= s.
-        extra = sum(1 for r in self.residues if 1 <= r <= s)
-        return q * len(self.residues) + extra
+        # hit in the trailing partial period when r <= s, so residue 0 is
+        # taken back out of the bisection.  Caching _offsets() from here
+        # made later contains-heavy scans (equal) about 30% slower.
+        res = self.residues
+        extra = bisect_right(res, s) - (1 if res and res[0] == 0 else 0)
+        return q * len(res) + extra
 
     def infinitude(self):
         return Infinitude.INFINITE if self.residues else Infinitude.FINITE
@@ -609,6 +613,15 @@ def _merged_iter(
         prev = v
 
 
+def _both(node: "Union | Diff") -> SymbolicSet:
+    """inter(node.left, node.right), built once and memoized on the node."""
+    both = getattr(node, "_both_memo", None)
+    if both is None:
+        both = inter(node.left, node.right)
+        object.__setattr__(node, "_both_memo", both)
+    return both
+
+
 @dataclass(frozen=True)
 class Union(SymbolicSet):
     left: SymbolicSet
@@ -617,18 +630,11 @@ class Union(SymbolicSet):
     def contains(self, n):
         return self.left.contains(n) or self.right.contains(n)
 
-    def _both(self) -> "SymbolicSet":
-        node = getattr(self, "_both_memo", None)
-        if node is None:
-            node = inter(self.left, self.right)
-            object.__setattr__(self, "_both_memo", node)
-        return node
-
     def _count(self, n, budget):
         return (
             self.left.count(n, budget=budget)
             + self.right.count(n, budget=budget)
-            - self._both().count(n, budget=budget)
+            - _both(self).count(n, budget=budget)
         )
 
     def infinitude(self):
@@ -637,7 +643,7 @@ class Union(SymbolicSet):
             return Infinitude.INFINITE
         if a == b == Infinitude.FINITE:
             return Infinitude.FINITE
-        return Infinitude.UNKNOWN
+        return _infinitude_by_period(self)
 
     def max_element(self):
         a, b = self.left.max_element(), self.right.max_element()
@@ -699,11 +705,11 @@ class Intersect(SymbolicSet):
         a, b = self.left.infinitude(), self.right.infinitude()
         if Infinitude.FINITE in (a, b):
             return Infinitude.FINITE
-        return Infinitude.UNKNOWN
+        return _infinitude_by_period(self)
 
     def max_element(self):
         bounds = [x for x in (self.left.max_element(), self.right.max_element()) if x is not None]
-        return min(bounds) if bounds else None
+        return min(bounds) if bounds else _bound_by_period(self)
 
     def member_runs(self, horizon, cap=_RUNS_CAP):
         return _combine_runs(self.left, self.right, horizon, cap, "inter")
@@ -725,15 +731,8 @@ class Diff(SymbolicSet):
     def contains(self, n):
         return self.left.contains(n) and not self.right.contains(n)
 
-    def _both(self) -> "SymbolicSet":
-        node = getattr(self, "_both_memo", None)
-        if node is None:
-            node = inter(self.left, self.right)
-            object.__setattr__(self, "_both_memo", node)
-        return node
-
     def _count(self, n, budget):
-        return self.left.count(n, budget=budget) - self._both().count(n, budget=budget)
+        return self.left.count(n, budget=budget) - _both(self).count(n, budget=budget)
 
     def infinitude(self):
         a, b = self.left.infinitude(), self.right.infinitude()
@@ -741,10 +740,11 @@ class Diff(SymbolicSet):
             return Infinitude.FINITE
         if a == Infinitude.INFINITE and b == Infinitude.FINITE:
             return Infinitude.INFINITE
-        return Infinitude.UNKNOWN
+        return _infinitude_by_period(self)
 
     def max_element(self):
-        return self.left.max_element()
+        bound = self.left.max_element()
+        return _bound_by_period(self) if bound is None else bound
 
     def member_runs(self, horizon, cap=_RUNS_CAP):
         return _combine_runs(self.left, self.right, horizon, cap, "diff")
@@ -769,11 +769,12 @@ class Complement(SymbolicSet):
         return n - self.inner.count(n, budget=budget)
 
     def infinitude(self):
-        return (
-            Infinitude.INFINITE
-            if self.inner.infinitude() == Infinitude.FINITE
-            else Infinitude.UNKNOWN
-        )
+        if self.inner.infinitude() == Infinitude.FINITE:
+            return Infinitude.INFINITE
+        return _infinitude_by_period(self)
+
+    def max_element(self):
+        return _bound_by_period(self)
 
     def exact_density(self):
         d = self.inner.exact_density()
@@ -844,8 +845,6 @@ def scale(s: SymbolicSet, t: int) -> SymbolicSet:
 
 
 def _lcm_periodic(a: Periodic, b: Periodic, keep: Callable[[int, int], bool]):
-    import math
-
     m = math.lcm(a.modulus, b.modulus)
     if m > _LCM_CAP:
         return None
@@ -969,6 +968,69 @@ def _combine_runs(left: SymbolicSet, right: SymbolicSet, horizon, cap, op):
                     return None
         pos = nxt
     return out
+
+
+# ---------------------------------------------------------------------------
+# eventual periodicity (exact infinitude of finite/periodic trees)
+# ---------------------------------------------------------------------------
+
+
+def _eventual_period(s: SymbolicSet) -> Optional[tuple[int, int]]:
+    """(b, l) such that membership in ``s`` repeats with period l past b.
+
+    Defined for trees whose leaves are finite or periodic, joined by scaling,
+    complement, union, intersection and difference, while l stays within
+    ``_LCM_CAP``; None otherwise.  No member of a finite such set exceeds b.
+    """
+    if isinstance(s, (Union, Intersect, Diff)):
+        left, right = _eventual_period(s.left), _eventual_period(s.right)
+        if left is None or right is None:
+            return None
+        b, l = max(left[0], right[0]), math.lcm(left[1], right[1])
+    elif isinstance(s, Scaled):
+        inner = _eventual_period(s.inner)
+        if inner is None:
+            return None
+        b, l = s.factor * inner[0], s.factor * inner[1]
+    elif isinstance(s, Complement):
+        return _eventual_period(s.inner)
+    elif isinstance(s, Periodic):
+        b, l = 0, s.modulus
+    elif isinstance(s, Full):
+        b, l = 0, 1
+    elif isinstance(s, (Empty, FiniteList, Blocks)) and s.max_element() is not None:
+        b, l = s.max_element(), 1
+    else:
+        return None
+    return (b, l) if l <= _LCM_CAP else None
+
+
+def _infinitude_by_period(s: SymbolicSet) -> Infinitude:
+    """Exact infinitude where ``_eventual_period`` applies, else UNKNOWN.
+
+    Past b membership repeats with period l, so the set is infinite iff it
+    has a member in (b, b + l].  The verdict is memoized on the node.
+    """
+    flag = getattr(s, "_period_flag", None)
+    if flag is None:
+        period = _eventual_period(s)
+        if period is None:
+            flag = Infinitude.UNKNOWN
+        else:
+            b, l = period
+            members = any(s.contains(n) for n in range(b + 1, b + l + 1))
+            flag = Infinitude.INFINITE if members else Infinitude.FINITE
+        object.__setattr__(s, "_period_flag", flag)
+    return flag
+
+
+def _bound_by_period(s: SymbolicSet) -> Optional[int]:
+    """The b of ``_eventual_period``, which bounds the members, when ``s`` is
+    finite; None otherwise."""
+    if s.infinitude() != Infinitude.FINITE:
+        return None
+    period = _eventual_period(s)
+    return None if period is None else period[0]
 
 
 # ---------------------------------------------------------------------------

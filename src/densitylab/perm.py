@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .asymptotics import (
     Explicit,
     IndexSequence,
     StatReport,
+    _checkpoint_ranges,
     _stat_table,
 )
 from .errors import (
@@ -402,6 +404,18 @@ class DefectProfile:
     tail_window: int
 
 
+def _defect_counts(pi: PermutationRule, points: Sequence[int]) -> list[int]:
+    """|{k : k <= n < π(k)}| at each of the increasing ``points``, in one pass:
+    n joins the set when π(n) > n, and π⁻¹(n) leaves it when π⁻¹(n) < n."""
+    counts = []
+    acc = 0
+    for block in _checkpoint_ranges(points):
+        for n in block:
+            acc += (1 if pi.apply(n) > n else 0) - (1 if pi.invert(n) < n else 0)
+        counts.append(acc)
+    return counts
+
+
 def levy_defect_profile(
     pi: PermutationRule,
     seq: IndexSequence,
@@ -422,22 +436,18 @@ def levy_defect_profile(
         raise EnumerationBudgetExceeded(maxn, budget, "defect scan")
     if mode not in ("upward", "downward"):
         raise ValueError("mode must be 'upward' or 'downward'")
-    out: list[tuple[int, Fraction]] = []
-    it = iter(pts)
-    nxt = next(it)
-    acc = 0
-    for n in range(1, maxn + 1):
-        if mode == "upward":
-            acc += (1 if pi.apply(n) > n else 0) - (1 if pi.invert(n) < n else 0)
-            d = acc
-        else:
-            acc += (1 if pi.apply(n) <= n else 0) + (1 if pi.invert(n) < n else 0)
-            d = n - acc
-        if n == nxt:
-            out.append((n, Fraction(d, n)))
-            nxt = next(it, None)
-    defects = tuple(v for _, v in out)
-    tail = ceil(len(out) / 2)
+    if mode == "upward":
+        defects = tuple(map(Fraction, _defect_counts(pi, pts), pts))
+    else:
+        out = []
+        acc = 0
+        for block in _checkpoint_ranges(pts):
+            for n in block:
+                acc += (1 if pi.apply(n) <= n else 0) + (1 if pi.invert(n) < n else 0)
+            n = block[-1]
+            out.append(Fraction(n - acc, n))
+        defects = tuple(out)
+    tail = ceil(len(defects) / 2)
     hint = classify_tail(pts, defects, slack_factor=slack_factor, tail_window=tail)
     return DefectProfile(
         points=tuple(pts),
@@ -465,18 +475,16 @@ def displacement_profile(
     if maxn > budget:
         raise EnumerationBudgetExceeded(maxn, budget, "displacement scan")
     out = []
-    it = iter(pts)
-    nxt = next(it)
     in_a = 0
     in_image = 0
-    for n in range(1, maxn + 1):
-        if a.contains(n):
-            in_a += 1
-        if a.contains(pi.invert(n)):
-            in_image += 1
-        if n == nxt:
-            out.append((n, Fraction(in_a - in_image, n)))
-            nxt = next(it, None)
+    for block in _checkpoint_ranges(pts):
+        for n in block:
+            if a.contains(n):
+                in_a += 1
+            if a.contains(pi.invert(n)):
+                in_image += 1
+        n = block[-1]
+        out.append((n, Fraction(in_a - in_image, n)))
     return out
 
 
@@ -571,18 +579,15 @@ def exceptional_sets(
     pts = [p for p in checkpoints.points() if p <= horizon]
     above: list[int] = []
     below: list[int] = []
-    ratios = []
-    it = iter(pts)
-    nxt = next(it, None)
     for k in range(1, horizon + 1):
         d = pi.apply(k) - k
         if d * eps.denominator > eps.numerator * k:
             above.append(k)
         elif -d * eps.denominator > eps.numerator * k:
             below.append(k)
-        if k == nxt:
-            ratios.append((k, Fraction(len(above) + len(below), k)))
-            nxt = next(it, None)
+    ratios = [
+        (p, Fraction(bisect_right(above, p) + bisect_right(below, p), p)) for p in pts
+    ]
     return ExceptionalSets(
         eps=eps,
         horizon=horizon,

@@ -10,6 +10,7 @@ from densitylab.asymptotics import (
     DoubleExponential,
     Explicit,
     Geometric,
+    _extrema_by_scan,
     density,
     full_density_witness,
     limit_along,
@@ -17,7 +18,18 @@ from densitylab.asymptotics import (
     statistical_limit,
 )
 from densitylab.errors import WitnessTooSparse
-from densitylab.nset import Full, blocks_dexp, finite, periodic, scale, union
+from densitylab.nset import (
+    Full,
+    blocks_dexp,
+    blocks_explicit,
+    compl,
+    diff,
+    finite,
+    inter,
+    periodic,
+    scale,
+    union,
+)
 
 from oracles import dexp_count_enum
 
@@ -152,6 +164,45 @@ def test_density_window_extrema_match_full_scan():
             best_max = v
     assert r.lower_estimate == best_min == Fraction(276, 65535)
     assert r.upper_estimate == best_max == Fraction(65812, 131071)
+
+
+_leaf = st.one_of(
+    st.builds(
+        lambda m, picks: periodic(m, {p % m for p in picks}),
+        st.integers(2, 12),
+        st.lists(st.integers(0, 11), min_size=1, max_size=5),
+    ),
+    st.builds(lambda xs: finite(*xs), st.lists(st.integers(1, 3000), max_size=10)),
+    st.just(blocks_dexp()),
+    st.builds(
+        lambda lo, w: blocks_explicit([(lo, lo + w)]), st.integers(1, 2500), st.integers(1, 400)
+    ),
+)
+
+
+def _level(child):
+    return st.one_of(
+        st.builds(union, child, child),
+        st.builds(inter, child, child),
+        st.builds(diff, child, child),
+        st.builds(compl, child),
+        st.builds(scale, child, st.integers(2, 4)),
+    )
+
+
+_depth3_tree = _level(_level(_level(_leaf)))
+
+
+@given(s=_depth3_tree, horizon=st.integers(2, 3000), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_density_run_path_matches_integer_scan_on_deep_trees(s, horizon, data):
+    start = data.draw(st.integers(1, horizon - 1))
+    r = density(s, horizon, start)
+    if r.grid != "window-extrema-via-runs":
+        return
+    mn, mx = _extrema_by_scan(s, start, horizon, 10**7)
+    assert (r.lower_estimate, r.argmin) == (Fraction(*mn), mn[1])
+    assert (r.upper_estimate, r.argmax) == (Fraction(*mx), mx[1])
 
 
 def test_density_scan_grid_for_opaque_sets():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -253,6 +254,15 @@ def test_violation_certificate_profile_is_self_verifying():
         cw = w.count(n)
         img = ImageSet(cert.permutation, w).count(n)
         assert Fraction(cw - img, n) == v
+
+
+def test_violation_certificate_rejects_tampered_profile():
+    cert = find_invariance_violation(QuarterBlockSwap(), horizon=2000)
+    assert cert.verify()
+    (n, v), *rest = cert.profile
+    moved = replace(cert, profile=((n, v + Fraction(1, n)), *rest))
+    assert not moved.verify()
+    assert not replace(cert, gap_estimate=cert.gap_estimate / 2).verify()
 
 
 def test_no_violation_for_levy_like_rules():

@@ -229,6 +229,57 @@ def test_select_is_inverse_of_count(s, k):
     assert s.count(v) == k
 
 
+@pytest.mark.parametrize(
+    "s, flag",
+    [
+        (diff(periodic(2, [0]), compl(finite(1))), Infinitude.FINITE),
+        (scale(diff(union(finite(4), periodic(9, [4])), periodic(9, [4])), 3), Infinitude.FINITE),
+        (diff(diff(periodic(4, [1]), finite(1, 100, 115)), periodic(2, [1])), Infinitude.FINITE),
+        (
+            scale(diff(union(finite(5, 229, 249), periodic(2, [0])), periodic(2, [0])), 2),
+            Infinitude.FINITE,
+        ),
+        (diff(union(finite(7), periodic(6, [1])), periodic(3, [1])), Infinitude.FINITE),
+        (diff(union(finite(8), periodic(6, [1, 3])), periodic(3, [1])), Infinitude.INFINITE),
+        # past b = 4 the only member of the first period (4, 8] is 8 = b + l
+        (diff(union(finite(4), periodic(4, [0])), periodic(2, [1])), Infinitude.INFINITE),
+        (compl(union(periodic(2, [0]), compl(finite(3, 9)))), Infinitude.FINITE),
+        (inter(union(finite(4), periodic(3, [1])), union(finite(4), periodic(3, [2]))), Infinitude.FINITE),
+        (inter(blocks_dexp(), periodic(3, [1])), Infinitude.UNKNOWN),
+    ],
+)
+def test_select_on_eventually_periodic_trees(s, flag):
+    assert s.infinitude() == flag
+    members = sorted(brute_members(s, 3000))
+    for k in range(1, 21):
+        if k <= len(members):
+            assert select(s, k) == members[k - 1]
+        else:
+            with pytest.raises(IndexBeyondSet):
+                select(s, k)
+
+
+def test_select_in_an_intersection_with_a_side_finite_by_its_period():
+    # blocks(dexp) has no eventual period, so the bound comes from the other side
+    s = inter(diff(union(finite(16, 17), periodic(2, [0])), periodic(2, [0])), blocks_dexp())
+    assert s.infinitude() == Infinitude.FINITE and s.max_element() == 17
+    assert select(s, 1) == 17
+    with pytest.raises(IndexBeyondSet):
+        select(s, 2)
+
+
+def test_periodic_count_matches_brute_force():
+    rng = random.Random(31)
+    sets = [Periodic(1, (0,)), Periodic(5, (0,)), Periodic(5, (4,)), Periodic(9, (0, 8))]
+    for _ in range(20):
+        m = rng.randrange(2, 30)
+        sets.append(Periodic(m, tuple(sorted(rng.sample(range(m), rng.randrange(1, m + 1))))))
+    for s in sets:
+        members = brute_members(s, 400)
+        for n in range(0, 401):
+            assert s.count(n) == sum(1 for v in members if v <= n), (s, n)
+
+
 def _select_by_bisection(s, k):
     lo, hi = 1, k
     while s.count(hi) < k:

@@ -131,7 +131,7 @@ def test_config_invariants():
 
 def test_density_subcommand_matches_window_extrema():
     rep = run_json(["density", "blocks(dexp)", "--horizon", "1048576", "--tail", "1024"])
-    assert rep["schema"] == "densitylab/1"
+    assert rep["schema"] == "densitylab/2"
     up = rep["result"]["upper_estimate"]
     assert (up["num"], up["den"]) == (65812, 131071)
     lo = rep["result"]["lower_estimate"]
@@ -170,6 +170,16 @@ def test_pair_subcommand():
     rep = run_json(["pair", "periodic(2;1)", "periodic(2;0)"])
     assert rep["result"]["first_pairs"][:3] == [[1, 2], [3, 4], [5, 6]]
     assert rep["result"]["involution_on_sample"]
+
+
+def test_pair_subcommand_on_sides_finite_by_their_period():
+    # {5} and {7}; the first side enumerates forever after 5
+    finite_by_period = "diff(union(finite(5),periodic(4;0)),periodic(4;0))"
+    rep = run_json(["pair", finite_by_period, "finite(7)", "--horizon", "2000"])
+    assert rep["result"]["first_pairs"] == [[5, 7]]
+    assert rep["result"]["involution_on_sample"]
+    rep = run_json(["pair", finite_by_period, "finite(5)", "--horizon", "2000"])
+    assert rep["result"]["first_pairs"] == []
 
 
 def test_witness_subcommand():

@@ -256,6 +256,41 @@ def test_downward_defect_equals_upward():
         assert up.defects == down.defects
 
 
+def _checkpoint_grids(rng, horizon):
+    grids = [Explicit((1,)), Explicit((horizon,)), Explicit(tuple(range(1, horizon + 1)))]
+    for _ in range(4):
+        grids.append(Explicit(tuple(sorted(rng.sample(range(1, horizon + 1), rng.randrange(1, 12))))))
+    grids.append(Explicit((rng.randrange(1, horizon + 1),)))
+    return grids
+
+
+def test_upward_downward_and_brute_defects_agree_on_random_grids():
+    rng = random.Random(23)
+    pairings = [pairing_permutation(a, b) for a, b in disjoint_periodic_pairs(10, seed=9)]
+    for pi in corpus_rules() + pairings:
+        for grid in _checkpoint_grids(rng, 300):
+            up = levy_defect_profile(pi, grid)
+            down = levy_defect_profile(pi, grid, mode="downward")
+            brute = tuple(Fraction(brute_defect(pi, n), n) for n in grid.points())
+            assert up.defects == down.defects == brute, (pi, grid)
+
+
+def test_exceptional_set_ratios_match_brute_force():
+    rng = random.Random(5)
+    horizon = 300
+    for pi in corpus_rules():
+        for eps in (Fraction(1, 2), Fraction(1, 10)):
+            for grid in _checkpoint_grids(rng, horizon + 40):
+                ex = exceptional_sets(pi, eps, horizon, checkpoints=grid)
+                moved = [k for k in range(1, horizon + 1) if abs(pi.apply(k) - k) > eps * k]
+                want = tuple(
+                    (p, Fraction(sum(1 for k in moved if k <= p), p))
+                    for p in grid.points()
+                    if p <= horizon
+                )
+                assert ex.union_ratios == want, (pi, eps, grid)
+
+
 def test_defect_of_pi_composed_with_inverse_is_zero():
     for pi in corpus_rules():
         prof = levy_defect_profile(Compose(pi, Inverse(pi)), doubling_checkpoints(2000))
