@@ -427,6 +427,13 @@ def statistical_limit(
     )
 
 
+def _positive_eps(eps_grid: Sequence[Fraction]) -> list[Fraction]:
+    eps_list = [Fraction(e) for e in eps_grid]
+    if any(e <= 0 for e in eps_list):
+        raise ValueError("eps grid must be positive")
+    return eps_list
+
+
 def _stat_table(
     term: Callable[[int], tuple[int, int]],
     target: Fraction,
@@ -439,15 +446,13 @@ def _stat_table(
 
     The scan is integer-only: a ``Fraction`` is built only at checkpoints.
     """
-    eps_list = [Fraction(e) for e in eps_grid]
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("eps grid must be positive")
+    eps_list = _positive_eps(eps_grid)
     pts = list(checkpoints.points())
     target = Fraction(target)
     tn, td = target.numerator, target.denominator
     eps_pairs = [(e.numerator, e.denominator) for e in eps_list]
     counters = [0] * len(eps_list)
-    table: list[list[tuple[int, Fraction]]] = [[] for _ in eps_list]
+    counts: list[list[int]] = [[] for _ in eps_list]
     for block in _checkpoint_ranges(pts):
         for k in block:
             dev = _deviation(*term(k), tn, td)
@@ -455,15 +460,27 @@ def _stat_table(
                 for j, e in enumerate(eps_pairs):
                     if _at_least(dev, e):
                         counters[j] += 1
-        k = block[-1]
-        for j in range(len(eps_list)):
-            table[j].append((k, Fraction(counters[j], k)))
+        for row, c in zip(counts, counters):
+            row.append(c)
+    return _stat_report(target, eps_list, pts, counts, slack, tail_window)
 
+
+def _stat_report(
+    target: Fraction,
+    eps_list: Sequence[Fraction],
+    pts: Sequence[int],
+    counts: Sequence[Sequence[int]],
+    slack: Fraction,
+    tail_window: Optional[int] = None,
+) -> StatReport:
+    """The table for exception counts ``counts[j][i]`` of ``eps_list[j]`` at
+    ``pts[i]``."""
     tail = _tail_len(len(pts), tail_window)
     rows = []
-    for e, dens in zip(eps_list, table):
+    for e, row in zip(eps_list, counts):
+        dens = tuple(zip(pts, map(Fraction, row, pts)))
         tail_max = max(v for _, v in dens[-tail:])
-        rows.append(StatRow(eps=e, densities=tuple(dens), tail_max=tail_max))
+        rows.append(StatRow(eps=e, densities=dens, tail_max=tail_max))
     return StatReport(
         target=target,
         checkpoints=tuple(pts),

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .asymptotics import Doubled, DoubleExponential, Geometric, _checkpoint_ranges, density
+from .asymptotics import Doubled, DoubleExponential, Geometric, density
 from .errors import (
     ConfigError,
     DensityLabError,
@@ -30,6 +30,7 @@ from .errors import (
 from .measure import evaluate, equal_measure_test
 from .parser import parse_expression
 from .perm import (
+    _moved_up,
     doubling_checkpoints,
     displacement_profile,
     levy_defect_profile,
@@ -261,17 +262,9 @@ def _run_witness(args, config):
     pi = parse_expression(args.perm, "perm")
     cap = args.cap or config.horizon
     w = levy_witness_set(pi, cap)
-    first = []
-    entries = []
-    count = 0
-    for block in _checkpoint_ranges(doubling_checkpoints(cap).points()):
-        for k in block:
-            if w.contains(k):
-                count += 1
-                if count <= 20:
-                    first.append(k)
-        k = block[-1]
-        entries.append((k, Fraction(count, k)))
+    points = doubling_checkpoints(cap).points()
+    first, counts = _moved_up(pi, points)
+    entries = [(k, Fraction(c, k)) for k, c in zip(points, counts)]
     result = {
         "witness": w.to_expr(),
         "cap": cap,

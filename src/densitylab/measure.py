@@ -33,11 +33,10 @@ from .nset import (
     union,
 )
 from .perm import (
-    Identity,
     InterlacedPairing,
     PermutationRule,
-    QuarterBlockSwap,
     _defect_counts,
+    _image_counts,
     levy_witness_set,
 )
 
@@ -222,10 +221,11 @@ def evaluate(
 class ImageSet(SymbolicSet):
     """π(base) described through the inverse: m ∈ πA iff π⁻¹(m) ∈ A.
 
-    Counting uses closed forms where the permutation structure allows them
-    (identity, pairings moving the whole of one side to the other, the
-    quarter-block swap's piecewise translations); otherwise it scans m <= n
-    under the enumeration budget.
+    Counting reads the affine pieces of π⁻¹ where it has them (identity,
+    tables, the quarter-block swap, periodic pairings, and their
+    compositions and inverses), then uses closed forms for pairings moving
+    the whole of one side to the other; otherwise it scans m <= n under the
+    enumeration budget.
     """
 
     pi: PermutationRule
@@ -236,8 +236,9 @@ class ImageSet(SymbolicSet):
 
     def _count(self, n, budget):
         pi, base = self.pi, self.base
-        if isinstance(pi, Identity):
-            return base.count(n, budget=budget)
+        counted = _image_counts(pi, base, (n,), budget)
+        if counted is not None:
+            return counted[0]
         if isinstance(pi, InterlacedPairing):
             if base == pi.a_only:
                 return pi.b_only.count(n, budget=budget)
@@ -246,36 +247,18 @@ class ImageSet(SymbolicSet):
             moved = union(pi.set_a, pi.set_b)
             if inter(base, moved) == Empty():
                 return base.count(n, budget=budget)
-        if isinstance(pi, QuarterBlockSwap):
-            return self._count_qswap(n, budget)
         if n > budget:
             raise EnumerationBudgetExceeded(n, budget, "image-count scan")
         return sum(1 for m in range(1, n + 1) if base.contains(pi.invert(m)))
 
-    def _count_qswap(self, n, budget):
-        base = self.base
-
-        def seg(lo, hi):
-            # members of base in [lo, hi]
-            if hi < lo:
-                return 0
-            return base.count(hi, budget=budget) - base.count(lo - 1, budget=budget)
-
-        total = seg(1, min(3, n))
-        j = 1
-        while 4**j <= 2 * n:
-            b = 4**j
-            # lower quarter shifts up by b: lands <= n iff k <= n - b
-            total += seg(b, min(2 * b - 1, n - b))
-            # middle quarter shifts down by b: lands <= n iff k <= n + b
-            total += seg(2 * b, min(3 * b - 1, n + b))
-            # top quarter is fixed
-            total += seg(3 * b, min(4 * b - 1, n))
-            j += 1
-        return total
-
     def infinitude(self):
         return self.base.infinitude()
+
+    def max_element(self):
+        bound = self.base.max_element()
+        if bound is None:
+            return None
+        return max((self.pi.apply(k) for k in self.base.iter_elements(bound)), default=0)
 
     def iter_elements(self, upto=None, budget=None):
         import itertools

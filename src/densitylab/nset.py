@@ -653,6 +653,8 @@ class Union(SymbolicSet):
         return _combine_runs(self.left, self.right, horizon, cap, "union")
 
     def iter_elements(self, upto=None, budget=None):
+        if upto is None:
+            upto = self.max_element()
         return _merged_iter(
             self.left.iter_elements(upto, None),
             self.right.iter_elements(upto, None),
@@ -715,6 +717,8 @@ class Intersect(SymbolicSet):
         return _combine_runs(self.left, self.right, horizon, cap, "inter")
 
     def iter_elements(self, upto=None, budget=None):
+        if upto is None:
+            upto = self.max_element()
         for v in self.left.iter_elements(upto, budget):
             if self.right.contains(v):
                 yield v
@@ -750,6 +754,8 @@ class Diff(SymbolicSet):
         return _combine_runs(self.left, self.right, horizon, cap, "diff")
 
     def iter_elements(self, upto=None, budget=None):
+        if upto is None:
+            upto = self.max_element()
         for v in self.left.iter_elements(upto, budget):
             if not self.right.contains(v):
                 yield v
@@ -795,6 +801,8 @@ class Complement(SymbolicSet):
         return runs
 
     def iter_elements(self, upto=None, budget=None):
+        if upto is None:
+            upto = self.max_element()
         it = itertools.count(1) if upto is None else range(1, upto + 1)
         for v in it:
             if budget is not None:

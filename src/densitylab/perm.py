@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd, lcm
 from typing import Optional, Sequence
 
 from .asymptotics import (
@@ -27,6 +27,8 @@ from .asymptotics import (
     IndexSequence,
     StatReport,
     _checkpoint_ranges,
+    _positive_eps,
+    _stat_report,
     _stat_table,
 )
 from .errors import (
@@ -35,10 +37,13 @@ from .errors import (
     UnknownInfinitude,
 )
 from .nset import (
+    _LCM_CAP,
     FiniteList,
     Infinitude,
+    Periodic,
     Predicate,
     SymbolicSet,
+    _eventual_period,
     checked_budget,
     diff,
     inter,
@@ -61,6 +66,19 @@ class Classification(Enum):
 # permutation rules
 # ---------------------------------------------------------------------------
 
+# A piece (k0, p, d, q, T) says that the rule maps k0 + t*p to d + t*q for
+# 0 <= t < T, with p, q >= 1; a piece with T = 1 has p = q = 1.
+Piece = tuple[int, int, int, int, int]
+
+
+def _piece(k0: int, p: int, d: int, q: int, terms: int) -> Piece:
+    return (k0, p, d, q, terms) if terms > 1 else (k0, 1, d, 1, 1)
+
+
+def _progression(k0: int, p: int, d: int, q: int, top: int) -> list[Piece]:
+    """The piece k0 + t*p -> d + t*q over every k0 + t*p <= top, if any."""
+    return [_piece(k0, p, d, q, (top - k0) // p + 1)] if k0 <= top else []
+
 
 @dataclass(frozen=True)
 class PermutationRule:
@@ -71,6 +89,11 @@ class PermutationRule:
 
     def invert(self, m: int) -> int:
         raise NotImplementedError
+
+    def pieces(self, horizon: int) -> Optional[list[Piece]]:
+        """Pieces whose domains partition [1, horizon] exactly, or None when
+        the rule exposes no such affine structure."""
+        return None
 
     def to_expr(self) -> str:
         raise NotImplementedError
@@ -86,6 +109,9 @@ class Identity(PermutationRule):
 
     def invert(self, m):
         return m
+
+    def pieces(self, horizon):
+        return _progression(1, 1, 1, 1, horizon)
 
     def to_expr(self):
         return "id"
@@ -112,6 +138,15 @@ class FiniteTable(PermutationRule):
 
     def invert(self, m):
         return self._bwd.get(m, m)
+
+    def pieces(self, horizon):
+        out = []
+        start = 1
+        for k in sorted(k for k, v in self.mapping if k != v and k <= horizon):
+            out += _progression(start, 1, start, 1, k - 1)
+            out.append((k, 1, self._fwd[k], 1, 1))
+            start = k + 1
+        return out + _progression(start, 1, start, 1, horizon)
 
     def to_expr(self):
         seen = set()
@@ -217,6 +252,32 @@ class InterlacedPairing(PermutationRule):
     def invert(self, m):
         return self.apply(m)
 
+    def pieces(self, horizon):
+        """For periodic sides: over m = lcm of the moduli, A' has ra and B'
+        rb members per period, so a_(i+L) = a_i + m*L/ra and b_(i+L) =
+        b_i + m*L/rb for L = lcm(ra, rb).  The first L pairs give two
+        progressions each, and every residue in neither side is fixed."""
+        a, b = self.a_only, self.b_only
+        if not (isinstance(a, Periodic) and isinstance(b, Periodic) and a.residues and b.residues):
+            return None
+        m = lcm(a.modulus, b.modulus)
+        if m > _LCM_CAP:
+            return None
+        ra = len(a.residues) * (m // a.modulus)
+        rb = len(b.residues) * (m // b.modulus)
+        pairs = lcm(ra, rb)
+        if 2 * pairs + m - ra - rb > horizon:
+            return None
+        pa, pb = m * pairs // ra, m * pairs // rb
+        out = []
+        for i in range(1, pairs + 1):
+            x, y = a.select(i), b.select(i)
+            out += _progression(x, pa, y, pb, horizon) + _progression(y, pb, x, pa, horizon)
+        for r in range(1, m + 1):
+            if not (a.contains(r) or b.contains(r)):
+                out += _progression(r, m, r, m, horizon)
+        return out
+
     def to_expr(self):
         return f"pair({self.set_a.to_expr()},{self.set_b.to_expr()})"
 
@@ -241,6 +302,15 @@ class QuarterBlockSwap(PermutationRule):
 
     def invert(self, m):
         return self.apply(m)
+
+    def pieces(self, horizon):
+        out = _progression(1, 1, 1, 1, min(3, horizon))
+        b = 4
+        while b <= horizon:
+            for lo, shift in ((b, b), (2 * b, -b), (3 * b, 0)):
+                out += _progression(lo, 1, lo + shift, 1, min(lo + b - 1, horizon))
+            b *= 4
+        return out
 
     def to_expr(self):
         return "qswap"
@@ -290,6 +360,23 @@ class Compose(PermutationRule):
     def invert(self, m):
         return self.inner.invert(self.outer.invert(m))
 
+    def pieces(self, horizon):
+        """Each inner piece's image meets each outer piece's domain in one
+        progression, or not at all."""
+        inner = self.inner.pieces(horizon)
+        if inner is None:
+            return None
+        outer = self.outer.pieces(max(d + (T - 1) * q for _, _, d, q, T in inner))
+        if outer is None or len(inner) * len(outer) > horizon:
+            return None
+        out = []
+        for first in inner:
+            for then in outer:
+                joined = _chain(first, then)
+                if joined is not None:
+                    out.append(joined)
+        return out
+
     def to_expr(self):
         return f"comp({self.outer.to_expr()},{self.inner.to_expr()})"
 
@@ -304,8 +391,50 @@ class Inverse(PermutationRule):
     def invert(self, m):
         return self.inner.apply(m)
 
+    def pieces(self, horizon):
+        explicit = _inverse_of(self.inner)
+        return None if explicit is None else explicit.pieces(horizon)
+
     def to_expr(self):
         return f"inv({self.inner.to_expr()})"
+
+
+def _inverse_of(rule: PermutationRule) -> Optional[PermutationRule]:
+    """An explicit rule for the inverse of ``rule``, or None."""
+    if isinstance(rule, (Identity, InterlacedPairing, QuarterBlockSwap)):
+        return rule  # involutions
+    if isinstance(rule, FiniteTable):
+        return FiniteTable(tuple((v, k) for k, v in rule.mapping))
+    if isinstance(rule, Inverse):
+        return rule.inner
+    if isinstance(rule, Compose):
+        outer, inner = _inverse_of(rule.outer), _inverse_of(rule.inner)
+        return None if outer is None or inner is None else Compose(inner, outer)
+    return None
+
+
+def _chain(first: Piece, then: Piece) -> Optional[Piece]:
+    """The piece of ``then`` after ``first`` on the t where d + t*q, the
+    image of ``first``, lies in the domain h0 + s*hp of ``then``; None when
+    there is no such t.
+
+    d + t*q = h0 + s*hp needs g = gcd(q, hp) to divide h0 - d, and then
+    holds exactly for t = t0 (mod hp/g), by the inverse of q/g mod hp/g.
+    """
+    k0, p, d, q, terms = first
+    h0, hp, e, eq, span = then
+    g = gcd(q, hp)
+    if (h0 - d) % g:
+        return None
+    step = hp // g
+    t0 = (h0 - d) // g * pow(q // g, -1, step) % step
+    lo = max(0, -((d - h0) // q))  # d + t*q >= h0
+    hi = min(terms - 1, (h0 + (span - 1) * hp - d) // q)  # d + t*q <= the last of then
+    t = lo + (t0 - lo) % step
+    if t > hi:
+        return None
+    s = (d + t * q - h0) // hp
+    return _piece(k0 + t * p, p * step, e + s * eq, eq * (q // g), (hi - t) // step + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +520,132 @@ def classify_tail(
 
 
 # ---------------------------------------------------------------------------
+# counting over pieces
+# ---------------------------------------------------------------------------
+
+
+def _checked_pieces(pi: PermutationRule, points: Sequence[int]) -> Optional[list[Piece]]:
+    """π's pieces on [1, points[-1]], or None when it has none or when
+    reading them at every point would cost more than a scan of every integer.
+
+    Each piece is checked at t = 0 and t = 1 against ``apply`` and
+    ``invert``, so a wrong piece fails loudly instead of giving a wrong
+    exact answer.
+    """
+    horizon = points[-1]
+    pieces = pi.pieces(horizon)
+    if pieces is None or len(pieces) * len(points) > horizon:
+        return None
+    for piece in pieces:
+        k0, p, d, q, terms = piece
+        for k, v in ((k0, d), (k0 + p, d + q))[:terms]:
+            if pi.apply(k) != v or pi.invert(v) != k:
+                raise AssertionError(f"piece {piece} of {pi.to_expr()} disagrees with the rule at {k}")
+    return pieces
+
+
+def _last_t(k0: int, p: int, terms: int, n: int) -> int:
+    """The largest t < terms with k0 + t*p <= n, or -1 when there is none."""
+    return -1 if n < k0 else min(terms - 1, (n - k0) // p)
+
+
+def _solutions(alpha: int, beta: int, last: int) -> tuple[int, int]:
+    """The t in [0, last] with alpha*t >= beta, as the inclusive interval
+    (lo, hi), which is empty when lo > hi."""
+    if alpha > 0:
+        return max(0, -(-beta // alpha)), last
+    if alpha < 0:
+        return 0, min(last, beta // alpha)
+    return (0, last) if beta <= 0 else (0, -1)
+
+
+def _count_solutions(alpha: int, beta: int, last: int) -> int:
+    lo, hi = _solutions(alpha, beta, last)
+    return max(0, hi - lo + 1)
+
+
+def _moved_up(
+    pi: PermutationRule, points: Sequence[int], first: int = 20
+) -> tuple[list[int], list[int]]:
+    """The ``first`` smallest k <= points[-1] with π(k) > k, and
+    |{k <= n : π(k) > k}| at each of the increasing ``points``.
+
+    From π's pieces, where π(k) - k = (d - k0) + t*(q - p), so π(k) > k iff
+    (q - p)*t >= 1 - (d - k0); otherwise in one pass."""
+    pieces = _checked_pieces(pi, points)
+    if pieces is None:
+        smallest, counts, count = [], [], 0
+        for block in _checkpoint_ranges(points):
+            for k in block:
+                if pi.apply(k) > k:
+                    count += 1
+                    if count <= first:
+                        smallest.append(k)
+            counts.append(count)
+        return smallest, counts
+    smallest = []
+    for k0, p, d, q, terms in pieces:
+        lo, hi = _solutions(q - p, 1 + k0 - d, terms - 1)
+        smallest += (k0 + t * p for t in range(lo, min(hi, lo + first - 1) + 1))
+    counts = [
+        sum(_count_solutions(q - p, 1 + k0 - d, _last_t(k0, p, terms, n)) for k0, p, d, q, terms in pieces)
+        for n in points
+    ]
+    return sorted(smallest)[:first], counts
+
+
+def _image_counts(
+    pi: PermutationRule, a: SymbolicSet, points: Sequence[int], budget: int
+) -> Optional[list[int]]:
+    """(πA)(n) = |{m <= n : π⁻¹(m) ∈ A}| at each of the increasing
+    ``points``, from the pieces of π⁻¹; None when there are none, or when a
+    piece steps by more than 1 and A is not eventually periodic, or when the
+    tables below would hold more entries than the horizon.
+
+    Along a piece m = k0 + t*p -> π⁻¹(m) = d + t*q:
+
+    * with q = 1 the values d, ..., d + t_n are consecutive, so the count
+      is A(d + t_n) - A(d - 1);
+    * with q > 1 and A periodic with period l past b, membership of
+      d + t*q is periodic in t, with period l/gcd(q, l), once d + t*q > b;
+      a prefix table over the terms up to b and one period answers every
+      point.
+    """
+    pieces = _checked_pieces(Inverse(pi), points)
+    if pieces is None:
+        return None
+    steep = [pc for pc in pieces if pc[3] > 1]
+    if steep:
+        period = _eventual_period(a)
+        if period is None:
+            return None
+        b, l = period
+        heads = {pc: min(pc[4], max(0, (b - pc[2]) // pc[3] + 1)) for pc in steep}
+        if sum(heads[pc] + l // gcd(pc[3], l) for pc in steep) > points[-1]:
+            return None
+    totals = [0] * len(points)
+    for pc in pieces:
+        k0, p, d, q, terms = pc
+        if q == 1:
+            before = a.count(d - 1, budget=budget)
+            for i, n in enumerate(points):
+                last = _last_t(k0, p, terms, n)
+                if last >= 0:
+                    totals[i] += a.count(d + last, budget=budget) - before
+            continue
+        head, cycle = heads[pc], l // gcd(q, l)
+        prefix = list(itertools.accumulate((a.contains(d + t * q) for t in range(head + cycle)), initial=0))
+        for i, n in enumerate(points):
+            seen = _last_t(k0, p, terms, n) + 1
+            if seen <= head:
+                totals[i] += prefix[seen]
+            else:
+                full, rest = divmod(seen - head, cycle)
+                totals[i] += prefix[head + rest] + full * (prefix[head + cycle] - prefix[head])
+    return totals
+
+
+# ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
 
@@ -405,8 +660,17 @@ class DefectProfile:
 
 
 def _defect_counts(pi: PermutationRule, points: Sequence[int]) -> list[int]:
-    """|{k : k <= n < π(k)}| at each of the increasing ``points``, in one pass:
-    n joins the set when π(n) > n, and π⁻¹(n) leaves it when π⁻¹(n) < n."""
+    """|{k : k <= n < π(k)}| at each of the increasing ``points``.
+
+    From π's pieces, where k = k0 + t*p <= n < π(k) = d + t*q means
+    t <= t_n and q*t >= n - d + 1.  Otherwise in one pass: n joins the set
+    when π(n) > n, and π⁻¹(n) leaves it when π⁻¹(n) < n."""
+    pieces = _checked_pieces(pi, points)
+    if pieces is not None:
+        return [
+            sum(_count_solutions(q, n - d + 1, _last_t(k0, p, terms, n)) for k0, p, d, q, terms in pieces)
+            for n in points
+        ]
     counts = []
     acc = 0
     for block in _checkpoint_ranges(points):
@@ -474,6 +738,9 @@ def displacement_profile(
     budget = checked_budget(budget)
     if maxn > budget:
         raise EnumerationBudgetExceeded(maxn, budget, "displacement scan")
+    image = _image_counts(pi, a, pts, budget)
+    if image is not None:
+        return [(n, Fraction(a.count(n, budget=budget) - c, n)) for n, c in zip(pts, image)]
     out = []
     in_a = 0
     in_image = 0
@@ -526,13 +793,14 @@ def ratio_stat_report(
     non-Lévy-likely if any row is, Lévy-likely if every row is (so an empty
     ``eps_grid`` is inconclusive), and inconclusive otherwise.
     """
-    report = _stat_table(
-        lambda k: (pi.apply(k), k),
-        Fraction(1),
-        eps_grid,
-        checkpoints,
-        slack=Fraction(1, 100) * slack_factor,
-    )
+    slack = Fraction(1, 100) * slack_factor
+    eps_list = _positive_eps(eps_grid)
+    pts = list(checkpoints.points())
+    pieces = _checked_pieces(pi, pts)
+    if pieces is None:
+        report = _stat_table(lambda k: (pi.apply(k), k), Fraction(1), eps_list, checkpoints, slack)
+    else:
+        report = _stat_report(Fraction(1), eps_list, pts, _ratio_exceptions(pieces, eps_list, pts), slack)
     verdicts = {
         classify_tail(
             report.checkpoints,
@@ -549,6 +817,26 @@ def ratio_stat_report(
     else:
         cls = Classification.INCONCLUSIVE
     return RatioStatReport(stat=report, classification=cls)
+
+
+def _ratio_exceptions(
+    pieces: list[Piece], eps_list: Sequence[Fraction], points: Sequence[int]
+) -> list[list[int]]:
+    """|{k <= n : |π(k) - k|*ed >= en*k}| for each eps = en/ed at each point.
+
+    In a piece, with u = d - k0 and v = q - p, π(k) - k = u + t*v and
+    k = k0 + t*p >= 1, so the two signs of the deviation give two
+    inequalities in t that exclude each other."""
+    rows = [[0] * len(points) for _ in eps_list]
+    for k0, p, d, q, terms in pieces:
+        u, v = d - k0, q - p
+        for i, n in enumerate(points):
+            last = _last_t(k0, p, terms, n)
+            for row, e in zip(rows, eps_list):
+                en, ed = e.numerator, e.denominator
+                row[i] += _count_solutions(v * ed - en * p, en * k0 - u * ed, last)
+                row[i] += _count_solutions(-v * ed - en * p, en * k0 + u * ed, last)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from densitylab.asymptotics import (
     Geometric,
 )
 from densitylab.corpus import closed_form_density_corpus, disjoint_periodic_pairs
-from densitylab.errors import NoViolationFound
+from densitylab.errors import IndexBeyondSet, NoViolationFound
 from densitylab.measure import (
     BlumlingerCombo,
     ImageSet,
@@ -30,6 +30,7 @@ from densitylab.nset import (
     finite,
     periodic,
     scale,
+    select,
 )
 from densitylab.perm import (
     Identity,
@@ -156,6 +157,16 @@ def test_image_set_closed_forms_and_scans():
         assert imgq.count(n) == brute_image_count(q, lower, n)
     # the quarter-swap image count stays closed-form at huge horizons
     assert ImageSet(q, EVENS).count(2**30) == EVENS.count(2**30)
+
+
+def test_select_on_an_image_of_a_finite_base():
+    assert select(ImageSet(Identity(), finite(3)), 1) == 3
+    assert select(ImageSet(QuarterBlockSwap(), finite(5, 9)), 2) == 9
+    assert ImageSet(QuarterBlockSwap(), finite(5, 9)).max_element() == 9
+    assert ImageSet(QuarterBlockSwap(), Empty()).max_element() == 0
+    assert ImageSet(QuarterBlockSwap(), EVENS).max_element() is None
+    with pytest.raises(IndexBeyondSet):
+        select(ImageSet(QuarterBlockSwap(), finite(5, 9)), 3)
 
 
 def test_image_set_membership():

@@ -268,6 +268,16 @@ def test_select_in_an_intersection_with_a_side_finite_by_its_period():
         select(s, 2)
 
 
+def test_iter_elements_ends_on_sets_finite_by_their_period():
+    # each set is finite only by its eventual period: past its last member
+    # an unbounded iteration would test every integer forever
+    last_only = diff(union(finite(5), periodic(4, [0])), periodic(4, [0]))
+    assert list(last_only.iter_elements()) == [5]
+    assert list(union(last_only, finite(2)).iter_elements()) == [2, 5]
+    assert list(inter(last_only, compl(finite(7))).iter_elements()) == [5]
+    assert list(compl(union(compl(finite(5, 6)), periodic(4, [0]))).iter_elements()) == [5, 6]
+
+
 def test_periodic_count_matches_brute_force():
     rng = random.Random(31)
     sets = [Periodic(1, (0,)), Periodic(5, (0,)), Periodic(5, (4,)), Periodic(9, (0, 8))]

@@ -1,23 +1,31 @@
+import io
+import json
 import random
 import sys
 import threading
 import warnings
 from bisect import bisect_left
+from contextlib import redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densitylab.asymptotics import Explicit, density, statistical_limit
+from densitylab.asymptotics import Explicit, _stat_table, density, statistical_limit
+from densitylab.cli import run_command
 from densitylab.corpus import disjoint_periodic_pairs, standard_permutation_corpus
 from densitylab.errors import CardinalityMismatch, UnknownInfinitude
 from densitylab.nset import (
     Empty,
     blocks_dexp,
     blocks_explicit,
+    compl,
     finite,
     inter,
     periodic,
+    scale,
+    union,
 )
 from densitylab.perm import (
     Classification,
@@ -26,7 +34,11 @@ from densitylab.perm import (
     Identity,
     InterlacedPairing,
     Inverse,
+    PermutationRule,
     QuarterBlockSwap,
+    _checked_pieces,
+    _image_counts,
+    _moved_up,
     displacement_classification,
     displacement_profile,
     doubling_checkpoints,
@@ -554,3 +566,211 @@ def test_restricted_maps_remaining_a_part_onto_remaining_b_part():
             assert psi.apply(n) == n
         else:
             assert psi.apply(n) == phi.apply(n)
+
+
+# ---------------------------------------------------------------------------
+# affine pieces
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Scanned(PermutationRule):
+    """The same bijection with no pieces, so every diagnostic scans."""
+
+    inner: PermutationRule
+
+    def apply(self, n):
+        return self.inner.apply(n)
+
+    def invert(self, m):
+        return self.inner.invert(m)
+
+    def to_expr(self):
+        return self.inner.to_expr()
+
+
+# mixed moduli (6 and 4, 3 and 5) and unequal densities
+_MIXED_PAIRINGS = [
+    pairing_permutation(periodic(6, [1, 5]), periodic(4, [0])),
+    pairing_permutation(periodic(3, [1]), periodic(5, [0, 2])),
+    pairing_permutation(periodic(2, [1]), periodic(4, [0])),
+]
+_PIECE_RULES = (
+    _CORPUS
+    + [FiniteTable(((1, 2), (2, 3), (3, 1)))]
+    + _MIXED_PAIRINGS
+    + [pairing_permutation(a, b) for a, b in disjoint_periodic_pairs(6, seed=3)]
+)
+
+
+def _random_rule(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_PIECE_RULES)
+    if rng.random() < 0.3:
+        return Inverse(_random_rule(rng, depth - 1))
+    return Compose(_random_rule(rng, depth - 1), _random_rule(rng, depth - 1))
+
+
+def test_pieces_partition_the_horizon_and_agree_with_apply():
+    rng = random.Random(41)
+    cases = [(pi, n) for pi in _PIECE_RULES for n in (1, 2, 3, 4, 5, 17, 64, 3000)]
+    cases += [(_random_rule(rng, 3), rng.choice((1, 2, rng.randrange(1, 3001)))) for _ in range(300)]
+    assert all(pi.pieces(3000) is not None for pi in _PIECE_RULES)
+    with_pieces = 0
+    for pi, n in cases:
+        pieces = pi.pieces(n)
+        if pieces is None:  # more pieces than the horizon: the scan is cheaper
+            continue
+        with_pieces += 1
+        image = {}
+        for k0, p, d, q, terms in pieces:
+            assert terms >= 1 and p >= 1 and q >= 1
+            assert terms > 1 or p == q == 1
+            for t in range(terms):
+                assert k0 + t * p not in image, (pi, n)
+                image[k0 + t * p] = d + t * q
+        assert sorted(image) == list(range(1, n + 1)), (pi, n)
+        assert all(pi.apply(k) == v for k, v in image.items()), (pi, n)
+    assert with_pieces >= 150
+
+
+def test_rules_without_affine_structure_have_no_pieces():
+    phi = pairing_permutation(ODDS, EVENS)
+    assert restrict_pairing(phi, finite(1)).pieces(100) is None
+    assert pairing_permutation(blocks_explicit([(4, 8)]), finite(1, 2, 3, 100)).pieces(100) is None
+    assert Compose(QuarterBlockSwap(), Scanned(phi)).pieces(100) is None
+    assert Inverse(Scanned(phi)).pieces(100) is None
+
+
+def _random_rules_with_pieces(rng, count):
+    rules = []
+    while len(rules) < count:
+        pi = _random_rule(rng, 2)
+        if pi.pieces(3000) is not None:
+            rules.append(pi)
+    return rules
+
+
+def _piece_grids(rng, pi, horizon):
+    """Up to four random grids on which ``pi`` takes the piece path."""
+    grids = []
+    for _ in range(100):
+        pts = tuple(sorted(rng.sample(range(1, horizon + 1), rng.randrange(1, 8))))
+        if _checked_pieces(pi, pts) is not None:
+            grids.append(Explicit(pts))
+            if len(grids) == 4:
+                break
+    assert grids, pi
+    return grids
+
+
+def test_piece_defects_match_the_downward_scan():
+    rng = random.Random(43)
+    for pi in _PIECE_RULES + _random_rules_with_pieces(rng, 20):
+        for grid in _piece_grids(rng, pi, 3000):
+            up = levy_defect_profile(pi, grid)
+            assert up.defects == levy_defect_profile(pi, grid, mode="downward").defects, (pi, grid)
+
+
+def test_piece_ratio_tables_match_the_scan_on_exact_ties():
+    rng = random.Random(47)
+    # pair(odds,evens) has |phi(k)/k - 1| = 1/k, which ties 1/7 at k = 7;
+    # qswap ties 1 and 1/2 at 4^j and 2*4^j
+    ties = [Fraction(1, 7), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 16)]
+    for pi in _PIECE_RULES + _random_rules_with_pieces(rng, 20):
+        for grid in _piece_grids(rng, pi, 3000):
+            eps = rng.sample(ties, 2)
+            got = ratio_stat_report(pi, eps, grid).stat
+            want = _stat_table(lambda k: (pi.apply(k), k), 1, eps, grid, got.slack)
+            assert got == want, (pi, grid, eps)
+
+
+def test_piece_displacement_matches_the_scan():
+    rng = random.Random(53)
+    # the inverses of these have only pieces of step 1, which count any set
+    unit_steps = [QuarterBlockSwap(), Identity(), FiniteTable(((1, 5), (5, 1), (2, 3), (3, 2))),
+                  Compose(QuarterBlockSwap(), Inverse(FiniteTable(((1, 2), (2, 3), (3, 1)))))]
+    # these need an eventual period
+    periodic_targets = [
+        scale(periodic(3, [1, 2]), 2),
+        compl(periodic(8, [0])),
+        compl(finite(2, 3, 40)),
+        finite(1, 6, 7, 100, 2999),
+        blocks_explicit([(4, 8), (30, 70), (500, 900)]),
+        union(finite(5, 9, 1001), periodic(4, [1])),
+    ]
+    cases = [(pi, blocks_dexp()) for pi in unit_steps]
+    cases += [(pi, a) for pi in _PIECE_RULES for a in periodic_targets]
+    taken = 0
+    for pi, a in cases:
+        for grid in _piece_grids(rng, pi, 3000):
+            got = displacement_profile(pi, a, grid)
+            assert got == displacement_profile(Scanned(pi), a, grid), (pi, a, grid)
+            taken += _image_counts(pi, a, grid.points(), 10**7) is not None
+    assert taken >= len(cases) * 3
+
+
+def test_piece_witness_matches_the_predicate_scan():
+    rng = random.Random(59)
+    for pi in _PIECE_RULES + _random_rules_with_pieces(rng, 20):
+        for grid in _piece_grids(rng, pi, 3000):
+            pts = grid.points()
+            w = levy_witness_set(pi, pts[-1])
+            members = [k for k in range(1, pts[-1] + 1) if w.contains(k)]
+            want = (members[:20], [sum(1 for k in members if k <= n) for n in pts])
+            assert _moved_up(pi, pts) == _moved_up(Scanned(pi), pts) == want, (pi, grid)
+
+
+def test_a_tampered_piece_fails_its_check(monkeypatch):
+    honest = QuarterBlockSwap.pieces
+
+    def tampered(self, horizon):
+        pieces = honest(self, horizon)
+        k0, p, d, q, terms = pieces[2]
+        pieces[2] = (k0, p, d, q + 1, terms)  # right at t = 0, wrong from t = 1
+        return pieces
+
+    monkeypatch.setattr(QuarterBlockSwap, "pieces", tampered)
+    q = QuarterBlockSwap()
+    grid = doubling_checkpoints(4096)
+    with pytest.raises(AssertionError):
+        levy_defect_profile(q, grid)
+    with pytest.raises(AssertionError):
+        ratio_stat_report(q, [Fraction(1, 10)], grid)
+    with pytest.raises(AssertionError):
+        displacement_profile(q, ODDS, grid)
+    with pytest.raises(AssertionError):
+        _moved_up(q, grid.points())
+
+
+_FAR = ["--horizon", str(2**64), "--budget", str(2**64)]
+
+
+def _far(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run_command(argv + _FAR)
+    assert code == 0
+    return json.loads(out.getvalue())["result"]
+
+
+def test_qswap_defect_at_two_to_the_64():
+    assert QuarterBlockSwap().pieces(2**64) is not None
+    defects = {e["n"]: Fraction(e["value"]["num"], e["value"]["den"]) for e in _far(["levy", "qswap"])["defects"]}
+    # at 4^32 only k = 4^32 itself is below n and mapped above it; at
+    # 2^63 = 2*4^31 every k in (4^31, 2*4^31) is
+    assert defects[4**32] == Fraction(1, 4**32)
+    assert defects[2**63] == Fraction(4**31 - 1, 2**63)
+
+
+def test_far_horizon_diagnostics_exit_zero():
+    halves = pairing_permutation(periodic(2, [1]), periodic(2, [0]))
+    thirds = pairing_permutation(periodic(4, [1]), periodic(4, [0, 2, 3]))
+    assert Compose(QuarterBlockSwap(), halves).pieces(2**64) is not None
+    assert thirds.pieces(2**64) is not None
+    rows = _far(["statlim", "comp(qswap,pair(periodic(2;1),periodic(2;0)))"])["rows"]
+    assert [r["eps"]["num"] for r in rows] == [1, 1]
+    profile = _far(["displacement", "pair(periodic(4;1),periodic(4;0,2,3))", "scale(2,periodic(2;1))"])["profile"]
+    assert profile[-1]["n"] == 2**64
+    witness = _far(["witness", "qswap"])
+    assert witness["first_elements"] == [4, 5, 6, 7] + list(range(16, 32))
