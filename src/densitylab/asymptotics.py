@@ -324,18 +324,28 @@ def _run_boundary_counts(
 def _extrema_by_scan(
     s: SymbolicSet, lo: int, hi: int, budget: int
 ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The first (A(n), n) attaining the least A(n)/n over [lo, hi] and the
+    first attaining the greatest, by a scan of every integer.
+
+    A(n)/n cannot fall at a member nor rise at a non-member, so past lo each
+    integer is compared with one extremum only.
+    """
     if hi - lo + 1 > budget:
         raise EnumerationBudgetExceeded(hi, budget, "window scan")
+    contains = s.contains
     c = s.count(lo - 1, budget=budget)
-    best_min = best_max = None
-    for n in range(lo, hi + 1):
-        if s.contains(n):
+    if contains(lo):
+        c += 1
+    min_c = max_c = c
+    min_n = max_n = lo
+    for n in range(lo + 1, hi + 1):
+        if contains(n):
             c += 1
-        if best_min is None or c * best_min[1] < best_min[0] * n:
-            best_min = (c, n)
-        if best_max is None or c * best_max[1] > best_max[0] * n:
-            best_max = (c, n)
-    return best_min, best_max
+            if c * max_n > max_c * n:
+                max_c, max_n = c, n
+        elif c * min_n < min_c * n:
+            min_c, min_n = c, n
+    return (min_c, min_n), (max_c, max_n)
 
 
 def density(

@@ -427,11 +427,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def run_command(argv: list[str]) -> int:
-    """Parse argv, run one subcommand, print its report; return exit status."""
-    ap = _build_parser()
+    """Parse argv, run one subcommand, print its report; return exit status.
+
+    The argument parser is built on the first call and reused by later ones.
+    """
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage/help
         return 0 if exc.code in (0, None) else 2

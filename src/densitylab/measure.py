@@ -556,18 +556,31 @@ def equal_measure_test(
     budget = checked_budget(budget)
     if horizon > budget:
         raise EnumerationBudgetExceeded(horizon, budget, "difference scan")
+    in_a, in_b = a.contains, b.contains
     ca = a.count(start - 1, budget=budget)
     cb = b.count(start - 1, budget=budget)
-    best: tuple[int, int] = (0, 1)
-    for n in range(start, horizon + 1):
-        if a.contains(n):
+    best_dev, best_n = 0, 1
+    if start <= horizon:
+        if in_a(start):
             ca += 1
-        if b.contains(n):
+        if in_b(start):
             cb += 1
+        if ca != cb:
+            best_dev, best_n = abs(ca - cb), start
+    # |A(n) - B(n)|/n can rise only where exactly one set contains n
+    for n in range(start + 1, horizon + 1):
+        if in_a(n):
+            if in_b(n):
+                continue
+            ca += 1
+        elif in_b(n):
+            cb += 1
+        else:
+            continue
         dev = abs(ca - cb)
-        if dev * best[1] > best[0] * n:
-            best = (dev, n)
-    tail_sup = Fraction(*best)
+        if dev * best_n > best_dev * n:
+            best_dev, best_n = dev, n
+    tail_sup = Fraction(best_dev, best_n)
 
     rows = []
     ok = tail_sup <= tol

@@ -5,6 +5,8 @@ enumeration or independently written closed forms) so library results are
 checked against a second, separate path.
 """
 
+from fractions import Fraction
+
 from densitylab.nset import (
     Blocks,
     Complement,
@@ -84,3 +86,32 @@ def brute_defect(pi, n: int) -> int:
 def brute_image_count(pi, s, n: int) -> int:
     """Literal |pi(S) ∩ [1, n]| through the inverse."""
     return sum(1 for m in range(1, n + 1) if s.contains(pi.invert(m)))
+
+
+def scan_extrema(s, lo: int, hi: int):
+    """The first (A(n), n) attaining the least A(n)/n over [lo, hi] and the
+    first attaining the greatest, comparing every integer with both."""
+    members = brute_members(s, hi)
+    c = sum(1 for k in members if k < lo)
+    best_min = best_max = None
+    for n in range(lo, hi + 1):
+        c += n in members
+        if best_min is None or Fraction(c, n) < Fraction(*best_min):
+            best_min = (c, n)
+        if best_max is None or Fraction(c, n) > Fraction(*best_max):
+            best_max = (c, n)
+    return best_min, best_max
+
+
+def scan_tail_sup(a, b, lo: int, hi: int) -> Fraction:
+    """max |A(n) - B(n)|/n over [lo, hi] (0 on an empty window), comparing
+    every integer."""
+    ma, mb = brute_members(a, hi), brute_members(b, hi)
+    ca = sum(1 for k in ma if k < lo)
+    cb = sum(1 for k in mb if k < lo)
+    best = Fraction(0)
+    for n in range(lo, hi + 1):
+        ca += n in ma
+        cb += n in mb
+        best = max(best, Fraction(abs(ca - cb), n))
+    return best

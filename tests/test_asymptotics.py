@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from densitylab.asymptotics import (
     All,
@@ -18,7 +18,9 @@ from densitylab.asymptotics import (
     statistical_limit,
 )
 from densitylab.errors import WitnessTooSparse
+from densitylab.measure import equal_measure_test
 from densitylab.nset import (
+    Empty,
     Full,
     blocks_dexp,
     blocks_explicit,
@@ -31,7 +33,7 @@ from densitylab.nset import (
     union,
 )
 
-from oracles import dexp_count_enum
+from oracles import brute_members, dexp_count_enum, scan_extrema, scan_tail_sup
 
 
 def spike(n):
@@ -203,6 +205,55 @@ def test_density_run_path_matches_integer_scan_on_deep_trees(s, horizon, data):
     mn, mx = _extrema_by_scan(s, start, horizon, 10**7)
     assert (r.lower_estimate, r.argmin) == (Fraction(*mn), mn[1])
     assert (r.upper_estimate, r.argmax) == (Fraction(*mx), mx[1])
+
+
+def _window_start(data, horizon: int, pick) -> int:
+    """A window start in [1, horizon) with pick(start) true, or the example
+    is dropped when there is none."""
+    pool = [n for n in range(1, horizon) if pick(n)]
+    assume(pool)
+    return data.draw(st.sampled_from(pool))
+
+
+@given(s=_depth3_tree, horizon=st.integers(2, 3000), at_member=st.booleans(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_window_scan_matches_two_comparison_reference(s, horizon, at_member, data):
+    members = brute_members(s, horizon)
+    start = _window_start(data, horizon, lambda n: (n in members) == at_member)
+    assert _extrema_by_scan(s, start, horizon, 10**7) == scan_extrema(s, start, horizon)
+
+
+@given(
+    a=_depth3_tree, b=_depth3_tree, horizon=st.integers(2, 3000),
+    one_sided=st.booleans(), data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_equal_tail_sup_matches_two_comparison_reference(a, b, horizon, one_sided, data):
+    ma, mb = brute_members(a, horizon), brute_members(b, horizon)
+    start = _window_start(data, horizon, lambda n: ((n in ma) != (n in mb)) == one_sided)
+    rep = equal_measure_test(a, b, [], horizon=horizon, tail_window_start=start)
+    assert rep.tail_sup_diff == scan_tail_sup(a, b, start, horizon)
+
+
+@pytest.mark.parametrize(
+    "s, lo, hi",
+    [
+        (Full(), 5, 50),  # ties everywhere: the first point holds both extrema
+        (finite(1, 2, 3), 10, 40),  # the greatest ratio only at the first point
+        (finite(50), 5, 40),  # A(n) = 0 across the window: the least ratio ties
+        (periodic(3, [0]), 9, 60),  # starts at a member
+        (periodic(3, [0]), 10, 60),  # starts at a non-member
+        (blocks_dexp(), 16, 600),
+    ],
+)
+def test_window_scan_keeps_first_point_and_first_tie(s, lo, hi):
+    assert _extrema_by_scan(s, lo, hi, 10**7) == scan_extrema(s, lo, hi)
+
+
+def test_equal_tail_sup_at_the_first_window_point():
+    # |A(n) - B(n)| stays 3 past the window start, so only n = 10 holds the sup
+    rep = equal_measure_test(finite(1, 2, 3), Empty(), [], horizon=40, tail_window_start=10)
+    assert rep.tail_sup_diff == Fraction(3, 10)
 
 
 def test_density_scan_grid_for_opaque_sets():

@@ -324,6 +324,38 @@ def test_double_exponential_blocks_closed_form():
     assert src.intervals_up_to(2**16) == [(4, 8), (16, 32), (256, 512), (65536, 131072)]
 
 
+def _in_intervals(ivs, n):
+    return any(l <= n < r for l, r in ivs)
+
+
+def test_dexp_membership_matches_intervals_at_every_boundary():
+    from densitylab.nset import DoubleExponentialBlocks
+
+    src = DoubleExponentialBlocks()
+    s = blocks_dexp()
+    ivs = src.intervals_up_to(2**129)
+    points = {0, 1, 2, 3}
+    for i in range(1, 8):  # up to 2^(2^7) = 2^128
+        for edge in (2 ** (2**i), 2 ** (2**i + 1)):
+            points |= {edge - 1, edge, edge + 1}
+    rng = random.Random(5)
+    points |= {rng.getrandbits(rng.randrange(1, 130)) for _ in range(2000)}
+    for n in sorted(points):
+        assert s.contains(n) == src.contains(n) == _in_intervals(ivs, n), n
+
+
+def test_explicit_block_membership_matches_intervals():
+    rng = random.Random(9)
+    cases = [[(1, 2)], [(3, 5), (5, 9), (12, 13)], [(2, 4), (4, 5), (5, 6), (10, 20)]]
+    for _ in range(30):
+        cuts = sorted(rng.sample(range(1, 120), 2 * rng.randrange(1, 8)))
+        cases.append(list(zip(cuts[::2], cuts[1::2])))
+    for ivs in cases:
+        s = blocks_explicit(ivs)
+        for n in range(0, ivs[-1][1] + 3):
+            assert s.contains(n) == _in_intervals(ivs, n), (ivs, n)
+
+
 def test_exact_density_values():
     assert periodic(4, [1, 2, 3]).exact_density() == Fraction(3, 4)
     assert scale(periodic(2, [0]), 3).exact_density() == Fraction(1, 6)

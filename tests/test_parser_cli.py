@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from densitylab import nset
+from densitylab import cli, nset
 from densitylab.cli import ExperimentConfig, run_command
 from densitylab.errors import ConfigError, ParseError
 from densitylab.parser import parse_expression
@@ -264,3 +264,40 @@ def test_exit_code_3_on_budget_violation():
         ]
     )
     assert code == 3 and "budget" in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_reused_parser_gives_the_same_bytes():
+    argv = ["density", "union(periodic(3;1),blocks(dexp))", "--horizon", "4096"]
+    assert run(argv) == run(argv)
+
+
+def test_reused_parser_keeps_no_option_of_an_earlier_call():
+    run_json(["statlim", "qswap", "--eps", "1/3", "--horizon", "4096"])
+    rep = run_json(["statlim", "qswap", "--horizon", "4096"])
+    assert [(r["eps"]["num"], r["eps"]["den"]) for r in rep["result"]["rows"]] == [
+        (1, 10),
+        (1, 100),
+    ]
+
+
+@pytest.mark.parametrize(
+    "first, code",
+    [
+        (["density", "blocks(dexp)", "--horizon", "x"], 2),
+        (["nosuchcommand"], 2),
+        (["statlim", "--eps"], 2),
+        (["--help"], 0),
+        (["witness", "--help"], 0),
+    ],
+)
+def test_parser_reused_after_an_exit_gives_the_same_bytes(monkeypatch, first, code):
+    good = ["witness", "qswap", "--cap", "512", "--horizon", "1024"]
+    monkeypatch.setattr(cli, "_parser", None)
+    alone = run(good)
+    assert run(first)[0] == code
+    assert run(good) == alone
