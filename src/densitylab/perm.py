@@ -49,9 +49,9 @@ from .nset import (
     inter,
 )
 
-# A pairing's partner table grows on demand, doubling from _PAIR_TABLE_START
-# pairs, up to _PAIR_CACHE pairs; past that, apply() falls back to count and
-# select.
+# A pairing with a non-periodic side keeps a partner table that grows on
+# demand, doubling from _PAIR_TABLE_START pairs, up to _PAIR_CACHE pairs;
+# past that, apply() falls back to count and select.
 _PAIR_CACHE = 1 << 16
 _PAIR_TABLE_START = 1 << 8
 
@@ -173,6 +173,12 @@ class InterlacedPairing(PermutationRule):
     B' = B \\ (A ∩ B) = {b_1 < b_2 < ...}.  The rule maps a_i <-> b_i and is
     its own inverse.  Requires A' and B' both declared-infinite or finite of
     equal cardinality.
+
+    When A' and B' are both periodic, ``apply`` is closed-form: a_i <-> b_i
+    with i = A'(n) or B'(n), one ``count`` and one ``select`` each, so no
+    partner table is built.  Every other pairing reads a partner table that
+    grows on demand up to ``cache_pairs`` pairs, and falls back to the same
+    ``count`` and ``select`` past it.
     """
 
     set_a: SymbolicSet
@@ -201,6 +207,7 @@ class InterlacedPairing(PermutationRule):
         object.__setattr__(self, "a_only", a_only)
         object.__setattr__(self, "b_only", b_only)
         object.__setattr__(self, "pair_total", size)
+        object.__setattr__(self, "_closed_form", isinstance(a_only, Periodic) and isinstance(b_only, Periodic))
         # (partner, pairs, coverage, full): partner maps a_i <-> b_i for the
         # first ``pairs`` pairs at least, and is exact for every n <= coverage,
         # or for every n if full
@@ -237,12 +244,13 @@ class InterlacedPairing(PermutationRule):
         return table
 
     def apply(self, n):
-        partner, pairs, coverage, full = self._table
-        # a table that is neither full nor at its cap can still grow
-        if n > coverage and not full and pairs < self.cache_pairs:
-            partner, pairs, coverage, full = self._grown_table(n)
-        if full or n <= coverage:
-            return partner.get(n, n)
+        if not self._closed_form:
+            partner, pairs, coverage, full = self._table
+            # a table that is neither full nor at its cap can still grow
+            if n > coverage and not full and pairs < self.cache_pairs:
+                partner, pairs, coverage, full = self._grown_table(n)
+            if full or n <= coverage:
+                return partner.get(n, n)
         if self.a_only.contains(n):
             return self.b_only.select(self.a_only.count(n))
         if self.b_only.contains(n):
@@ -332,6 +340,44 @@ class Restricted(PermutationRule):
         if not isinstance(self.base, InterlacedPairing):
             raise ValueError("restriction base must be a pairing")
 
+    def pieces(self, horizon):
+        """For a surely-finite F and a base with pieces: the base's pieces,
+        each cut at every point e of E in its domain into the piece before
+        e, the fixed point e -> e and the piece after e.  E is finite, and
+        every point outside it maps as under the base."""
+        if self.exceptional.infinitude() != Infinitude.FINITE:
+            return None
+        bound = self.exceptional.max_element()
+        pieces = self.base.pieces(horizon)
+        if bound is None or pieces is None:
+            return None
+        # reading more than ``horizon`` members of F costs more than a scan
+        members = [f for _, f in zip(range(horizon + 1), self.exceptional.iter_elements(upto=bound))]
+        if len(members) > horizon:
+            return None
+        a, b = self.base.a_only, self.base.b_only
+        orbit = set()
+        for f in members:
+            if a.contains(f) or b.contains(f):
+                orbit |= {f, self.base.apply(f)}
+        fixed = sorted(e for e in orbit if e <= horizon)
+        if len(fixed) * len(pieces) > horizon:
+            return None
+        out = []
+        for k0, p, d, q, terms in pieces:
+            t = 0  # the first term not yet emitted
+            for e in fixed:
+                s, off = divmod(e - k0, p)
+                if off or not 0 <= s < terms:
+                    continue
+                if s > t:
+                    out.append(_piece(k0 + t * p, p, d + t * q, q, s - t))
+                out.append((e, 1, e, 1, 1))
+                t = s + 1
+            if t < terms:
+                out.append(_piece(k0 + t * p, p, d + t * q, q, terms - t))
+        return out
+
     def _excluded(self, n: int) -> bool:
         if not (self.base.a_only.contains(n) or self.base.b_only.contains(n)):
             return False
@@ -401,7 +447,7 @@ class Inverse(PermutationRule):
 
 def _inverse_of(rule: PermutationRule) -> Optional[PermutationRule]:
     """An explicit rule for the inverse of ``rule``, or None."""
-    if isinstance(rule, (Identity, InterlacedPairing, QuarterBlockSwap)):
+    if isinstance(rule, (Identity, InterlacedPairing, QuarterBlockSwap, Restricted)):
         return rule  # involutions
     if isinstance(rule, FiniteTable):
         return FiniteTable(tuple((v, k) for k, v in rule.mapping))

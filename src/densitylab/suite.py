@@ -17,7 +17,7 @@ from typing import Optional
 
 from .asymptotics import DensityReport, DoubleExponential, density
 from .measure import BlumlingerCombo, MeasureReport, Mixture, SubsequenceLimit, evaluate
-from .nset import SymbolicSet, blocks_dexp, periodic, scale
+from .nset import Blocks, SymbolicSet, blocks_dexp, periodic, scale
 
 _UD_HORIZON = 1 << 20
 _UD_WINDOW_START = 1 << 10
@@ -85,6 +85,35 @@ class SuiteReport:
     mixture_rows: tuple[MixtureRow, ...]
 
 
+def first_domination_violation(
+    a: Blocks, b: SymbolicSet, horizon: int, budget: Optional[int] = None
+) -> Optional[int]:
+    """The least n <= ``horizon`` with B(n) < A(n) for the block set A, or
+    None when B(n) >= A(n) at every such n.
+
+    B(n) - A(n) cannot rise inside a block of A, where A gains 1 per step
+    and B at most 1, and cannot fall in a gap, so it is checked at each
+    block end.  Inside the first block whose end is negative it falls
+    monotonically from a non-negative value, so bisection over ``count``
+    finds the first violation.
+    """
+    def behind(n: int) -> bool:
+        return b.count(n, budget=budget) < a.count(n, budget=budget)
+
+    for l, r in a.source.intervals_up_to(horizon):
+        lo, hi = l, min(r - 1, horizon)
+        if not behind(hi):
+            continue
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if behind(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+    return None
+
+
 def counterexample_suite(
     dexp_terms: int = 6,
     tol: Fraction = Fraction(1, 1000),
@@ -128,26 +157,10 @@ def counterexample_suite(
         measure=measure_2a,
     )
 
-    # item 3: B(n) >= A(n) exactly for every n up to the loop horizon, with a
+    # item 3: B(n) >= A(n) exactly for every n up to domination_horizon, with a
     # block-edge bound recorded for the tail; yet mu(B) = 3/4 < mu(A) -> 1.
-    holds = True
-    first_violation = None
-    ca = cb = 0
-    blocks = a.source.intervals_up_to(domination_horizon)
-    starts = [l for l, _ in blocks]
-    from bisect import bisect_right
-
-    for n in range(1, domination_horizon + 1):
-        j = bisect_right(starts, n) - 1
-        if j >= 0 and blocks[j][0] <= n < blocks[j][1]:
-            ca += 1
-        if n & 3:  # n % 4 != 0
-            cb += 1
-        if cb < ca:
-            holds = False
-            first_violation = n
-            break
-    # beyond the loop: at every block edge e >= 31 the ratio A(e)/e stays
+    first_violation = first_domination_violation(a, b, domination_horizon, budget=budget)
+    # beyond that horizon: at every block edge e >= 31 the ratio A(e)/e stays
     # under 20/31 < 3/4, so the periodic set keeps dominating.
     bound = Fraction(20, 31)
     edge_ok = True
@@ -159,7 +172,7 @@ def counterexample_suite(
     item3 = MonotonicityFailure(
         dominating_set=b.to_expr(),
         domination_horizon=domination_horizon,
-        domination_holds=holds,
+        domination_holds=first_violation is None,
         first_violation=first_violation,
         block_edge_ratio_bound=bound,
         block_edge_bound_holds=edge_ok,

@@ -115,3 +115,16 @@ def scan_tail_sup(a, b, lo: int, hi: int) -> Fraction:
         cb += n in mb
         best = max(best, Fraction(abs(ca - cb), n))
     return best
+
+
+def brute_first_violation(a, b, horizon: int):
+    """The least n <= horizon with B(n) < A(n), comparing literal counts at
+    every integer; None when there is none."""
+    ma, mb = brute_members(a, horizon), brute_members(b, horizon)
+    ca = cb = 0
+    for n in range(1, horizon + 1):
+        ca += n in ma
+        cb += n in mb
+        if cb < ca:
+            return n
+    return None

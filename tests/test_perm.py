@@ -36,6 +36,9 @@ from densitylab.perm import (
     Inverse,
     PermutationRule,
     QuarterBlockSwap,
+    Restricted,
+    _PAIR_CACHE,
+    _PAIR_TABLE_START,
     _checked_pieces,
     _image_counts,
     _moved_up,
@@ -187,6 +190,97 @@ def test_pairing_table_growth_is_thread_safe():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert results == [serial] * 4
+
+
+# scale(...) stays a Scaled node, so a pairing with this side reads its
+# partner table; its members are those of periodic(8;2,6)
+_SCALED_SIDE = scale(periodic(4, [1, 3]), 2)
+
+
+def test_table_pairing_beyond_cache_matches_cached_path():
+    phi = pairing_permutation(_SCALED_SIDE, periodic(8, [3]))
+    small = pairing_permutation(_SCALED_SIDE, periodic(8, [3]))
+    object.__setattr__(small, "cache_pairs", 8)
+    assert not phi._closed_form
+    points = range(1, 121)
+    assert [phi.apply(n) for n in points] == [small.apply(n) for n in points]
+    assert small._table[1] == 8  # at its cap, so the rest took count and select
+    assert phi._table[1] == _PAIR_TABLE_START and phi._table[2] >= 120
+    oracle = _rank_matching(_periodic_members(periodic(8, [2, 6]), 40), _periodic_members(periodic(8, [3]), 40))
+    assert [small.apply(n) for n in points] == [oracle(n) for n in points]
+
+
+def test_table_pairing_growth_is_thread_safe():
+    a, b = _SCALED_SIDE, periodic(8, [3])
+    n_max = 30_000
+    reference = InterlacedPairing(a, b)
+    serial = [reference.apply(n) for n in range(1, n_max + 1)]
+    phi = InterlacedPairing(a, b)
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def worker(i):
+        start.wait(timeout=60)
+        results[i] = [phi.apply(n) for n in range(1, n_max + 1)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
+    # the table grew several times on the way to the horizon
+    assert phi._table[1] >= 16 * _PAIR_TABLE_START and phi._table[2] >= n_max
+
+
+_CLOSED_FORM_PAIRS = [
+    (periodic(8, [1, 6]), periodic(8, [3])),
+    (periodic(6, [1, 5]), periodic(4, [0])),
+    (periodic(3, [1]), periodic(5, [0, 2])),
+    (periodic(6, [1, 3]), periodic(6, [3, 5])),
+] + disjoint_periodic_pairs(4, seed=6)
+
+
+def test_closed_form_pairing_matches_rank_matching_past_the_old_cap():
+    rng = random.Random(61)
+    for a, b in _CLOSED_FORM_PAIRS:
+        phi = InterlacedPairing(a, b)
+        assert phi._closed_form
+        # past the rank the table stopped at, on both sides
+        top = 2 * _PAIR_CACHE * max(phi.a_only.modulus, phi.b_only.modulus)
+        need = max(phi.a_only.count(top), phi.b_only.count(top))
+        oracle = _rank_matching(_periodic_members(phi.a_only, need), _periodic_members(phi.b_only, need))
+        points = list(range(1, 2001)) + list(range(top - 2000, top + 1)) + rng.sample(range(1, top + 1), 2000)
+        assert [phi.apply(n) for n in points] == [oracle(n) for n in points], (a, b)
+        assert phi._table[1] == 0
+
+
+def test_closed_form_pairing_near_two_to_the_64():
+    for a, b in _CLOSED_FORM_PAIRS:
+        phi = InterlacedPairing(a, b)
+        ao, bo = phi.a_only, phi.b_only
+        for n in range(2**64 - 60, 2**64 + 60):
+            m = phi.apply(n)
+            assert phi.apply(m) == n
+            if ao.contains(n):
+                assert bo.contains(m) and ao.count(n) == bo.count(m)
+            elif bo.contains(n):
+                assert ao.contains(m) and bo.count(n) == ao.count(m)
+            else:
+                assert m == n
+        assert phi._table[1] == 0
+
+
+def test_inner_pairing_of_a_composition_builds_no_table():
+    halves = pairing_permutation(ODDS, EVENS)
+    levy_defect_profile(Compose(QuarterBlockSwap(), halves), doubling_checkpoints(2**17))
+    assert halves._table[1] == 0
 
 
 def test_pairing_preconditions():
@@ -636,7 +730,7 @@ def test_pieces_partition_the_horizon_and_agree_with_apply():
 
 def test_rules_without_affine_structure_have_no_pieces():
     phi = pairing_permutation(ODDS, EVENS)
-    assert restrict_pairing(phi, finite(1)).pieces(100) is None
+    assert restrict_pairing(phi, periodic(1000, [1])).pieces(100) is None  # F is infinite
     assert pairing_permutation(blocks_explicit([(4, 8)]), finite(1, 2, 3, 100)).pieces(100) is None
     assert Compose(QuarterBlockSwap(), Scanned(phi)).pieces(100) is None
     assert Inverse(Scanned(phi)).pieces(100) is None
@@ -743,6 +837,79 @@ def test_a_tampered_piece_fails_its_check(monkeypatch):
         _moved_up(q, grid.points())
 
 
+def _restrictions(rng):
+    """Seeded periodic pairings restricted by random finite sets F, some of
+    whose points are the first or last terms of the base's pieces on
+    [1, 3000]."""
+    horizon = 3000
+    bases = [pairing_permutation(ODDS, EVENS)] + _MIXED_PAIRINGS
+    bases += [pairing_permutation(a, b) for a, b in disjoint_periodic_pairs(8, seed=67)]
+    rules = []
+    for phi in bases:
+        ends = sorted({k0 + t * p for k0, p, _, _, terms in phi.pieces(horizon) for t in (0, terms - 1)})
+        f = rng.sample(range(1, horizon + 40), rng.randrange(0, 5)) + rng.sample(ends, 3)
+        psi = Restricted(phi, finite(*sorted(set(f))))
+        rules += [psi, Inverse(psi), Compose(QuarterBlockSwap(), psi)]
+    return rules
+
+
+def test_restricted_pieces_partition_the_horizon_and_fix_the_orbit():
+    rng = random.Random(71)
+    rules = _restrictions(rng)[::3]
+    cut = 0
+    for horizon in (1, 2, 7, 40, 3000):
+        for psi in rules:
+            pieces = psi.pieces(horizon)
+            if pieces is None:  # cutting would cost more than a scan
+                assert horizon < 3000
+                continue
+            cut += 1
+            image = {}
+            for k0, p, d, q, terms in pieces:
+                assert terms >= 1 and p >= 1 and q >= 1 and (terms > 1 or p == q == 1)
+                for t in range(terms):
+                    assert k0 + t * p not in image, (psi, horizon)
+                    image[k0 + t * p] = d + t * q
+            assert sorted(image) == list(range(1, horizon + 1)), (psi, horizon)
+            assert all(psi.apply(k) == v for k, v in image.items()), (psi, horizon)
+            moved = {k for k in range(1, horizon + 1) if psi.base.apply(k) != k}
+            assert {k for k in moved if image[k] == k} == {k for k in moved if psi._excluded(k)}
+    assert cut > len(rules)
+
+
+def test_restricted_piece_diagnostics_match_the_scan():
+    rng = random.Random(73)
+    targets = [scale(periodic(3, [1, 2]), 2), finite(1, 6, 7, 100, 2999), union(finite(5, 9, 1001), periodic(4, [1]))]
+    taken = 0
+    for pi in _restrictions(rng):
+        assert pi.pieces(3000) is not None, pi
+        for grid in _piece_grids(rng, pi, 3000)[:2]:
+            pts = grid.points()
+            assert levy_defect_profile(pi, grid).defects == tuple(Fraction(brute_defect(pi, n), n) for n in pts), pi
+            eps = rng.sample([Fraction(1, 7), Fraction(1), Fraction(1, 2), Fraction(1, 3)], 2)
+            got = ratio_stat_report(pi, eps, grid).stat
+            assert got == _stat_table(lambda k: (pi.apply(k), k), 1, eps, grid, got.slack), (pi, grid, eps)
+            a = rng.choice(targets)
+            want = [brute_image_count(pi, a, n) for n in pts]
+            image = _image_counts(pi, a, pts, 10**7)
+            if image is not None:  # else a steep piece needs a period that a finite prefix hides
+                taken += 1
+                assert image == want, (pi, a, grid)
+            assert displacement_profile(pi, a, grid) == [(n, Fraction(a.count(n) - c, n)) for n, c in zip(pts, want)]
+    assert taken >= 50
+
+
+def test_a_tampered_restricted_piece_fails_its_check(monkeypatch):
+    honest = Restricted.pieces
+    psi = Restricted(pairing_permutation(ODDS, EVENS), finite(3, 5))
+    assert (3, 1, 3, 1, 1) in honest(psi, 1000) and (7, 2, 8, 2, 497) in honest(psi, 1000)
+    for wrong, right in (((3, 1, 4, 1, 1), (3, 1, 3, 1, 1)), ((7, 2, 6, 2, 497), (7, 2, 8, 2, 497))):
+        monkeypatch.setattr(Restricted, "pieces", lambda self, h, w=wrong, r=right: [
+            w if pc == r else pc for pc in honest(self, h)])
+        with pytest.raises(AssertionError):
+            _checked_pieces(psi, [10, 1000])
+
+
 _FAR = ["--horizon", str(2**64), "--budget", str(2**64)]
 
 
@@ -774,3 +941,17 @@ def test_far_horizon_diagnostics_exit_zero():
     assert profile[-1]["n"] == 2**64
     witness = _far(["witness", "qswap"])
     assert witness["first_elements"] == [4, 5, 6, 7] + list(range(16, 32))
+
+
+def test_restricted_pairings_at_two_to_the_64():
+    # without pieces the requests below would scan to 2^64
+    assert Restricted(pairing_permutation(ODDS, EVENS), finite(3, 5)).pieces(2**64) is not None
+    thirds = Restricted(pairing_permutation(periodic(3, [1]), periodic(3, [2])), finite(1, 7))
+    assert Inverse(thirds).pieces(2**64) is not None
+    # F = {3, 5} fixes 3, 4, 5 and 6, which φ would move by 1: D(n) is 1 at
+    # odd n other than 3 and 5, and 0 at even n
+    defects = {e["n"]: Fraction(e["value"]["num"], e["value"]["den"])
+               for e in _far(["levy", "restrict(pair(periodic(2;1),periodic(2;0)),finite(3,5))"])["defects"]}
+    assert defects[2**64] == 0 and defects[2**64 // 4096] == 0
+    rows = _far(["statlim", "inv(restrict(pair(periodic(3;1),periodic(3;2)),finite(1,7)))"])["rows"]
+    assert len(rows) == 2
