@@ -28,6 +28,7 @@ from .errors import (
     PredicateCapExceeded,
 )
 from .measure import evaluate, equal_measure_test
+from .nset import DEFAULT_ENUMERATION_BUDGET
 from .parser import parse_expression
 from .perm import (
     _moved_up,
@@ -49,7 +50,7 @@ class ExperimentConfig:
     horizon: int = 10**5
     tail_window_start: Optional[int] = None
     tol: Fraction = Fraction(1, 1000)
-    enumeration_budget: int = 10**7
+    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET
     dexp_terms: int = 4
     output_format: str = "json"
 
@@ -371,12 +372,12 @@ def _run_suite(args, config):
 
 
 def _add_config_flags(sp, dexp_default: int):
-    sp.add_argument("--horizon", type=int, default=10**5, help="largest evaluation index")
+    sp.add_argument("--horizon", type=int, default=ExperimentConfig.horizon, help="largest evaluation index")
     sp.add_argument("--tail", type=int, default=None, metavar="N",
                     help="tail window start (default horizon/10)")
-    sp.add_argument("--tol", type=Fraction, default=Fraction(1, 1000),
+    sp.add_argument("--tol", type=Fraction, default=ExperimentConfig.tol,
                     help="tolerance as a rational, e.g. 1/1000")
-    sp.add_argument("--budget", type=int, default=10**7,
+    sp.add_argument("--budget", type=int, default=ExperimentConfig.enumeration_budget,
                     help="enumeration budget for fallback scans")
     sp.add_argument("--dexp-terms", type=int, default=dexp_default,
                     help="terms of the double-exponential grid")

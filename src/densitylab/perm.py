@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import ceil, gcd, lcm
@@ -48,13 +48,6 @@ from .nset import (
     diff,
     inter,
 )
-
-# A pairing with a non-periodic side keeps a partner table that grows on
-# demand, doubling from _PAIR_TABLE_START pairs, up to _PAIR_CACHE pairs;
-# past that, apply() falls back to count and select.
-_PAIR_CACHE = 1 << 16
-_PAIR_TABLE_START = 1 << 8
-
 
 class Classification(Enum):
     LEVY_LIKELY = "levy-likely"
@@ -165,6 +158,43 @@ class FiniteTable(PermutationRule):
         return "table(" + "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) + ")"
 
 
+class _Ranks:
+    """A set as its members up to ``b``, in order, and a periodic node
+    ``tail`` whose members past ``b`` are the set's."""
+
+    def __init__(self, b: int, head: tuple[int, ...], tail: Periodic):
+        self.b, self.head, self.tail = b, head, tail
+        self._members = frozenset(head)
+        self._offset = len(head) - tail.count(b)  # the set's count minus the tail's, past b
+
+    def contains(self, n: int) -> bool:
+        return n in self._members if n <= self.b else self.tail.contains(n)
+
+    def count(self, n: int) -> int:
+        return bisect_right(self.head, n) if n <= self.b else self.tail.count(n) + self._offset
+
+    def select(self, k: int) -> int:
+        return self.head[k - 1] if k <= len(self.head) else self.tail.select(k - self._offset)
+
+
+def _ranks(side: SymbolicSet, top: int = _LCM_CAP):
+    """``side`` itself when it is periodic, its rank form when it is finite
+    or eventually periodic and reading up to b + l stays within ``top`` and
+    ``_LCM_CAP``, and None otherwise."""
+    if isinstance(side, Periodic):
+        return side
+    period = _eventual_period(side)
+    if period is None and side.infinitude() == Infinitude.FINITE:
+        bound = side.max_element()
+        period = None if bound is None else (bound, 1)
+    if period is None or period[0] + period[1] > min(top, _LCM_CAP):
+        return None
+    b, l = period
+    members = list(side.iter_elements(upto=b + l))
+    cut = bisect_right(members, b)
+    return _Ranks(b, tuple(members[:cut]), Periodic(l, tuple(sorted(m % l for m in members[cut:]))))
+
+
 @dataclass(frozen=True)
 class InterlacedPairing(PermutationRule):
     """Swap the i-th elements of two disjointified sets, fix everything else.
@@ -174,16 +204,15 @@ class InterlacedPairing(PermutationRule):
     its own inverse.  Requires A' and B' both declared-infinite or finite of
     equal cardinality.
 
-    When A' and B' are both periodic, ``apply`` is closed-form: a_i <-> b_i
-    with i = A'(n) or B'(n), one ``count`` and one ``select`` each, so no
-    partner table is built.  Every other pairing reads a partner table that
-    grows on demand up to ``cache_pairs`` pairs, and falls back to the same
-    ``count`` and ``select`` past it.
+    ``apply`` maps a_i <-> b_i with i = A'(n) or B'(n), one ``count`` and
+    one ``select``.  Each side answers them from its rank form: a periodic
+    side as it is, and a finite or eventually periodic one from its members
+    up to b and a periodic node past b.  A side with neither answers through
+    its set tree.
     """
 
     set_a: SymbolicSet
     set_b: SymbolicSet
-    cache_pairs: int = field(default=_PAIR_CACHE, compare=False, repr=False)
 
     def __post_init__(self):
         common = inter(self.set_a, self.set_b)
@@ -207,81 +236,53 @@ class InterlacedPairing(PermutationRule):
         object.__setattr__(self, "a_only", a_only)
         object.__setattr__(self, "b_only", b_only)
         object.__setattr__(self, "pair_total", size)
-        object.__setattr__(self, "_closed_form", isinstance(a_only, Periodic) and isinstance(b_only, Periodic))
-        # (partner, pairs, coverage, full): partner maps a_i <-> b_i for the
-        # first ``pairs`` pairs at least, and is exact for every n <= coverage,
-        # or for every n if full
-        object.__setattr__(self, "_table", ({}, 0, 0, size == 0))
-
-    def _grown_table(self, n: int) -> tuple[dict, int, int, bool]:
-        """A partner table covering ``n``, or the largest the cap allows.
-
-        The table doubles until it covers ``n``.  Each growth walks fresh
-        iterators and only adds entries, which are the same whoever adds
-        them, so a caller holding an older snapshot still reads correct
-        values.  The new coverage is published as one snapshot once its
-        pairs are in, so a race between threads only wastes work.  Growing
-        in place, rather than building a second table, keeps the peak
-        memory of a growth to one table.
-        """
-        limit = self.cache_pairs
-        if self.pair_total is not None:
-            limit = min(limit, self.pair_total)
-        table = self._table
-        partner, pairs, coverage, full = table
-        while not full and n > coverage and pairs < limit:
-            size = min(max(2 * pairs, _PAIR_TABLE_START), limit)
-            fresh = zip(self.a_only.iter_elements(), self.b_only.iter_elements())
-            for last in itertools.islice(fresh, pairs, size):
-                partner[last[0]] = last[1]
-                partner[last[1]] = last[0]
-            pairs = size
-            full = pairs == self.pair_total
-            coverage = min(last)
-            table = (partner, pairs, coverage, full)
-            if full or coverage > self._table[2]:  # never publish a smaller table
-                object.__setattr__(self, "_table", table)
-        return table
+        a, b = _ranks(a_only), _ranks(b_only)
+        object.__setattr__(self, "_sides", (a_only, b_only) if a is None or b is None else (a, b))
 
     def apply(self, n):
-        if not self._closed_form:
-            partner, pairs, coverage, full = self._table
-            # a table that is neither full nor at its cap can still grow
-            if n > coverage and not full and pairs < self.cache_pairs:
-                partner, pairs, coverage, full = self._grown_table(n)
-            if full or n <= coverage:
-                return partner.get(n, n)
-        if self.a_only.contains(n):
-            return self.b_only.select(self.a_only.count(n))
-        if self.b_only.contains(n):
-            return self.a_only.select(self.b_only.count(n))
+        a, b = self._sides
+        if a.contains(n):
+            return b.select(a.count(n))
+        if b.contains(n):
+            return a.select(b.count(n))
         return n
 
     def invert(self, m):
         return self.apply(m)
 
     def pieces(self, horizon):
-        """For periodic sides: over m = lcm of the moduli, A' has ra and B'
-        rb members per period, so a_(i+L) = a_i + m*L/ra and b_(i+L) =
-        b_i + m*L/rb for L = lcm(ra, rb).  The first L pairs give two
-        progressions each, and every residue in neither side is fixed."""
-        a, b = self.a_only, self.b_only
-        if not (isinstance(a, Periodic) and isinstance(b, Periodic) and a.residues and b.residues):
+        """For sides with rank forms: past c = max(b_A, b_B) both sides are
+        periodic with period m, the lcm of their tails' moduli, and A' has
+        ra and B' rb members per period, so a_(i+L) = a_i + m*L/ra and
+        b_(i+L) = b_i + m*L/rb for L = lcm(ra, rb) and i > i0 = max(A'(c),
+        B'(c)).  The first i0 pairs are single points, with identity runs
+        between them up to c; each of the next L pairs gives two
+        progressions, and every residue in (c, c + m] in neither side is
+        fixed."""
+        a, b = self._sides
+        if not all(isinstance(side, (_Ranks, Periodic)) for side in (a, b)):
             return None
-        m = lcm(a.modulus, b.modulus)
+        # a periodic side is its own tail past 0
+        (ba, ta), (bb, tb) = ((s.b, s.tail) if isinstance(s, _Ranks) else (0, s) for s in (a, b))
+        c = max(ba, bb)
+        m = lcm(ta.modulus, tb.modulus)
         if m > _LCM_CAP:
             return None
-        ra = len(a.residues) * (m // a.modulus)
-        rb = len(b.residues) * (m // b.modulus)
+        ra = len(ta.residues) * (m // ta.modulus)
+        rb = len(tb.residues) * (m // tb.modulus)
         pairs = lcm(ra, rb)
-        if 2 * pairs + m - ra - rb > horizon:
+        i0 = max(a.count(c), b.count(c))
+        if 2 * i0 + 2 * pairs + m - ra - rb > horizon:
             return None
-        pa, pb = m * pairs // ra, m * pairs // rb
-        out = []
-        for i in range(1, pairs + 1):
+        heads = [(a.select(i), b.select(i)) for i in range(1, i0 + 1)]
+        moved = dict(heads + [(y, x) for x, y in heads])
+        out = FiniteTable(tuple(moved.items())).pieces(min(c, horizon))
+        out += [(k, 1, moved[k], 1, 1) for k in sorted(moved) if c < k <= horizon]
+        pa, pb = (m * pairs // ra, m * pairs // rb) if pairs else (0, 0)
+        for i in range(i0 + 1, i0 + pairs + 1):
             x, y = a.select(i), b.select(i)
             out += _progression(x, pa, y, pb, horizon) + _progression(y, pb, x, pa, horizon)
-        for r in range(1, m + 1):
+        for r in range(c + 1, c + m + 1):
             if not (a.contains(r) or b.contains(r)):
                 out += _progression(r, m, r, m, horizon)
         return out
@@ -355,11 +356,8 @@ class Restricted(PermutationRule):
         members = [f for _, f in zip(range(horizon + 1), self.exceptional.iter_elements(upto=bound))]
         if len(members) > horizon:
             return None
-        a, b = self.base.a_only, self.base.b_only
-        orbit = set()
-        for f in members:
-            if a.contains(f) or b.contains(f):
-                orbit |= {f, self.base.apply(f)}
+        a, b = self.base._sides
+        orbit = {g for f in members if a.contains(f) or b.contains(f) for g in (f, self.base.apply(f))}
         fixed = sorted(e for e in orbit if e <= horizon)
         if len(fixed) * len(pieces) > horizon:
             return None
@@ -379,11 +377,9 @@ class Restricted(PermutationRule):
         return out
 
     def _excluded(self, n: int) -> bool:
-        if not (self.base.a_only.contains(n) or self.base.b_only.contains(n)):
-            return False
-        return self.exceptional.contains(n) or self.exceptional.contains(
-            self.base.apply(n)
-        )
+        a, b = self.base._sides
+        f = self.exceptional
+        return (a.contains(n) or b.contains(n)) and (f.contains(n) or f.contains(self.base.apply(n)))
 
     def apply(self, n):
         return n if self._excluded(n) else self.base.apply(n)
@@ -651,7 +647,8 @@ def _image_counts(
     Along a piece m = k0 + t*p -> π⁻¹(m) = d + t*q:
 
     * with q = 1 the values d, ..., d + t_n are consecutive, so the count
-      is A(d + t_n) - A(d - 1);
+      is A(d + t_n) - A(d - 1), read from A's rank form when building it
+      costs no more than a scan;
     * with q > 1 and A periodic with period l past b, membership of
       d + t*q is periodic in t, with period l/gcd(q, l), once d + t*q > b;
       a prefix table over the terms up to b and one period answers every
@@ -669,15 +666,17 @@ def _image_counts(
         heads = {pc: min(pc[4], max(0, (b - pc[2]) // pc[3] + 1)) for pc in steep}
         if sum(heads[pc] + l // gcd(pc[3], l) for pc in steep) > points[-1]:
             return None
+    ranks = _ranks(a, points[-1])
+    count = ranks.count if ranks is not None else lambda n: a.count(n, budget=budget)
     totals = [0] * len(points)
     for pc in pieces:
         k0, p, d, q, terms = pc
         if q == 1:
-            before = a.count(d - 1, budget=budget)
+            before = count(d - 1)
             for i, n in enumerate(points):
                 last = _last_t(k0, p, terms, n)
                 if last >= 0:
-                    totals[i] += a.count(d + last, budget=budget) - before
+                    totals[i] += count(d + last) - before
             continue
         head, cycle = heads[pc], l // gcd(q, l)
         prefix = list(itertools.accumulate((a.contains(d + t * q) for t in range(head + cycle)), initial=0))

@@ -4,7 +4,7 @@ import random
 import sys
 import threading
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,10 +17,13 @@ from densitylab.cli import run_command
 from densitylab.corpus import disjoint_periodic_pairs, standard_permutation_corpus
 from densitylab.errors import CardinalityMismatch, UnknownInfinitude
 from densitylab.nset import (
+    _LCM_CAP,
     Empty,
+    Periodic,
     blocks_dexp,
     blocks_explicit,
     compl,
+    diff,
     finite,
     inter,
     periodic,
@@ -37,8 +40,7 @@ from densitylab.perm import (
     PermutationRule,
     QuarterBlockSwap,
     Restricted,
-    _PAIR_CACHE,
-    _PAIR_TABLE_START,
+    _Ranks,
     _checked_pieces,
     _image_counts,
     _moved_up,
@@ -109,14 +111,6 @@ def test_bijectivity_on_initial_segment():
             assert pi.apply(pi.invert(m)) == m
 
 
-def test_pairing_beyond_cache_matches_cached_path():
-    phi = pairing_permutation(ODDS, EVENS)
-    small = pairing_permutation(ODDS, EVENS)
-    object.__setattr__(small, "cache_pairs", 8)
-    for n in range(1, 200):
-        assert phi.apply(n) == small.apply(n)
-
-
 def _rank_matching(a_elems, b_elems):
     """Brute pairing oracle: the i-th element of A' <-> the i-th of B'."""
     a_elems, b_elems = list(a_elems), list(b_elems)
@@ -145,72 +139,31 @@ def test_pairing_matches_rank_matching_oracle():
         # ranks up to the larger count at the horizon, on both sides
         need = max(a.count(horizon), b.count(horizon))
         oracle = _rank_matching(_periodic_members(a, need), _periodic_members(b, need))
-        for cap in (None, 8):
-            phi = InterlacedPairing(a, b) if cap is None else InterlacedPairing(a, b, cache_pairs=cap)
-            points = list(range(1, 4097)) + list(range(4097, horizon + 1, 101))
-            assert [phi.apply(n) for n in points] == [oracle(n) for n in points], (a, b, cap)
-            # the table now covers the horizon or is at its cap: check both
-            # sides of where it stops
-            coverage = phi._table[2]
-            points = range(max(1, coverage - 300), min(horizon, coverage + 300) + 1)
-            assert [phi.apply(n) for n in points] == [oracle(n) for n in points], (a, b, cap)
+        phi = InterlacedPairing(a, b)
+        points = list(range(1, 4097)) + list(range(4097, horizon + 1, 101))
+        assert [phi.apply(n) for n in points] == [oracle(n) for n in points], (a, b)
 
 
 def test_finite_pairing_matches_rank_matching_oracle():
     a, b = finite(1, 2, 3), blocks_explicit([(10, 13)])
     oracle = _rank_matching([1, 2, 3], [10, 11, 12])
-    for cap, top in ((None, 300_000), (8, 300_000), (2, 2000)):
-        phi = InterlacedPairing(a, b) if cap is None else InterlacedPairing(a, b, cache_pairs=cap)
-        assert [phi.apply(n) for n in range(1, top + 1)] == [oracle(n) for n in range(1, top + 1)]
-        assert phi._table[3] == (cap != 2)  # full
-
-
-def test_pairing_table_growth_is_thread_safe():
-    a, b = periodic(8, [1, 6]), periodic(8, [3])
-    n_max = 30_000
-    reference = InterlacedPairing(a, b)
-    serial = [reference.apply(n) for n in range(1, n_max + 1)]
     phi = InterlacedPairing(a, b)
-    results = [None] * 4
-    start = threading.Barrier(4)
-
-    def worker(i):
-        start.wait(timeout=60)
-        results[i] = [phi.apply(n) for n in range(1, n_max + 1)]
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [serial] * 4
+    assert [phi.apply(n) for n in range(1, 300_001)] == [oracle(n) for n in range(1, 300_001)]
 
 
-# scale(...) stays a Scaled node, so a pairing with this side reads its
-# partner table; its members are those of periodic(8;2,6)
+# scale(...) stays a Scaled node, so a pairing with this side reads its rank
+# form; its members are those of periodic(8;2,6)
 _SCALED_SIDE = scale(periodic(4, [1, 3]), 2)
 
 
-def test_table_pairing_beyond_cache_matches_cached_path():
+def test_scaled_side_pairing_matches_rank_matching():
     phi = pairing_permutation(_SCALED_SIDE, periodic(8, [3]))
-    small = pairing_permutation(_SCALED_SIDE, periodic(8, [3]))
-    object.__setattr__(small, "cache_pairs", 8)
-    assert not phi._closed_form
-    points = range(1, 121)
-    assert [phi.apply(n) for n in points] == [small.apply(n) for n in points]
-    assert small._table[1] == 8  # at its cap, so the rest took count and select
-    assert phi._table[1] == _PAIR_TABLE_START and phi._table[2] >= 120
     oracle = _rank_matching(_periodic_members(periodic(8, [2, 6]), 40), _periodic_members(periodic(8, [3]), 40))
-    assert [small.apply(n) for n in points] == [oracle(n) for n in points]
+    points = range(1, 121)
+    assert [phi.apply(n) for n in points] == [oracle(n) for n in points]
 
 
-def test_table_pairing_growth_is_thread_safe():
+def test_scaled_side_pairing_is_thread_safe():
     a, b = _SCALED_SIDE, periodic(8, [3])
     n_max = 30_000
     reference = InterlacedPairing(a, b)
@@ -235,8 +188,6 @@ def test_table_pairing_growth_is_thread_safe():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert results == [serial] * 4
-    # the table grew several times on the way to the horizon
-    assert phi._table[1] >= 16 * _PAIR_TABLE_START and phi._table[2] >= n_max
 
 
 _CLOSED_FORM_PAIRS = [
@@ -251,14 +202,12 @@ def test_closed_form_pairing_matches_rank_matching_past_the_old_cap():
     rng = random.Random(61)
     for a, b in _CLOSED_FORM_PAIRS:
         phi = InterlacedPairing(a, b)
-        assert phi._closed_form
-        # past the rank the table stopped at, on both sides
-        top = 2 * _PAIR_CACHE * max(phi.a_only.modulus, phi.b_only.modulus)
+        # past the old cap of 2^16 pairs, on both sides
+        top = 2 * (1 << 16) * max(phi.a_only.modulus, phi.b_only.modulus)
         need = max(phi.a_only.count(top), phi.b_only.count(top))
         oracle = _rank_matching(_periodic_members(phi.a_only, need), _periodic_members(phi.b_only, need))
         points = list(range(1, 2001)) + list(range(top - 2000, top + 1)) + rng.sample(range(1, top + 1), 2000)
         assert [phi.apply(n) for n in points] == [oracle(n) for n in points], (a, b)
-        assert phi._table[1] == 0
 
 
 def test_closed_form_pairing_near_two_to_the_64():
@@ -274,13 +223,92 @@ def test_closed_form_pairing_near_two_to_the_64():
                 assert ao.contains(m) and bo.count(n) == ao.count(m)
             else:
                 assert m == n
-        assert phi._table[1] == 0
 
 
-def test_inner_pairing_of_a_composition_builds_no_table():
-    halves = pairing_permutation(ODDS, EVENS)
-    levy_defect_profile(Compose(QuarterBlockSwap(), halves), doubling_checkpoints(2**17))
-    assert halves._table[1] == 0
+def _side_kind(side):
+    if isinstance(side, Periodic):
+        return "periodic"
+    assert isinstance(side, _Ranks), side
+    if not side.tail.residues:
+        return "finite"
+    return "head-plus-tail" if side.head else "pure-periodic-tree"
+
+
+def _random_pairing_side(rng, size):
+    """A random side: periodic, a finite set of ``size`` points, a scaled
+    periodic set (a tree with b = 0), or a periodic set with a finite head
+    added or taken out."""
+    m = rng.choice((2, 3, 4, 5, 6))
+    p = periodic(m, sorted(rng.sample(range(m), rng.randrange(1, m))))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return p
+    if kind == 1:
+        points = finite(*rng.sample(range(1, 300), size))
+        return points if size == 0 or rng.random() < 0.7 else blocks_explicit([(40, 40 + size)])
+    if kind == 2:
+        return scale(p, rng.randrange(2, 4))
+    head = finite(*rng.sample(range(1, 200), rng.randrange(1, 7)))
+    return union(p, head) if kind == 3 else diff(rng.choice((p, scale(p, 2))), head)
+
+
+def _brute_members(s, count_at, top):
+    """The members of ``s`` in [1, top], read further for an infinite ``s``
+    until there are at least ``count_at`` of them."""
+    members = [n for n in range(1, top + 1) if s.contains(n)]
+    while len(members) < count_at and s.max_element() is None:
+        members += [n for n in range(top + 1, 2 * top + 1) if s.contains(n)]
+        top *= 2
+    return members
+
+
+def _rank_form_pairings(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        size = rng.randrange(0, 9)
+        try:
+            out.append(InterlacedPairing(_random_pairing_side(rng, size), _random_pairing_side(rng, size)))
+        except (CardinalityMismatch, UnknownInfinitude):
+            continue
+    return out
+
+
+def test_rank_form_pairings_match_rank_matching_past_b_and_b_plus_l():
+    kinds, with_pieces = set(), 0
+    for phi in _rank_form_pairings(83, 60):
+        sides = phi._sides
+        kinds |= {_side_kind(side) for side in sides}
+        b = max(getattr(side, "b", 0) for side in sides)
+        l = max(getattr(side, "tail", side).modulus for side in sides)
+        top = 3 * (b + l) + 20
+        need = max(phi.a_only.count(top), phi.b_only.count(top))
+        members = [_brute_members(tree, need, top) for tree in (phi.a_only, phi.b_only)]
+        oracle = _rank_matching(*members)
+        assert [phi.apply(n) for n in range(1, top + 1)] == [oracle(n) for n in range(1, top + 1)], phi
+        for side, elems in zip(sides, members):
+            assert [side.count(n) for n in range(top + 1)] == [bisect_right(elems, n) for n in range(top + 1)], phi
+        pieces = phi.pieces(top)
+        if pieces is not None:
+            with_pieces += 1
+            image = [(k0 + t * p, d + t * q) for k0, p, d, q, terms in pieces for t in range(terms)]
+            assert sorted(image) == [(n, oracle(n)) for n in range(1, top + 1)], phi
+    assert kinds == {"periodic", "finite", "pure-periodic-tree", "head-plus-tail"}
+    assert with_pieces >= 40
+
+
+# 2000001 is odd, so A' is the odd numbers, but its tree has b = 2000001
+_OVER_CAP = pairing_permutation(union(periodic(2, [1]), finite(2000001)), periodic(2, [0]))
+
+
+def test_pairing_past_the_rank_form_cap_answers_through_its_trees():
+    assert 2000001 + 1 > _LCM_CAP  # b + l
+    assert _OVER_CAP._sides == (_OVER_CAP.a_only, _OVER_CAP.b_only)
+    assert _OVER_CAP.pieces(3000) is None
+    oracle = _rank_matching(range(1, 3002, 2), range(2, 3002, 2))
+    # each apply counts and selects through the trees, so [1, 3000] is sampled
+    points = list(range(1, 61)) + list(range(61, 2971, 97)) + list(range(2971, 3001))
+    assert [_OVER_CAP.apply(n) for n in points] == [oracle(n) for n in points]
 
 
 def test_pairing_preconditions():
@@ -689,10 +717,18 @@ _MIXED_PAIRINGS = [
     pairing_permutation(periodic(3, [1]), periodic(5, [0, 2])),
     pairing_permutation(periodic(2, [1]), periodic(4, [0])),
 ]
+# sides with a head below b, a finite side, and a side that stays a tree
+_RANK_FORM_PAIRINGS = [
+    pairing_permutation(scale(periodic(4, [1, 3]), 2), periodic(8, [3])),
+    pairing_permutation(union(periodic(2, [1]), finite(4)), periodic(2, [0])),
+    pairing_permutation(diff(periodic(3, [1]), finite(4, 7)), periodic(3, [2])),
+    pairing_permutation(finite(1, 2, 3), blocks_explicit([(10, 13)])),
+]
 _PIECE_RULES = (
     _CORPUS
     + [FiniteTable(((1, 2), (2, 3), (3, 1)))]
     + _MIXED_PAIRINGS
+    + _RANK_FORM_PAIRINGS
     + [pairing_permutation(a, b) for a, b in disjoint_periodic_pairs(6, seed=3)]
 )
 
@@ -731,7 +767,7 @@ def test_pieces_partition_the_horizon_and_agree_with_apply():
 def test_rules_without_affine_structure_have_no_pieces():
     phi = pairing_permutation(ODDS, EVENS)
     assert restrict_pairing(phi, periodic(1000, [1])).pieces(100) is None  # F is infinite
-    assert pairing_permutation(blocks_explicit([(4, 8)]), finite(1, 2, 3, 100)).pieces(100) is None
+    assert _OVER_CAP.pieces(100) is None  # b + l is past _LCM_CAP
     assert Compose(QuarterBlockSwap(), Scanned(phi)).pieces(100) is None
     assert Inverse(Scanned(phi)).pieces(100) is None
 
