@@ -2,9 +2,10 @@
 
 A free ultrafilter is not a computable object, so every "limit along F"
 here is downgraded to *limit behaviour along a declared IndexSequence* at a
-finite horizon, with explicit tolerance and tail-window parameters.  All
-reported ratios are exact rationals; verdicts are finite-horizon heuristics
-and say so.
+finite horizon, with an explicit tolerance.  Every verdict reads the same
+tail, the last ceil(n/2) of its n points (``_tail_len``), and statistical
+convergence allows the same slack, ``_SLACK``.  All reported ratios are
+exact rationals; verdicts are finite-horizon heuristics and say so.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from .nset import FiniteList, SymbolicSet, checked_budget
 # Reports keep at most this many profile points; longer evaluations are
 # decimated for storage (verdicts are still computed over every point).
 _PROFILE_CAP = 4096
+
+# The largest exception density a statistically convergent row may keep
+# over its tail.
+_SLACK = Fraction(1, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +207,8 @@ class WitnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _tail_len(n_points: int, tail_window: Optional[int]) -> int:
-    if tail_window is not None:
-        if not 1 <= tail_window <= n_points:
-            raise ValueError("tail window must be within the point count")
-        return tail_window
+def _tail_len(n_points: int) -> int:
+    """The number of trailing points every verdict reads: ceil(n_points / 2)."""
     return ceil(n_points / 2)
 
 
@@ -221,7 +223,6 @@ def limit_along(
     s: SymbolicSet,
     seq: IndexSequence,
     tol: Fraction,
-    tail_window: Optional[int] = None,
     budget: Optional[int] = None,
 ) -> LimitReport:
     """Evaluate A(n)/n along ``seq`` and judge tail oscillation against ``tol``."""
@@ -229,7 +230,7 @@ def limit_along(
     total = len(pts)
     if total == 0:
         raise ValueError("index sequence must be nonempty")
-    tail = _tail_len(total, tail_window)
+    tail = _tail_len(total)
     tail_from = total - tail
 
     dense = isinstance(seq, All)
@@ -352,7 +353,6 @@ def density(
     s: SymbolicSet,
     horizon: int,
     tail_window_start: int,
-    tol: Fraction = Fraction(1, 1000),
     budget: Optional[int] = None,
 ) -> DensityReport:
     """Estimate lower/upper asymptotic density over [tail_window_start, horizon].
@@ -422,19 +422,15 @@ def statistical_limit(
     target: Fraction,
     eps_grid: Sequence[Fraction],
     checkpoints: IndexSequence,
-    slack: Fraction = Fraction(1, 100),
-    tail_window: Optional[int] = None,
 ) -> StatReport:
     """Exception-density table for statistical convergence of x to ``target``.
 
     For each eps the exception set is {k : |x_k - target| >= eps}; the table
     reports its exact counting ratio at every checkpoint.  The verdict is
     "convergent at this tolerance profile" when every eps-row's tail stays
-    within ``slack``.
+    within ``_SLACK``.
     """
-    return _stat_table(
-        lambda k: _as_ratio(x(k)), target, eps_grid, checkpoints, slack, tail_window
-    )
+    return _stat_table(lambda k: _as_ratio(x(k)), target, eps_grid, checkpoints, _SLACK)
 
 
 def _positive_eps(eps_grid: Sequence[Fraction]) -> list[Fraction]:
@@ -450,7 +446,6 @@ def _stat_table(
     eps_grid: Sequence[Fraction],
     checkpoints: IndexSequence,
     slack: Fraction,
-    tail_window: Optional[int] = None,
 ) -> StatReport:
     """``statistical_limit`` for x_k = p/q given as ``term(k) == (p, q)``, q > 0.
 
@@ -472,7 +467,7 @@ def _stat_table(
                         counters[j] += 1
         for row, c in zip(counts, counters):
             row.append(c)
-    return _stat_report(target, eps_list, pts, counts, slack, tail_window)
+    return _stat_report(target, eps_list, pts, counts, slack)
 
 
 def _stat_report(
@@ -481,11 +476,10 @@ def _stat_report(
     pts: Sequence[int],
     counts: Sequence[Sequence[int]],
     slack: Fraction,
-    tail_window: Optional[int] = None,
 ) -> StatReport:
     """The table for exception counts ``counts[j][i]`` of ``eps_list[j]`` at
     ``pts[i]``."""
-    tail = _tail_len(len(pts), tail_window)
+    tail = _tail_len(len(pts))
     rows = []
     for e, row in zip(eps_list, counts):
         dens = tuple(zip(pts, map(Fraction, row, pts)))
@@ -506,14 +500,12 @@ def full_density_witness(
     target: Fraction,
     horizon: int,
     eps_schedule: Sequence[Fraction],
-    stage_ratio: int = 10,
-    floor: Fraction = Fraction(9, 10),
 ) -> WitnessReport:
     """Extract an index set of counting ratio near 1 along which x -> target.
 
-    [1, horizon] is partitioned into geometric stages; within stage j the
-    indices with |x_k - target| >= eps_j are discarded.  Raises
-    WitnessTooSparse when the witness ratio falls below ``floor`` (the
+    [1, horizon] is partitioned into stages ending at the powers of 10;
+    within stage j the indices with |x_k - target| >= eps_j are discarded.
+    Raises WitnessTooSparse when the witness ratio falls below 9/10 (the
     sequence is then not statistically convergent to ``target`` at this
     profile).
     """
@@ -528,10 +520,10 @@ def full_density_witness(
     tn, td = target.numerator, target.denominator
 
     bounds = []
-    b = stage_ratio
+    b = 10
     while b < horizon:
         bounds.append(b)
-        b *= stage_ratio
+        b *= 10
     bounds.append(horizon)
 
     stages: list[tuple[int, int, Fraction]] = []
@@ -553,8 +545,8 @@ def full_density_witness(
                 if k >= last_lo and not _at_least(tail_max, dev):
                     tail_max = dev
     ratio = Fraction(len(kept), horizon)
-    if ratio < floor:
-        raise WitnessTooSparse(ratio, floor)
+    if ratio < Fraction(9, 10):
+        raise WitnessTooSparse(ratio, Fraction(9, 10))
     return WitnessReport(
         witness=FiniteList(tuple(kept)),
         ratio=ratio,

@@ -113,13 +113,7 @@ def _limit_report_json(rep) -> dict:
 
 def _run_density(args, config):
     s = parse_expression(args.set, "set")
-    rep = density(
-        s,
-        config.horizon,
-        config.tail_start(),
-        config.tol,
-        budget=config.enumeration_budget,
-    )
+    rep = density(s, config.horizon, config.tail_start(), budget=config.enumeration_budget)
     within = rep.upper_estimate - rep.lower_estimate <= config.tol
     result = {
         "lower_estimate": rat(rep.lower_estimate),
@@ -261,7 +255,10 @@ def _run_pair(args, config):
 
 def _run_witness(args, config):
     pi = parse_expression(args.perm, "perm")
-    cap = args.cap or config.horizon
+    cap = config.horizon if args.cap is None else args.cap
+    # a cap past the budget could start a scan of every integer up to it
+    if cap > config.enumeration_budget:
+        raise ConfigError(f"cap {cap} must be <= budget {config.enumeration_budget}")
     w = levy_witness_set(pi, cap)
     points = doubling_checkpoints(cap).points()
     first, counts = _moved_up(pi, points)
@@ -422,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="epsilon as a rational; repeatable (default 1/10, 1/100)")
         if name == "witness":
             sp.add_argument("--cap", type=int, default=None,
-                            help="enumeration cap of the witness (default horizon)")
+                            help="enumeration cap of the witness, at most --budget (default horizon)")
         _add_config_flags(sp, dexp_default)
         sp.set_defaults(runner=runner)
     return ap

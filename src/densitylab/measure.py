@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import Optional, Sequence
 
 from .asymptotics import (
@@ -20,6 +19,7 @@ from .asymptotics import (
     IndexSequence,
     LimitReport,
     _checkpoint_ranges,
+    _tail_len,
     limit_along,
 )
 from .errors import EnumerationBudgetExceeded, NoViolationFound
@@ -166,8 +166,7 @@ def evaluate(
         base = limit_along(a, mu.seq, tol, budget=budget)
         dbl = limit_along(a, Doubled(mu.seq), tol, budget=budget)
         partials = _combo_partials(a, mu.seq, budget)
-        tail = ceil(len(partials) / 2)
-        tail_vals = [v for _, v in partials[-tail:]]
+        tail_vals = [v for _, v in partials[-_tail_len(len(partials)):]]
         lo, hi = min(tail_vals), max(tail_vals)
         converged = base.converged and dbl.converged
         value = 2 * dbl.value - base.value if converged else None
@@ -300,14 +299,14 @@ class AxiomReport:
         return (self.normalization, *self.additivity, *self.extension)
 
 
-def _verify_disjoint(a: SymbolicSet, b: SymbolicSet, sample_horizon: int = 10**4):
+def _verify_disjoint(a: SymbolicSet, b: SymbolicSet):
     both = inter(a, b)
     if both == Empty():
         return "closed-form"
-    for k in range(1, sample_horizon + 1):
+    for k in range(1, 10**4 + 1):
         if a.contains(k) and b.contains(k):
             raise ValueError(f"sets {a} and {b} are not disjoint (share {k})")
-    return f"sampled to {sample_horizon}"
+    return f"sampled to {10**4}"
 
 
 def check_axioms(
@@ -474,7 +473,6 @@ class ViolationCertificate:
 def find_invariance_violation(
     pi: PermutationRule,
     horizon: int = 4096,
-    threshold: Fraction = Fraction(1, 10),
     budget: Optional[int] = None,
 ) -> ViolationCertificate:
     """Search for a set and subsequence on which π moves every
@@ -483,14 +481,15 @@ def find_invariance_violation(
     The witness is the canonical set {k : π(k) > k}; the subsequence picks
     the last three interior local maxima of the defect ratio (defect peaks
     recur for non-Lévy-like permutations).  Raises NoViolationFound when the
-    tail defect stays at or below ``threshold``.
+    tail defect, over the last ceil(horizon/2) points, stays at or below 1/10.
     """
+    threshold = Fraction(1, 10)
     budget = checked_budget(budget)
     if horizon > budget:
         raise EnumerationBudgetExceeded(horizon, budget, "violation scan")
     points = range(1, horizon + 1)
     defects = list(map(Fraction, _defect_counts(pi, points), points))
-    tail_max = max(defects[horizon // 2 :])
+    tail_max = max(defects[-_tail_len(horizon):])
     if tail_max <= threshold:
         raise NoViolationFound(
             f"tail defect {tail_max} <= {threshold} at horizon {horizon}; "
@@ -590,7 +589,7 @@ def equal_measure_test(
         # over the tail window (identical sets give exactly zero even when
         # each profile oscillates on its own)
         pts = list(seq.points())
-        tail_from = len(pts) - ceil(len(pts) / 2)
+        tail_from = len(pts) - _tail_len(len(pts))
         dev = Fraction(0)
         converged = True
         for idx, n in enumerate(pts):

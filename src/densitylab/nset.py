@@ -69,8 +69,8 @@ class _Budget:
         self.limit = limit
         self.horizon = horizon
 
-    def spend(self, steps: int = 1) -> None:
-        self.remaining -= steps
+    def spend(self) -> None:
+        self.remaining -= 1
         if self.remaining < 0:
             raise EnumerationBudgetExceeded(self.horizon, self.limit)
 
@@ -243,9 +243,6 @@ class SymbolicSet:
         if idx and runs[idx - 1][1] > n:
             total -= runs[idx - 1][1] - n
         return total
-
-    def scale(self, t: int) -> "SymbolicSet":
-        return scale(self, t)
 
     def to_expr(self) -> str:
         raise NotImplementedError

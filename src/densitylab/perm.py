@@ -19,17 +19,19 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .asymptotics import (
     Explicit,
     IndexSequence,
     StatReport,
+    _SLACK,
     _checkpoint_ranges,
     _positive_eps,
     _stat_report,
     _stat_table,
+    _tail_len,
 )
 from .errors import (
     CardinalityMismatch,
@@ -493,16 +495,14 @@ def restrict_pairing(
     phi: InterlacedPairing,
     exceptional: SymbolicSet,
     horizon: int = 10**4,
-    warn_ratio: Fraction = Fraction(1, 100),
 ) -> Restricted:
     """Freeze ``phi`` to the identity on the orbit of ``exceptional``.
 
     The construction is intended for sparse exceptional sets; a counting
-    ratio above ``warn_ratio`` at ``horizon`` triggers a warning, not an
-    error.
+    ratio above 1/100 at ``horizon`` triggers a warning, not an error.
     """
     ratio = Fraction(exceptional.count(horizon), horizon)
-    if ratio > warn_ratio:
+    if ratio > Fraction(1, 100):
         warnings.warn(
             f"exceptional set has counting ratio {ratio} at {horizon}; "
             "the restricted pairing may be far from the base pairing",
@@ -536,27 +536,18 @@ def stat_checkpoints(horizon: int) -> Explicit:
     return doubling_checkpoints(horizon, levels=4)
 
 
-def classify_tail(
-    points: Sequence[int],
-    values: Sequence[Fraction],
-    slack_factor: Fraction = Fraction(1),
-    tail_window: Optional[int] = None,
-    min_horizon: int = 10**4,
-    recurrence_threshold: Fraction = Fraction(1, 10),
-    recurrence_hits: int = 3,
-) -> Classification:
-    """Heuristic verdict from the tail of a defect-like profile.
+def classify_tail(points: Sequence[int], values: Sequence[Fraction]) -> Classification:
+    """Heuristic verdict from the tail of a defect-like profile, the values
+    at the last ceil(n/2) of the n points.
 
-    Levy-likely needs tail-max <= 0.01 * slack_factor at a horizon of at
-    least ``min_horizon``; non-Levy-likely needs the tail to exceed
-    ``recurrence_threshold`` at ``recurrence_hits`` or more points.
+    Non-Levy-likely needs 3 or more tail values >= 1/10; otherwise
+    Levy-likely needs a tail max <= 1/100 (``_SLACK``) at a last point of
+    at least 10^4; anything else is inconclusive.
     """
-    tail = tail_window if tail_window is not None else ceil(len(points) / 2)
-    tail_vals = list(values[-tail:])
-    hits = sum(1 for v in tail_vals if v >= recurrence_threshold)
-    if hits >= recurrence_hits:
+    tail_vals = values[-_tail_len(len(points)):]
+    if sum(1 for v in tail_vals if v >= Fraction(1, 10)) >= 3:
         return Classification.NON_LEVY_LIKELY
-    if max(tail_vals) <= Fraction(1, 100) * slack_factor and points[-1] >= min_horizon:
+    if max(tail_vals) <= _SLACK and points[-1] >= 10**4:
         return Classification.LEVY_LIKELY
     return Classification.INCONCLUSIVE
 
@@ -606,10 +597,8 @@ def _count_solutions(alpha: int, beta: int, last: int) -> int:
     return max(0, hi - lo + 1)
 
 
-def _moved_up(
-    pi: PermutationRule, points: Sequence[int], first: int = 20
-) -> tuple[list[int], list[int]]:
-    """The ``first`` smallest k <= points[-1] with π(k) > k, and
+def _moved_up(pi: PermutationRule, points: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The 20 smallest k <= points[-1] with π(k) > k, and
     |{k <= n : π(k) > k}| at each of the increasing ``points``.
 
     From π's pieces, where π(k) - k = (d - k0) + t*(q - p), so π(k) > k iff
@@ -621,19 +610,19 @@ def _moved_up(
             for k in block:
                 if pi.apply(k) > k:
                     count += 1
-                    if count <= first:
+                    if count <= 20:
                         smallest.append(k)
             counts.append(count)
         return smallest, counts
     smallest = []
     for k0, p, d, q, terms in pieces:
         lo, hi = _solutions(q - p, 1 + k0 - d, terms - 1)
-        smallest += (k0 + t * p for t in range(lo, min(hi, lo + first - 1) + 1))
+        smallest += (k0 + t * p for t in range(lo, min(hi, lo + 19) + 1))
     counts = [
         sum(_count_solutions(q - p, 1 + k0 - d, _last_t(k0, p, terms, n)) for k0, p, d, q, terms in pieces)
         for n in points
     ]
-    return sorted(smallest)[:first], counts
+    return sorted(smallest)[:20], counts
 
 
 def _image_counts(
@@ -728,7 +717,6 @@ def _defect_counts(pi: PermutationRule, points: Sequence[int]) -> list[int]:
 def levy_defect_profile(
     pi: PermutationRule,
     seq: IndexSequence,
-    slack_factor: Fraction = Fraction(1),
     mode: str = "upward",
     budget: Optional[int] = None,
 ) -> DefectProfile:
@@ -756,14 +744,12 @@ def levy_defect_profile(
             n = block[-1]
             out.append(Fraction(n - acc, n))
         defects = tuple(out)
-    tail = ceil(len(defects) / 2)
-    hint = classify_tail(pts, defects, slack_factor=slack_factor, tail_window=tail)
     return DefectProfile(
         points=tuple(pts),
         defects=defects,
-        classification_hint=hint,
+        classification_hint=classify_tail(pts, defects),
         mode=mode,
-        tail_window=tail,
+        tail_window=_tail_len(len(pts)),
     )
 
 
@@ -804,7 +790,6 @@ def displacement_classification(
     pi: PermutationRule,
     sets: Sequence[SymbolicSet],
     seq: IndexSequence,
-    slack_factor: Fraction = Fraction(1),
     budget: Optional[int] = None,
 ) -> Classification:
     """Classify from the worst |displacement| across a fixed set corpus.
@@ -817,7 +802,7 @@ def displacement_classification(
     worst = [
         max(abs(prof[i][1]) for prof in profiles) for i in range(len(points))
     ]
-    return classify_tail(points, worst, slack_factor=slack_factor)
+    return classify_tail(points, worst)
 
 
 @dataclass(frozen=True)
@@ -830,7 +815,6 @@ def ratio_stat_report(
     pi: PermutationRule,
     eps_grid: Sequence[Fraction],
     checkpoints: IndexSequence,
-    slack_factor: Fraction = Fraction(1),
 ) -> RatioStatReport:
     """Statistical-convergence table for π(n)/n at target 1, plus a verdict.
 
@@ -838,23 +822,14 @@ def ratio_stat_report(
     non-Lévy-likely if any row is, Lévy-likely if every row is (so an empty
     ``eps_grid`` is inconclusive), and inconclusive otherwise.
     """
-    slack = Fraction(1, 100) * slack_factor
     eps_list = _positive_eps(eps_grid)
     pts = list(checkpoints.points())
     pieces = _checked_pieces(pi, pts)
     if pieces is None:
-        report = _stat_table(lambda k: (pi.apply(k), k), Fraction(1), eps_list, checkpoints, slack)
+        report = _stat_table(lambda k: (pi.apply(k), k), Fraction(1), eps_list, checkpoints, _SLACK)
     else:
-        report = _stat_report(Fraction(1), eps_list, pts, _ratio_exceptions(pieces, eps_list, pts), slack)
-    verdicts = {
-        classify_tail(
-            report.checkpoints,
-            [v for _, v in row.densities],
-            slack_factor=slack_factor,
-            tail_window=report.tail_window,
-        )
-        for row in report.rows
-    }
+        report = _stat_report(Fraction(1), eps_list, pts, _ratio_exceptions(pieces, eps_list, pts), _SLACK)
+    verdicts = {classify_tail(report.checkpoints, [v for _, v in row.densities]) for row in report.rows}
     if Classification.NON_LEVY_LIKELY in verdicts:
         cls = Classification.NON_LEVY_LIKELY
     elif verdicts == {Classification.LEVY_LIKELY}:
@@ -946,14 +921,14 @@ def van_douwen_ratio_report(
     pi: PermutationRule,
     horizon: int,
     tol: Fraction,
-    tail_window_start: Optional[int] = None,
     budget: Optional[int] = None,
 ) -> VanDouwenReport:
-    """Check lim π(n)/n = 1 at desk scale: sup over the tail window."""
+    """Check lim π(n)/n = 1 at desk scale: sup over the tail window
+    [max(1, horizon/10), horizon]."""
     budget = checked_budget(budget)
     if horizon > budget:
         raise EnumerationBudgetExceeded(horizon, budget, "ratio scan")
-    start = tail_window_start if tail_window_start is not None else max(1, horizon // 10)
+    start = max(1, horizon // 10)
     best: tuple[int, int] = (0, 1)
     best_at = start
     for n in range(start, horizon + 1):

@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 
-def decimal_shadow(q: Fraction, digits: int = 12) -> str:
-    return format(float(q), f".{digits}g")
+def decimal_shadow(q: Fraction) -> str:
+    return format(float(q), ".12g")
 
 
 def rat(q: Optional[Fraction]) -> Optional[dict]:

@@ -117,7 +117,6 @@ def first_domination_violation(
 def counterexample_suite(
     dexp_terms: int = 6,
     tol: Fraction = Fraction(1, 1000),
-    domination_horizon: int = 10**6,
     budget: Optional[int] = None,
 ) -> SuiteReport:
     """Reproduce the block-set counterexamples with exact rationals."""
@@ -133,7 +132,7 @@ def counterexample_suite(
     measure_a = evaluate(combo, a, tol, budget=budget)
     partials_a = measure_a.partials
     final_partial = partials_a[-1][1]
-    dens_a = density(a, _UD_HORIZON, _UD_WINDOW_START, tol, budget=budget)
+    dens_a = density(a, _UD_HORIZON, _UD_WINDOW_START, budget=budget)
     item1 = ComboVsUpperDensity(
         partials=partials_a,
         measure=measure_a,
@@ -157,9 +156,10 @@ def counterexample_suite(
         measure=measure_2a,
     )
 
-    # item 3: B(n) >= A(n) exactly for every n up to domination_horizon, with a
-    # block-edge bound recorded for the tail; yet mu(B) = 3/4 < mu(A) -> 1.
-    first_violation = first_domination_violation(a, b, domination_horizon, budget=budget)
+    # item 3: B(n) >= A(n) exactly for every n up to 10^6, with a block-edge
+    # bound recorded for the tail; yet mu(B) = 3/4 < mu(A) -> 1.
+    horizon = 10**6
+    first_violation = first_domination_violation(a, b, horizon, budget=budget)
     # beyond that horizon: at every block edge e >= 31 the ratio A(e)/e stays
     # under 20/31 < 3/4, so the periodic set keeps dominating.
     bound = Fraction(20, 31)
@@ -171,7 +171,7 @@ def counterexample_suite(
     measure_b = evaluate(combo, b, tol, budget=budget)
     item3 = MonotonicityFailure(
         dominating_set=b.to_expr(),
-        domination_horizon=domination_horizon,
+        domination_horizon=horizon,
         domination_holds=first_violation is None,
         first_violation=first_violation,
         block_edge_ratio_bound=bound,

@@ -98,7 +98,7 @@ def test_criterion_02_doubling_failure_exact():
 def test_criterion_03_upper_density_window():
     with criterion(3, "upper density estimate over [2^10, 2^20] is exactly 65812/131071"):
         t0 = time.monotonic()
-        rep = density(blocks_dexp(), 1 << 20, 1 << 10, Fraction(1, 1000))
+        rep = density(blocks_dexp(), 1 << 20, 1 << 10)
         elapsed = time.monotonic() - t0
         assert rep.upper_estimate == Fraction(65812, 131071)
         assert abs(rep.upper_estimate - Fraction(1, 2)) <= Fraction(3, 1000)

@@ -187,6 +187,27 @@ def test_witness_subcommand():
     assert rep["result"]["first_elements"][:8] == [4, 5, 6, 7, 16, 17, 18, 19]
 
 
+def test_witness_cap_past_the_budget_exits_2_without_scanning(monkeypatch):
+    def scan(*args):
+        raise AssertionError("the witness scan started")
+
+    monkeypatch.setattr(cli, "_moved_up", scan)
+    rule = "restrict(pair(periodic(2;1),periodic(2;0)),periodic(5;1))"
+    code, out, err = run(["witness", rule, "--cap", "200000", "--budget", "100000", "--horizon", "1000"])
+    assert code == 2 and out == "" and "cap 200000 must be <= budget 100000" in err
+
+
+def test_witness_cap_equal_to_the_budget_runs():
+    rep = run_json(["witness", "qswap", "--cap", "4096", "--budget", "4096", "--horizon", "1000"])
+    assert rep["result"]["cap"] == 4096
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_witness_cap_below_1_exits_2(cap):
+    code, out, err = run(["witness", "qswap", "--cap", cap, "--horizon", "1000"])
+    assert code == 2 and out == "" and "cap must be >= 1" in err
+
+
 def test_equal_subcommand():
     rep = run_json(["equal", "periodic(2;1)", "periodic(2;0)", "--horizon", "10000"])
     assert rep["result"]["verdict"] == "equivalent-likely"

@@ -44,6 +44,7 @@ from densitylab.perm import (
     _checked_pieces,
     _image_counts,
     _moved_up,
+    classify_tail,
     displacement_classification,
     displacement_profile,
     doubling_checkpoints,
@@ -437,6 +438,34 @@ def test_classification_thresholds():
     # short horizons refuse to certify either way for a borderline profile
     short = levy_defect_profile(pairing_permutation(ODDS, EVENS), Explicit((11, 101, 1001)))
     assert short.classification_hint == Classification.INCONCLUSIVE
+
+
+def test_classify_tail_slack_and_horizon_boundaries():
+    # a tail max of exactly 1/100 is Lévy-likely, but only at a horizon of 10^4
+    ones = (Fraction(1, 2), Fraction(1, 100), Fraction(1, 100))
+    assert classify_tail((10, 100, 10**4), ones) == Classification.LEVY_LIKELY
+    assert classify_tail((10, 100, 10**4 - 1), ones) == Classification.INCONCLUSIVE
+    over = (Fraction(1, 2), Fraction(1, 100), Fraction(101, 10**4))
+    assert classify_tail((10, 100, 10**4), over) == Classification.INCONCLUSIVE
+
+
+def test_classify_tail_recurrence_boundaries():
+    pts = (1, 10, 100, 10**3, 10**4, 10**5)
+    tenth = Fraction(1, 10)
+    assert classify_tail(pts, (0, 0, 0, tenth, tenth, tenth)) == Classification.NON_LEVY_LIKELY
+    assert classify_tail(pts, (0, 0, 0, 0, tenth, tenth)) == Classification.INCONCLUSIVE
+    below = tenth - Fraction(1, 10**6)
+    assert classify_tail(pts, (0, 0, 0, below, tenth, tenth)) == Classification.INCONCLUSIVE
+
+
+def test_classify_tail_reads_the_last_ceil_half_of_the_points():
+    pts = (1, 10, 100, 10**3, 10**4)
+    # with 5 points the tail is the last 3: a spike at the 2nd point is
+    # outside it, and one at the 3rd inside
+    assert classify_tail(pts, (0, 1, 0, 0, 0)) == Classification.LEVY_LIKELY
+    assert classify_tail(pts, (0, 0, 1, 0, 0)) == Classification.INCONCLUSIVE
+    assert classify_tail(pts, (1, 1, 1, 0, 0)) == Classification.INCONCLUSIVE
+    assert classify_tail(pts, (0, 1, 1, 1, 1)) == Classification.NON_LEVY_LIKELY
 
 
 # ---------------------------------------------------------------------------
