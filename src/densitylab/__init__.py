@@ -39,7 +39,6 @@ from .errors import (
 from .measure import (
     AxiomReport,
     BlumlingerCombo,
-    ImageSet,
     MeasureReport,
     MeasureRule,
     Mixture,
@@ -85,6 +84,7 @@ from .perm import (
     DefectProfile,
     FiniteTable,
     Identity,
+    ImageSet,
     InterlacedPairing,
     Inverse,
     PermutationRule,

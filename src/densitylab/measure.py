@@ -33,10 +33,9 @@ from .nset import (
     union,
 )
 from .perm import (
-    InterlacedPairing,
+    ImageSet,
     PermutationRule,
     _defect_counts,
-    _image_counts,
     levy_witness_set,
 )
 
@@ -209,68 +208,6 @@ def evaluate(
             diagnostics=tuple(d for r in reports for d in r.diagnostics),
         )
     raise TypeError(f"unknown measure rule {mu!r}")
-
-
-# ---------------------------------------------------------------------------
-# image sets under a permutation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ImageSet(SymbolicSet):
-    """π(base) described through the inverse: m ∈ πA iff π⁻¹(m) ∈ A.
-
-    Counting reads the affine pieces of π⁻¹ where it has them (identity,
-    tables, the quarter-block swap, periodic pairings, and their
-    compositions and inverses), then uses closed forms for pairings moving
-    the whole of one side to the other; otherwise it scans m <= n under the
-    enumeration budget.
-    """
-
-    pi: PermutationRule
-    base: SymbolicSet
-
-    def contains(self, n):
-        return n >= 1 and self.base.contains(self.pi.invert(n))
-
-    def _count(self, n, budget):
-        pi, base = self.pi, self.base
-        counted = _image_counts(pi, base, (n,), budget)
-        if counted is not None:
-            return counted[0]
-        if isinstance(pi, InterlacedPairing):
-            if base == pi.a_only:
-                return pi.b_only.count(n, budget=budget)
-            if base == pi.b_only:
-                return pi.a_only.count(n, budget=budget)
-            moved = union(pi.set_a, pi.set_b)
-            if inter(base, moved) == Empty():
-                return base.count(n, budget=budget)
-        if n > budget:
-            raise EnumerationBudgetExceeded(n, budget, "image-count scan")
-        return sum(1 for m in range(1, n + 1) if base.contains(pi.invert(m)))
-
-    def infinitude(self):
-        return self.base.infinitude()
-
-    def max_element(self):
-        bound = self.base.max_element()
-        if bound is None:
-            return None
-        return max((self.pi.apply(k) for k in self.base.iter_elements(bound)), default=0)
-
-    def iter_elements(self, upto=None, budget=None):
-        import itertools
-
-        it = range(1, upto + 1) if upto is not None else itertools.count(1)
-        for m in it:
-            if budget is not None:
-                budget.spend()
-            if self.contains(m):
-                yield m
-
-    def to_expr(self):
-        return f"image({self.pi.to_expr()},{self.base.to_expr()})"
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from .errors import (
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
-# Periodic/Periodic algebra is collapsed via the lcm only below this modulus;
-# beyond it the raw node is kept and counting falls back to enumeration.
+# Periodic/Periodic algebra is collapsed via the lcm only below this modulus (beyond it the raw
+# node is kept and counting enumerates); it also caps eventual tails and a rank form's points.
 _LCM_CAP = 10**6
 
 # member_runs gives up (returns None) rather than build more runs than this.
@@ -358,10 +358,12 @@ class FiniteList(SymbolicSet):
 
 @dataclass(frozen=True)
 class Periodic(SymbolicSet):
-    """All n >= 1 with n mod modulus in residues."""
+    """All n >= 1 with n mod modulus in residues; its own rank form, with no flips."""
 
     modulus: int
     residues: tuple[int, ...]
+    flips = ()
+    tail = property(lambda self: self)
 
     def __post_init__(self):
         if self.modulus < 1:
@@ -644,7 +646,7 @@ class Union(SymbolicSet):
         return None if a is None or b is None else max(a, b)
 
     def member_runs(self, horizon, cap=_RUNS_CAP):
-        return _combine_runs(self.left, self.right, horizon, cap, "union")
+        return _combine_runs(self, horizon, cap)
 
     def iter_elements(self, upto=None, budget=None):
         if upto is None:
@@ -705,7 +707,7 @@ class Intersect(SymbolicSet):
         return min(bounds) if bounds else _bound_by_period(self)
 
     def member_runs(self, horizon, cap=_RUNS_CAP):
-        return _combine_runs(self.left, self.right, horizon, cap, "inter")
+        return _combine_runs(self, horizon, cap)
 
     def iter_elements(self, upto=None, budget=None):
         if upto is None:
@@ -742,7 +744,7 @@ class Diff(SymbolicSet):
         return _bound_by_period(self) if bound is None else bound
 
     def member_runs(self, horizon, cap=_RUNS_CAP):
-        return _combine_runs(self.left, self.right, horizon, cap, "diff")
+        return _combine_runs(self, horizon, cap)
 
     def iter_elements(self, upto=None, budget=None):
         if upto is None:
@@ -843,16 +845,13 @@ def scale(s: SymbolicSet, t: int) -> SymbolicSet:
     return Scaled(t, s)
 
 
-def _lcm_periodic(a: Periodic, b: Periodic, keep: Callable[[int, int], bool]):
+def _lcm_periodic(a: Periodic, b: Periodic, keep: tuple[bool, ...]) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The modulus and residues that ``keep`` (a row of ``_KEEP``) keeps over the lcm of the moduli,
+    or None past ``_LCM_CAP``."""
     m = math.lcm(a.modulus, b.modulus)
     if m > _LCM_CAP:
         return None
-    res = tuple(
-        r
-        for r in range(m)
-        if keep((r % a.modulus) in a._rset, (r % b.modulus) in b._rset)
-    )
-    return periodic(m, res)
+    return m, tuple(r for r in range(m) if keep[2 * ((r % a.modulus) in a._rset) + ((r % b.modulus) in b._rset)])
 
 
 def union(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
@@ -867,9 +866,9 @@ def union(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     if isinstance(a, FiniteList) and isinstance(b, FiniteList):
         return finite(*(a.elements + b.elements))
     if isinstance(a, Periodic) and isinstance(b, Periodic):
-        merged = _lcm_periodic(a, b, lambda x, y: x or y)
+        merged = _lcm_periodic(a, b, _KEEP[Union])
         if merged is not None:
-            return merged
+            return periodic(*merged)
     return Union(a, b)
 
 
@@ -887,9 +886,9 @@ def inter(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     if isinstance(a, FiniteList):
         return finite(*(e for e in a.elements if b.contains(e)))
     if isinstance(a, Periodic) and isinstance(b, Periodic):
-        merged = _lcm_periodic(a, b, lambda x, y: x and y)
+        merged = _lcm_periodic(a, b, _KEEP[Intersect])
         if merged is not None:
-            return merged
+            return periodic(*merged)
     return Intersect(a, b)
 
 
@@ -903,9 +902,9 @@ def diff(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     if isinstance(a, FiniteList):
         return finite(*(e for e in a.elements if not b.contains(e)))
     if isinstance(a, Periodic) and isinstance(b, Periodic):
-        merged = _lcm_periodic(a, b, lambda x, y: x and not y)
+        merged = _lcm_periodic(a, b, _KEEP[Diff])
         if merged is not None:
-            return merged
+            return periodic(*merged)
     if isinstance(a, Full):
         return compl(b)
     return Diff(a, b)
@@ -930,20 +929,20 @@ def compl(a: SymbolicSet) -> SymbolicSet:
 
 # whether a point is kept, indexed by 2 * (in left) + (in right)
 _KEEP = {
-    "union": (False, True, True, True),
-    "inter": (False, False, False, True),
-    "diff": (False, False, True, False),
+    Union: (False, True, True, True),
+    Intersect: (False, False, False, True),
+    Diff: (False, False, True, False),
 }
 
 
-def _combine_runs(left: SymbolicSet, right: SymbolicSet, horizon, cap, op):
-    lr = left.member_runs(horizon, cap)
+def _combine_runs(node: "Union | Intersect | Diff", horizon, cap):
+    lr = node.left.member_runs(horizon, cap)
     if lr is None:
         return None
-    rr = right.member_runs(horizon, cap)
+    rr = node.right.member_runs(horizon, cap)
     if rr is None:
         return None
-    keep = _KEEP[op]
+    keep = _KEEP[type(node)]
     # linear two-pointer sweep over the piecewise-constant membership state
     out: list[tuple[int, int]] = []
     i = j = 0
@@ -972,71 +971,139 @@ def _combine_runs(left: SymbolicSet, right: SymbolicSet, horizon, cap, op):
 
 
 # ---------------------------------------------------------------------------
-# eventual periodicity (exact infinitude of finite/periodic trees)
+# eventual periodicity: a periodic tail and the points that depart from it
 # ---------------------------------------------------------------------------
 
 
-def _eventual_period(s: SymbolicSet) -> Optional[tuple[int, int]]:
-    """(b, l) such that membership in ``s`` repeats with period l past b.
+def _eventual_period(s: SymbolicSet) -> Optional[tuple[int, Periodic]]:
+    """(b, tail): past b, ``s`` has the members of the periodic node ``tail``.
 
-    Defined for trees whose leaves are finite or periodic, joined by scaling,
-    complement, union, intersection and difference, while l stays within
-    ``_LCM_CAP``; None otherwise.  No member of a finite such set exceeds b.
+    Defined for trees of finite, periodic and explicit-block leaves joined by
+    scaling, complement, union, intersection and difference while the tail's
+    modulus stays within ``_LCM_CAP``, and for an intersection (a difference)
+    with a part (a left part) of empty tail, whose (b, tail) it takes; None
+    otherwise.  Memoized on algebra nodes.
     """
-    if isinstance(s, (Union, Intersect, Diff)):
-        left, right = _eventual_period(s.left), _eventual_period(s.right)
-        if left is None or right is None:
+    if isinstance(s, Periodic):
+        return 0, s
+    if isinstance(s, Full):
+        return 0, Periodic(1, (0,))
+    if isinstance(s, (Empty, FiniteList, Blocks)):
+        bound = s.max_element()
+        return None if bound is None else (bound, Periodic(1, ()))
+    if isinstance(s, Scaled):
+        inner, t = _eventual_period(s.inner), s.factor
+        if inner is None or t * inner[1].modulus > _LCM_CAP:
             return None
-        b, l = max(left[0], right[0]), math.lcm(left[1], right[1])
-    elif isinstance(s, Scaled):
-        inner = _eventual_period(s.inner)
-        if inner is None:
-            return None
-        b, l = s.factor * inner[0], s.factor * inner[1]
-    elif isinstance(s, Complement):
-        return _eventual_period(s.inner)
-    elif isinstance(s, Periodic):
-        b, l = 0, s.modulus
-    elif isinstance(s, Full):
-        b, l = 0, 1
-    elif isinstance(s, (Empty, FiniteList, Blocks)) and s.max_element() is not None:
-        b, l = s.max_element(), 1
-    else:
+        b, tail = inner
+        return t * b, Periodic(t * tail.modulus, tuple(t * r for r in tail.residues))
+    if not isinstance(s, (Union, Intersect, Diff, Complement)):
         return None
-    return (b, l) if l <= _LCM_CAP else None
+    memo = getattr(s, "_period_memo", None)
+    if memo is not None:
+        return memo[0]
+    # the parts' tails merge as _lcm_periodic merges leaves; a complement is
+    # a difference from the full set
+    if isinstance(s, Complement):
+        left, right, keep = (0, Periodic(1, (0,))), _eventual_period(s.inner), _KEEP[Diff]
+    else:
+        left, right, keep = _eventual_period(s.left), _eventual_period(s.right), _KEEP[type(s)]
+    if right is None and left is not None and not left[1].residues and not isinstance(s, Union):
+        period = left
+    elif left is None and right is not None and not right[1].residues and isinstance(s, Intersect):
+        period = right
+    elif left is None or right is None or (merged := _lcm_periodic(left[1], right[1], keep)) is None:
+        period = None
+    else:
+        period = max(left[0], right[0]), Periodic(*merged)
+    object.__setattr__(s, "_period_memo", (period,))
+    return period
 
 
 def _infinitude_by_period(s: SymbolicSet) -> Infinitude:
-    """Exact infinitude where ``_eventual_period`` applies, else UNKNOWN.
-
-    Past b membership repeats with period l, so the set is infinite iff it
-    has a member in (b, b + l].  The verdict is memoized on the node.
-    """
-    flag = getattr(s, "_period_flag", None)
-    if flag is None:
-        period = _eventual_period(s)
-        if period is None:
-            flag = Infinitude.UNKNOWN
-        else:
-            b, l = period
-            members = any(s.contains(n) for n in range(b + 1, b + l + 1))
-            flag = Infinitude.INFINITE if members else Infinitude.FINITE
-        object.__setattr__(s, "_period_flag", flag)
-    return flag
+    """Exact infinitude where ``_eventual_period`` applies (the tail's), else UNKNOWN."""
+    period = _eventual_period(s)
+    return Infinitude.UNKNOWN if period is None else period[1].infinitude()
 
 
 def _bound_by_period(s: SymbolicSet) -> Optional[int]:
-    """The b of ``_eventual_period``, which bounds the members, when ``s`` is
-    finite; None otherwise."""
-    if s.infinitude() != Infinitude.FINITE:
-        return None
+    """The b of ``_eventual_period``, which bounds the members, when the tail is empty; else None."""
     period = _eventual_period(s)
-    return None if period is None else period[0]
+    return None if period is None or period[1].residues else period[0]
+
+
+def _departures(s: SymbolicSet, factor: int) -> Iterator[tuple[SymbolicSet, int]]:
+    """The finite and block leaves of ``s``, read through every part that has
+    an eventual period, each with ``factor`` times the factor it is scaled by:
+    the points where ``s`` departs from its tail are among theirs."""
+    if isinstance(s, (FiniteList, Blocks)):
+        yield s, factor
+    elif isinstance(s, Scaled):
+        yield from _departures(s.inner, factor * s.factor)
+    elif isinstance(s, Complement):
+        yield from _departures(s.inner, factor)
+    elif isinstance(s, (Union, Intersect, Diff)):
+        for part in (s.left, s.right):
+            if _eventual_period(part) is not None:
+                yield from _departures(part, factor)
+
+
+class _RankForm:
+    """A set as the periodic node ``tail`` and the sorted points ``flips`` (at least one) where it
+    departs from it.  Past i flips its count is the tail's plus ``_shift[i]``, a prefix sum of +1
+    per flip in the set, -1 per one out; a set with no flips is its tail, a ``Periodic`` node."""
+
+    def __init__(self, tail: Periodic, flips: tuple[int, ...]):
+        self.tail, self.flips, self._flipset = tail, flips, frozenset(flips)
+        self._shift = list(itertools.accumulate((-1 if tail.contains(f) else 1 for f in flips), initial=0))
+        self._last = self.count(flips[-1])  # the count at the last flip
+
+    def contains(self, n: int) -> bool:
+        return (n in self._flipset) != self.tail.contains(n)
+
+    def count(self, n: int) -> int:
+        return self.tail._count(n, 0) + self._shift[bisect_right(self.flips, n)]
+
+    def select(self, k: int) -> int:
+        if k > self._last:
+            return select(self.tail, k - self._shift[-1])
+        # flips[j] is the first flip where the count reaches k; the set has the tail's members before it
+        j = _least(0, len(self.flips) - 1, lambda i: self.count(self.flips[i]) >= k)
+        return self.flips[j] if self.count(self.flips[j] - 1) < k else select(self.tail, k - self._shift[j])
+
+
+def _rank_form(s: SymbolicSet) -> Optional[_RankForm | Periodic]:
+    """``s`` as its tail and the points of its ``_departures`` leaves where it departs from it (the
+    tail alone when there are none); None when ``s`` has no eventual period or those leaves hold
+    more than ``_LCM_CAP`` points."""
+    period = _eventual_period(s)
+    if period is None:
+        return None
+    tail, points = period[1], set()
+    for leaf, factor in _departures(s, 1):
+        if leaf.count(leaf.max_element()) > _LCM_CAP:
+            return None
+        points.update(factor * n for n in leaf.iter_elements())
+        if len(points) > _LCM_CAP:
+            return None
+    flips = tuple(n for n in sorted(points) if s.contains(n) != tail.contains(n))
+    return _RankForm(tail, flips) if flips else tail
 
 
 # ---------------------------------------------------------------------------
 # selection
 # ---------------------------------------------------------------------------
+
+
+def _least(lo: int, hi: int, test: Callable[[int], bool]) -> int:
+    """The least n in [lo, hi] where the monotone ``test`` turns true; ``test(hi)`` must hold."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def select(s: SymbolicSet, k: int, budget: Optional[int] = None) -> int:
@@ -1070,11 +1137,4 @@ def select(s: SymbolicSet, k: int, budget: Optional[int] = None) -> int:
                 raise UnknownInfinitude(
                     f"cannot certify that {s.to_expr()} has {k} elements"
                 )
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if s.count(mid, budget=budget) >= k:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _least(1, hi, lambda n: s.count(n, budget=budget) >= k)

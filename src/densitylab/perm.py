@@ -40,15 +40,18 @@ from .errors import (
 )
 from .nset import (
     _LCM_CAP,
+    Empty,
     FiniteList,
     Infinitude,
     Periodic,
     Predicate,
     SymbolicSet,
-    _eventual_period,
+    _RankForm,
+    _rank_form,
     checked_budget,
     diff,
     inter,
+    union,
 )
 
 class Classification(Enum):
@@ -160,43 +163,6 @@ class FiniteTable(PermutationRule):
         return "table(" + "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) + ")"
 
 
-class _Ranks:
-    """A set as its members up to ``b``, in order, and a periodic node
-    ``tail`` whose members past ``b`` are the set's."""
-
-    def __init__(self, b: int, head: tuple[int, ...], tail: Periodic):
-        self.b, self.head, self.tail = b, head, tail
-        self._members = frozenset(head)
-        self._offset = len(head) - tail.count(b)  # the set's count minus the tail's, past b
-
-    def contains(self, n: int) -> bool:
-        return n in self._members if n <= self.b else self.tail.contains(n)
-
-    def count(self, n: int) -> int:
-        return bisect_right(self.head, n) if n <= self.b else self.tail.count(n) + self._offset
-
-    def select(self, k: int) -> int:
-        return self.head[k - 1] if k <= len(self.head) else self.tail.select(k - self._offset)
-
-
-def _ranks(side: SymbolicSet, top: int = _LCM_CAP):
-    """``side`` itself when it is periodic, its rank form when it is finite
-    or eventually periodic and reading up to b + l stays within ``top`` and
-    ``_LCM_CAP``, and None otherwise."""
-    if isinstance(side, Periodic):
-        return side
-    period = _eventual_period(side)
-    if period is None and side.infinitude() == Infinitude.FINITE:
-        bound = side.max_element()
-        period = None if bound is None else (bound, 1)
-    if period is None or period[0] + period[1] > min(top, _LCM_CAP):
-        return None
-    b, l = period
-    members = list(side.iter_elements(upto=b + l))
-    cut = bisect_right(members, b)
-    return _Ranks(b, tuple(members[:cut]), Periodic(l, tuple(sorted(m % l for m in members[cut:]))))
-
-
 @dataclass(frozen=True)
 class InterlacedPairing(PermutationRule):
     """Swap the i-th elements of two disjointified sets, fix everything else.
@@ -207,10 +173,9 @@ class InterlacedPairing(PermutationRule):
     equal cardinality.
 
     ``apply`` maps a_i <-> b_i with i = A'(n) or B'(n), one ``count`` and
-    one ``select``.  Each side answers them from its rank form: a periodic
-    side as it is, and a finite or eventually periodic one from its members
-    up to b and a periodic node past b.  A side with neither answers through
-    its set tree.
+    one ``select``.  Both sides answer them from their rank forms (a periodic
+    tail and the points where the side departs from it) when both have one,
+    and through their set trees otherwise.
     """
 
     set_a: SymbolicSet
@@ -238,7 +203,7 @@ class InterlacedPairing(PermutationRule):
         object.__setattr__(self, "a_only", a_only)
         object.__setattr__(self, "b_only", b_only)
         object.__setattr__(self, "pair_total", size)
-        a, b = _ranks(a_only), _ranks(b_only)
+        a, b = _rank_form(a_only), _rank_form(b_only)
         object.__setattr__(self, "_sides", (a_only, b_only) if a is None or b is None else (a, b))
 
     def apply(self, n):
@@ -253,20 +218,19 @@ class InterlacedPairing(PermutationRule):
         return self.apply(m)
 
     def pieces(self, horizon):
-        """For sides with rank forms: past c = max(b_A, b_B) both sides are
-        periodic with period m, the lcm of their tails' moduli, and A' has
-        ra and B' rb members per period, so a_(i+L) = a_i + m*L/ra and
-        b_(i+L) = b_i + m*L/rb for L = lcm(ra, rb) and i > i0 = max(A'(c),
-        B'(c)).  The first i0 pairs are single points, with identity runs
-        between them up to c; each of the next L pairs gives two
-        progressions, and every residue in (c, c + m] in neither side is
-        fixed."""
+        """For sides with rank forms: past c, the last point where either
+        side departs from its tail, both sides are periodic with period m,
+        the lcm of their tails' moduli, and A' has ra and B' rb members per
+        period, so a_(i+L) = a_i + m*L/ra and b_(i+L) = b_i + m*L/rb for
+        L = lcm(ra, rb) and i > i0 = max(A'(c), B'(c)).  The first i0 pairs
+        are single points, with identity runs between them up to c; each of
+        the next L pairs gives two progressions, and every residue in
+        (c, c + m] in neither tail is fixed."""
         a, b = self._sides
-        if not all(isinstance(side, (_Ranks, Periodic)) for side in (a, b)):
+        if not all(isinstance(side, (_RankForm, Periodic)) for side in (a, b)):
             return None
-        # a periodic side is its own tail past 0
-        (ba, ta), (bb, tb) = ((s.b, s.tail) if isinstance(s, _Ranks) else (0, s) for s in (a, b))
-        c = max(ba, bb)
+        ta, tb = a.tail, b.tail
+        c = max(side.flips[-1] if side.flips else 0 for side in (a, b))
         m = lcm(ta.modulus, tb.modulus)
         if m > _LCM_CAP:
             return None
@@ -285,7 +249,7 @@ class InterlacedPairing(PermutationRule):
             x, y = a.select(i), b.select(i)
             out += _progression(x, pa, y, pb, horizon) + _progression(y, pb, x, pa, horizon)
         for r in range(c + 1, c + m + 1):
-            if not (a.contains(r) or b.contains(r)):
+            if not (ta.contains(r) or tb.contains(r)):
                 out += _progression(r, m, r, m, horizon)
         return out
 
@@ -344,22 +308,19 @@ class Restricted(PermutationRule):
             raise ValueError("restriction base must be a pairing")
 
     def pieces(self, horizon):
-        """For a surely-finite F and a base with pieces: the base's pieces,
-        each cut at every point e of E in its domain into the piece before
-        e, the fixed point e -> e and the piece after e.  E is finite, and
-        every point outside it maps as under the base."""
-        if self.exceptional.infinitude() != Infinitude.FINITE:
-            return None
-        bound = self.exceptional.max_element()
-        pieces = self.base.pieces(horizon)
-        if bound is None or pieces is None:
-            return None
+        """For an F whose rank form has an empty tail (its flips are then its
+        members) and a base with pieces: the base's pieces, each cut at every
+        point e of E in its domain into the piece before e, the fixed point
+        e -> e and the piece after e.  Points outside E map as under the base."""
+        form = _rank_form(self.exceptional)
         # reading more than ``horizon`` members of F costs more than a scan
-        members = [f for _, f in zip(range(horizon + 1), self.exceptional.iter_elements(upto=bound))]
-        if len(members) > horizon:
+        if form is None or form.tail.residues or len(form.flips) > horizon:
+            return None
+        pieces = self.base.pieces(horizon)
+        if pieces is None:
             return None
         a, b = self.base._sides
-        orbit = {g for f in members if a.contains(f) or b.contains(f) for g in (f, self.base.apply(f))}
+        orbit = {g for f in form.flips if a.contains(f) or b.contains(f) for g in (f, self.base.apply(f))}
         fixed = sorted(e for e in orbit if e <= horizon)
         if len(fixed) * len(pieces) > horizon:
             return None
@@ -630,33 +591,31 @@ def _image_counts(
 ) -> Optional[list[int]]:
     """(πA)(n) = |{m <= n : π⁻¹(m) ∈ A}| at each of the increasing
     ``points``, from the pieces of π⁻¹; None when there are none, or when a
-    piece steps by more than 1 and A is not eventually periodic, or when the
-    tables below would hold more entries than the horizon.
+    piece steps by more than 1 and A has no rank form, or when the tables
+    below would hold more entries than the horizon.
 
     Along a piece m = k0 + t*p -> π⁻¹(m) = d + t*q:
 
     * with q = 1 the values d, ..., d + t_n are consecutive, so the count
-      is A(d + t_n) - A(d - 1), read from A's rank form when building it
-      costs no more than a scan;
-    * with q > 1 and A periodic with period l past b, membership of
-      d + t*q is periodic in t, with period l/gcd(q, l), once d + t*q > b;
-      a prefix table over the terms up to b and one period answers every
-      point.
+      is A(d + t_n) - A(d - 1), read from A's rank form when it has one;
+    * with q > 1, past the last point c where A departs from its tail of
+      modulus l, membership of d + t*q is periodic in t, with period
+      l/gcd(q, l); a prefix table over the terms up to c and one period
+      answers every point.
     """
     pieces = _checked_pieces(Inverse(pi), points)
     if pieces is None:
         return None
+    form = _rank_form(a)
     steep = [pc for pc in pieces if pc[3] > 1]
     if steep:
-        period = _eventual_period(a)
-        if period is None:
+        if form is None:
             return None
-        b, l = period
-        heads = {pc: min(pc[4], max(0, (b - pc[2]) // pc[3] + 1)) for pc in steep}
+        c, l = form.flips[-1] if form.flips else 0, form.tail.modulus
+        heads = {pc: min(pc[4], max(0, (c - pc[2]) // pc[3] + 1)) for pc in steep}
         if sum(heads[pc] + l // gcd(pc[3], l) for pc in steep) > points[-1]:
             return None
-    ranks = _ranks(a, points[-1])
-    count = ranks.count if ranks is not None else lambda n: a.count(n, budget=budget)
+    count = form.count if form is not None else lambda n: a.count(n, budget=budget)
     totals = [0] * len(points)
     for pc in pieces:
         k0, p, d, q, terms = pc
@@ -668,7 +627,7 @@ def _image_counts(
                     totals[i] += count(d + last) - before
             continue
         head, cycle = heads[pc], l // gcd(q, l)
-        prefix = list(itertools.accumulate((a.contains(d + t * q) for t in range(head + cycle)), initial=0))
+        prefix = list(itertools.accumulate((form.contains(d + t * q) for t in range(head + cycle)), initial=0))
         for i, n in enumerate(points):
             seen = _last_t(k0, p, terms, n) + 1
             if seen <= head:
@@ -677,6 +636,58 @@ def _image_counts(
                 full, rest = divmod(seen - head, cycle)
                 totals[i] += prefix[head + rest] + full * (prefix[head + cycle] - prefix[head])
     return totals
+
+
+@dataclass(frozen=True)
+class ImageSet(SymbolicSet):
+    """π(base) described through the inverse: m ∈ πA iff π⁻¹(m) ∈ A.
+
+    Counting reads the affine pieces of π⁻¹ where it has them (see
+    ``_image_counts``), then closed forms for pairings moving the whole of
+    one side to the other; otherwise it scans m <= n within the budget.
+    """
+
+    pi: PermutationRule
+    base: SymbolicSet
+
+    def contains(self, n):
+        return n >= 1 and self.base.contains(self.pi.invert(n))
+
+    def _count(self, n, budget):
+        pi, base = self.pi, self.base
+        counted = _image_counts(pi, base, (n,), budget)
+        if counted is not None:
+            return counted[0]
+        if isinstance(pi, InterlacedPairing):
+            if base == pi.a_only:
+                return pi.b_only.count(n, budget=budget)
+            if base == pi.b_only:
+                return pi.a_only.count(n, budget=budget)
+            moved = union(pi.set_a, pi.set_b)
+            if inter(base, moved) == Empty():
+                return base.count(n, budget=budget)
+        if n > budget:
+            raise EnumerationBudgetExceeded(n, budget, "image-count scan")
+        return sum(1 for m in range(1, n + 1) if base.contains(pi.invert(m)))
+
+    def infinitude(self):
+        return self.base.infinitude()
+
+    def max_element(self):
+        bound = self.base.max_element()
+        if bound is None:
+            return None
+        return max((self.pi.apply(k) for k in self.base.iter_elements(bound)), default=0)
+
+    def iter_elements(self, upto=None, budget=None):
+        for m in range(1, upto + 1) if upto is not None else itertools.count(1):
+            if budget is not None:
+                budget.spend()
+            if self.contains(m):
+                yield m
+
+    def to_expr(self):
+        return f"image({self.pi.to_expr()},{self.base.to_expr()})"
 
 
 # ---------------------------------------------------------------------------

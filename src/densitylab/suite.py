@@ -17,7 +17,7 @@ from typing import Optional
 
 from .asymptotics import DensityReport, DoubleExponential, density
 from .measure import BlumlingerCombo, MeasureReport, Mixture, SubsequenceLimit, evaluate
-from .nset import Blocks, SymbolicSet, blocks_dexp, periodic, scale
+from .nset import Blocks, SymbolicSet, _least, blocks_dexp, periodic, scale
 
 _UD_HORIZON = 1 << 20
 _UD_WINDOW_START = 1 << 10
@@ -101,16 +101,8 @@ def first_domination_violation(
         return b.count(n, budget=budget) < a.count(n, budget=budget)
 
     for l, r in a.source.intervals_up_to(horizon):
-        lo, hi = l, min(r - 1, horizon)
-        if not behind(hi):
-            continue
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if behind(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        if behind(min(r - 1, horizon)):
+            return _least(l, min(r - 1, horizon), behind)
     return None
 
 

@@ -10,12 +10,18 @@ from densitylab.errors import (
     PredicateCapExceeded,
 )
 from densitylab.nset import (
+    Complement,
+    Diff,
     Empty,
     FiniteList,
     Full,
     Infinitude,
+    Intersect,
     Periodic,
     Predicate,
+    Union,
+    _eventual_period,
+    _rank_form,
     blocks_dexp,
     blocks_explicit,
     compl,
@@ -362,3 +368,87 @@ def test_exact_density_values():
     assert compl(periodic(6, [0, 3])).exact_density() == Fraction(2, 3)
     assert blocks_dexp().exact_density() is None
     assert finite(4, 5).exact_density() == 0
+
+
+# ---------------------------------------------------------------------------
+# the eventually periodic form: a tail and the points that depart from it
+# ---------------------------------------------------------------------------
+
+
+def _small_leaf(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        m = rng.randrange(2, 7)
+        return periodic(m, rng.sample(range(m), rng.randrange(1, m)))
+    if kind == 1:
+        return finite(*rng.sample(range(1, 150), rng.randrange(1, 7)))
+    if kind == 2:
+        lo = rng.randrange(1, 100)
+        mid = lo + rng.randrange(1, 12)
+        return blocks_explicit([(lo, mid), (mid + rng.randrange(1, 9), mid + 20)])
+    return scale(_small_leaf(rng), rng.randrange(2, 4))
+
+
+def _periodic_tree(rng, depth):
+    """A random tree of ``depth`` levels of compl/union/inter/diff over
+    finite, periodic, explicit-block and scaled leaves (the smart
+    constructors may fold some levels away)."""
+    if depth == 0:
+        return _small_leaf(rng)
+    op = rng.randrange(4)
+    if op == 3:
+        return compl(_periodic_tree(rng, depth - 1))
+    parts = [_periodic_tree(rng, depth - 1), _periodic_tree(rng, rng.randrange(depth))]
+    rng.shuffle(parts)
+    return (union, inter, diff)[op](*parts)
+
+
+def _join_depth(s):
+    if isinstance(s, Complement):
+        return 1 + _join_depth(s.inner)
+    if isinstance(s, (Union, Intersect, Diff)):
+        return 1 + max(_join_depth(s.left), _join_depth(s.right))
+    return 0
+
+
+def _deep_periodic_trees(seed, count):
+    rng = random.Random(seed)
+    trees = []
+    while len(trees) < count:
+        s = _periodic_tree(rng, 3)
+        if _join_depth(s) >= 3:
+            trees.append(s)
+    return trees
+
+
+def test_rank_form_matches_brute_force_past_b_and_b_plus_l():
+    finite_seen = infinite_seen = with_flips = 0
+    for s in _deep_periodic_trees(101, 80):
+        b, tail = _eventual_period(s)
+        form = _rank_form(s)
+        top = 3 * (b + tail.modulus) + 20
+        members = sorted(brute_members(s, top))
+        inside = set(members)
+        # past b the set is its tail
+        assert all((n in inside) == tail.contains(n) for n in range(b + 1, top + 1)), s
+        infinite = any(n > b for n in members)
+        assert s.infinitude() == (Infinitude.INFINITE if infinite else Infinitude.FINITE), s
+        bound = s.max_element()
+        assert (bound is None) if infinite else (bound is not None and all(n <= bound for n in members)), s
+        assert all(f <= b for f in form.flips), s
+        assert [form.contains(n) for n in range(1, top + 1)] == [n in inside for n in range(1, top + 1)], s
+        prefix = [0]
+        for n in range(1, top + 1):
+            prefix.append(prefix[-1] + (n in inside))
+        assert [form.count(n) for n in range(top + 1)] == prefix, s
+        assert [form.select(k) for k in range(1, len(members) + 1)] == members, s
+        if infinite:
+            beyond = form.select(len(members) + 1)
+            assert beyond > top and s.contains(beyond) and form.count(beyond) == len(members) + 1, s
+        else:
+            with pytest.raises(IndexBeyondSet):
+                form.select(len(members) + 1)
+        finite_seen += not infinite
+        infinite_seen += infinite
+        with_flips += bool(form.flips)
+    assert finite_seen >= 10 and infinite_seen >= 10 and with_flips >= 30

@@ -20,6 +20,8 @@ from densitylab.nset import (
     _LCM_CAP,
     Empty,
     Periodic,
+    _RankForm,
+    _eventual_period,
     blocks_dexp,
     blocks_explicit,
     compl,
@@ -40,7 +42,6 @@ from densitylab.perm import (
     PermutationRule,
     QuarterBlockSwap,
     Restricted,
-    _Ranks,
     _checked_pieces,
     _image_counts,
     _moved_up,
@@ -226,13 +227,13 @@ def test_closed_form_pairing_near_two_to_the_64():
                 assert m == n
 
 
-def _side_kind(side):
-    if isinstance(side, Periodic):
-        return "periodic"
-    assert isinstance(side, _Ranks), side
+def _side_kind(side, tree):
+    assert isinstance(side, (_RankForm, Periodic)), side
     if not side.tail.residues:
         return "finite"
-    return "head-plus-tail" if side.head else "pure-periodic-tree"
+    if side.flips:
+        return "head-plus-tail"
+    return "periodic" if isinstance(tree, Periodic) else "pure-periodic-tree"
 
 
 def _random_pairing_side(rng, size):
@@ -278,10 +279,10 @@ def _rank_form_pairings(seed, count):
 def test_rank_form_pairings_match_rank_matching_past_b_and_b_plus_l():
     kinds, with_pieces = set(), 0
     for phi in _rank_form_pairings(83, 60):
-        sides = phi._sides
-        kinds |= {_side_kind(side) for side in sides}
-        b = max(getattr(side, "b", 0) for side in sides)
-        l = max(getattr(side, "tail", side).modulus for side in sides)
+        sides, trees = phi._sides, (phi.a_only, phi.b_only)
+        kinds |= {_side_kind(side, tree) for side, tree in zip(sides, trees)}
+        b = max(_eventual_period(tree)[0] for tree in trees)
+        l = max(side.tail.modulus for side in sides)
         top = 3 * (b + l) + 20
         need = max(phi.a_only.count(top), phi.b_only.count(top))
         members = [_brute_members(tree, need, top) for tree in (phi.a_only, phi.b_only)]
@@ -298,17 +299,38 @@ def test_rank_form_pairings_match_rank_matching_past_b_and_b_plus_l():
     assert with_pieces >= 40
 
 
-# 2000001 is odd, so A' is the odd numbers, but its tree has b = 2000001
-_OVER_CAP = pairing_permutation(union(periodic(2, [1]), finite(2000001)), periodic(2, [0]))
+# 2000001 is odd, so A' is the odd numbers, but its tree has b = 2000001;
+# its rank form has no flip
+_FAR_POINT = pairing_permutation(union(periodic(2, [1]), finite(2000001)), periodic(2, [0]))
+
+
+def test_pairing_with_a_far_finite_point_has_pieces_near_two_to_the_64():
+    assert 2000001 + 1 > _LCM_CAP  # b + l
+    oracle = _rank_matching(range(1, 3002, 2), range(2, 3002, 2))
+    image = [(k0 + t * p, d + t * q) for k0, p, d, q, terms in _FAR_POINT.pieces(3000) for t in range(terms)]
+    assert sorted(image) == [(n, oracle(n)) for n in range(1, 3001)]
+    assert _checked_pieces(_FAR_POINT, [2**64]) is not None
+    # the ranks of the odd and even numbers in [2^64 - 99, 2^64 + 100] agree
+    oracle = _rank_matching(range(2**64 - 99, 2**64 + 100, 2), range(2**64 - 98, 2**64 + 101, 2))
+    points = range(2**64 - 99, 2**64 + 101)
+    assert [_FAR_POINT.apply(n) for n in points] == [oracle(n) for n in points]
+
+
+# each side has more than _LCM_CAP points, so neither has a rank form
+_OVER_CAP = pairing_permutation(blocks_explicit([(1, 1000002)]), blocks_explicit([(2000001, 3000002)]))
 
 
 def test_pairing_past_the_rank_form_cap_answers_through_its_trees():
-    assert 2000001 + 1 > _LCM_CAP  # b + l
     assert _OVER_CAP._sides == (_OVER_CAP.a_only, _OVER_CAP.b_only)
     assert _OVER_CAP.pieces(3000) is None
-    oracle = _rank_matching(range(1, 3002, 2), range(2, 3002, 2))
-    # each apply counts and selects through the trees, so [1, 3000] is sampled
-    points = list(range(1, 61)) + list(range(61, 2971, 97)) + list(range(2971, 3001))
+
+    def oracle(n):
+        if n <= 1000001:
+            return n + 2000000
+        return n - 2000000 if 2000001 <= n <= 3000001 else n
+
+    rng = random.Random(97)
+    points = [1, 1000001, 1000002, 2000000, 2000001, 3000001, 3000002] + rng.sample(range(1, 3000100), 60)
     assert [_OVER_CAP.apply(n) for n in points] == [oracle(n) for n in points]
 
 
@@ -746,12 +768,14 @@ _MIXED_PAIRINGS = [
     pairing_permutation(periodic(3, [1]), periodic(5, [0, 2])),
     pairing_permutation(periodic(2, [1]), periodic(4, [0])),
 ]
-# sides with a head below b, a finite side, and a side that stays a tree
+# sides with a head below b, a finite side, a side that stays a tree, and a
+# finite side with a part that has no eventual period (blocks(dexp))
 _RANK_FORM_PAIRINGS = [
     pairing_permutation(scale(periodic(4, [1, 3]), 2), periodic(8, [3])),
     pairing_permutation(union(periodic(2, [1]), finite(4)), periodic(2, [0])),
     pairing_permutation(diff(periodic(3, [1]), finite(4, 7)), periodic(3, [2])),
     pairing_permutation(finite(1, 2, 3), blocks_explicit([(10, 13)])),
+    pairing_permutation(inter(blocks_explicit([(4, 8)]), blocks_dexp()), finite(1, 2, 3, 100)),
 ]
 _PIECE_RULES = (
     _CORPUS
@@ -796,7 +820,7 @@ def test_pieces_partition_the_horizon_and_agree_with_apply():
 def test_rules_without_affine_structure_have_no_pieces():
     phi = pairing_permutation(ODDS, EVENS)
     assert restrict_pairing(phi, periodic(1000, [1])).pieces(100) is None  # F is infinite
-    assert _OVER_CAP.pieces(100) is None  # b + l is past _LCM_CAP
+    assert _OVER_CAP.pieces(100) is None  # more than _LCM_CAP points per side
     assert Compose(QuarterBlockSwap(), Scanned(phi)).pieces(100) is None
     assert Inverse(Scanned(phi)).pieces(100) is None
 
