@@ -295,6 +295,7 @@ def _run_equal(args, config):
     result = {
         "tail_sup_diff": rat(rep.tail_sup_diff),
         "window": [rep.tail_window_start, rep.horizon],
+        "grid": rep.grid,
         "rows": [
             {"label": r.label, "deviation": rat(r.deviation), "status": r.status}
             for r in rep.seq_rows

@@ -19,6 +19,7 @@ from .asymptotics import (
     IndexSequence,
     LimitReport,
     _checkpoint_ranges,
+    _stretch_points,
     _tail_len,
     limit_along,
 )
@@ -28,6 +29,7 @@ from .nset import (
     Full,
     Predicate,
     SymbolicSet,
+    _pieces,
     checked_budget,
     inter,
     union,
@@ -472,24 +474,15 @@ class EqualMeasureReport:
     tail_sup_diff: Fraction
     seq_rows: tuple[CheckRow, ...]
     equivalent_likely: bool
+    grid: str
 
 
-def equal_measure_test(
-    a: SymbolicSet,
-    b: SymbolicSet,
-    seq_corpus: Sequence[IndexSequence],
-    tol: Fraction = Fraction(1, 1000),
-    horizon: int = 10**5,
-    tail_window_start: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> EqualMeasureReport:
-    """Two-sided evidence for mu(A) = mu(B) under every surrogate.
-
-    Side one: the tail supremum of |A(n) - B(n)| / n over every integer in
-    the window.  Side two: |mu(A) - mu(B)| for each sequence in the corpus.
-    """
-    start = tail_window_start if tail_window_start is not None else max(1, horizon // 10)
-    budget = checked_budget(budget)
+def _tail_sup_by_scan(
+    a: SymbolicSet, b: SymbolicSet, start: int, horizon: int, budget: int
+) -> tuple[int, int]:
+    """(|A(n) - B(n)|, n) at the first n in [start, horizon] attaining the
+    greatest |A(n) - B(n)|/n, or (0, 1) when it is 0 throughout, by a scan
+    of every integer."""
     if horizon > budget:
         raise EnumerationBudgetExceeded(horizon, budget, "difference scan")
     in_a, in_b = a.contains, b.contains
@@ -516,6 +509,54 @@ def equal_measure_test(
         dev = abs(ca - cb)
         if dev * best_n > best_dev * n:
             best_dev, best_n = dev, n
+    return best_dev, best_n
+
+
+def equal_measure_test(
+    a: SymbolicSet,
+    b: SymbolicSet,
+    seq_corpus: Sequence[IndexSequence],
+    tol: Fraction = Fraction(1, 1000),
+    horizon: int = 10**5,
+    tail_window_start: Optional[int] = None,
+    budget: Optional[int] = None,
+) -> EqualMeasureReport:
+    """Two-sided evidence for mu(A) = mu(B) under every surrogate.
+
+    Side one: the tail supremum of |A(n) - B(n)| / n over the window
+    [tail_window_start, horizon].  Side two: |mu(A) - mu(B)| for each
+    sequence in the corpus.
+
+    The supremum is exact either way, and the report's ``grid`` says how it
+    was found:
+
+    * ``window-extrema-via-pieces`` -- when each set has an eventual period
+      (read first) or member runs (read next), each is a periodic set
+      between its break points, and along each phase n, n + L, n + 2L, ...
+      of a stretch with no break, for L the lcm of the two moduli,
+      A(n) - B(n) changes by a constant per step, so |A(n) - B(n)|/n is
+      greatest at the phase's first or last point.  Only the first L and
+      the last L points of each stretch are read
+      (``asymptotics._stretch_points``), and the budget caps their number;
+    * ``integer-scan`` -- otherwise, a scan of every integer in the window,
+      refused when the horizon exceeds the budget.
+    """
+    start = tail_window_start if tail_window_start is not None else max(1, horizon // 10)
+    budget = checked_budget(budget)
+    pa = _pieces(a, horizon)
+    pb = None if pa is None else _pieces(b, horizon)
+    if pb is not None:
+        grid = "window-extrema-via-pieces"
+        best_dev, best_n = 0, 1
+        for read, (d, n) in enumerate(_stretch_points((pa, pb), (1, -1), start, horizon), 1):
+            if read > budget:
+                raise EnumerationBudgetExceeded(horizon, budget, "difference walk")
+            dev = abs(d)
+            if dev * best_n > best_dev * n:
+                best_dev, best_n = dev, n
+    else:
+        grid = "integer-scan"
+        best_dev, best_n = _tail_sup_by_scan(a, b, start, horizon, budget)
     tail_sup = Fraction(best_dev, best_n)
 
     rows = []
@@ -559,4 +600,5 @@ def equal_measure_test(
         tail_sup_diff=tail_sup,
         seq_rows=tuple(rows),
         equivalent_likely=ok,
+        grid=grid,
     )

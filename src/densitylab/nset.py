@@ -16,11 +16,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -1072,6 +1073,33 @@ class _RankForm:
         return self.flips[j] if self.count(self.flips[j] - 1) < k else select(self.tail, k - self._shift[j])
 
 
+def _flips(s: SymbolicSet, tail: Periodic, bound: int) -> Optional[list[int]]:
+    """The points up to ``bound`` of the ``_departures`` leaves of ``s`` where ``s`` departs from
+    ``tail``, its eventual tail, in increasing order; None when those leaves hold more than
+    ``_LCM_CAP`` points up to ``bound``."""
+    parts: list = []
+    leaves = 0
+    for leaf, factor in _departures(s, 1):
+        upto = bound // factor
+        if leaf.count(upto) > _LCM_CAP:
+            return None
+        leaves += 1
+        if isinstance(leaf, Blocks):
+            parts += (range(factor * l, factor * min(r, upto + 1), factor) for l, r in leaf.source.intervals_up_to(upto))
+        else:
+            parts.append(map(factor.__mul__, leaf.iter_elements(upto)))
+    # one leaf gives its points in increasing order, each once
+    points = itertools.chain.from_iterable(parts)
+    if leaves > 1:
+        points = sorted(set(points))
+        if len(points) > _LCM_CAP:
+            return None
+    if tail.residues:
+        return [n for n in points if s.contains(n) != tail.contains(n)]
+    # s departs from an empty tail at its members
+    return list(filter(s.contains, points))
+
+
 def _rank_form(s: SymbolicSet) -> Optional[_RankForm | Periodic]:
     """``s`` as its tail and the points of its ``_departures`` leaves where it departs from it (the
     tail alone when there are none); None when ``s`` has no eventual period or those leaves hold
@@ -1079,15 +1107,53 @@ def _rank_form(s: SymbolicSet) -> Optional[_RankForm | Periodic]:
     period = _eventual_period(s)
     if period is None:
         return None
-    tail, points = period[1], set()
-    for leaf, factor in _departures(s, 1):
-        if leaf.count(leaf.max_element()) > _LCM_CAP:
-            return None
-        points.update(factor * n for n in leaf.iter_elements())
-        if len(points) > _LCM_CAP:
-            return None
-    flips = tuple(n for n in sorted(points) if s.contains(n) != tail.contains(n))
-    return _RankForm(tail, flips) if flips else tail
+    # every departure point is at most b
+    b, tail = period
+    flips = _flips(s, tail, b)
+    if flips is None:
+        return None
+    return _RankForm(tail, tuple(flips)) if flips else tail
+
+
+def _run_pieces(runs: list[tuple[int, int]]) -> tuple[Periodic, Iterator[int]]:
+    """A set's disjoint inclusive member ``runs`` as ``_pieces``: an empty tail of modulus 1, and
+    lo, hi + 1 of each run as toggles, produced one at a time."""
+    return Periodic(1, ()), itertools.chain.from_iterable((lo, hi + 1) for lo, hi in runs)
+
+
+def _point_toggles(points: list[int]) -> list[int]:
+    """lo, hi + 1 of each maximal run [lo, hi] of consecutive integers in the increasing ``points``,
+    in order."""
+    if not points:
+        return []
+    toggles = [points[0]]
+    # the indices where a new run starts, found without a Python step per point
+    for i in itertools.compress(
+        range(1, len(points)), map((1).__ne__, map(operator.sub, points[1:], points))
+    ):
+        toggles += (points[i - 1] + 1, points[i])
+    toggles.append(points[-1] + 1)
+    return toggles
+
+
+def _pieces(s: SymbolicSet, horizon: int) -> Optional[tuple[Periodic, Iterable[int]]]:
+    """``s`` on [1, horizon] as (tail, toggles): ``s`` has the members of the periodic node
+    ``tail``, except on [toggles[0], toggles[1]), [toggles[2], toggles[3]), ..., where it has
+    exactly the tail's non-members.  So between two toggles ``s`` is a periodic set of the tail's
+    modulus.
+
+    The eventual period gives the tail, and the toggles bound the runs of consecutive flips up to
+    the horizon.  Otherwise the member runs give the toggles, with an empty tail of modulus 1.
+    None when neither applies.
+    """
+    period = _eventual_period(s)
+    if period is not None:
+        b, tail = period
+        flips = _flips(s, tail, min(b, horizon))
+        if flips is not None:
+            return tail, _point_toggles(flips)
+    runs = s.member_runs(horizon)
+    return None if runs is None else _run_pieces(runs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from densitylab.asymptotics import (
     All,
@@ -22,6 +23,8 @@ from densitylab.measure import equal_measure_test
 from densitylab.nset import (
     Empty,
     Full,
+    _eventual_period,
+    _pieces,
     blocks_dexp,
     blocks_explicit,
     compl,
@@ -223,16 +226,55 @@ def test_window_scan_matches_two_comparison_reference(s, horizon, at_member, dat
     assert _extrema_by_scan(s, start, horizon, 10**7) == scan_extrema(s, start, horizon)
 
 
+# scaled periodic leaves give moduli up to 60, and two sides an lcm past both
+# moduli, so that stretches longer than twice the lcm occur at these horizons
+_scaled_periodic = st.builds(
+    lambda t, m, picks: scale(periodic(m, {p % m for p in picks}), t),
+    st.integers(2, 5),
+    st.integers(2, 12),
+    st.lists(st.integers(0, 11), min_size=1, max_size=5),
+)
+_equal_side = st.one_of(
+    _depth3_tree, _scaled_periodic, _level(st.one_of(_leaf, _scaled_periodic))
+)
+
+
 @given(
-    a=_depth3_tree, b=_depth3_tree, horizon=st.integers(2, 3000),
-    one_sided=st.booleans(), data=st.data(),
+    a=_equal_side, b=_equal_side, horizon=st.integers(2, 3000),
+    where=st.sampled_from(["one-sided", "two-sided", "mid-stretch"]), pick=st.integers(1, 3000),
+)
+# moduli 25 and 16: the sup lies past the first max(25, 16) points of a stretch
+@example(
+    a=scale(periodic(5, [0, 2]), 5), b=union(scale(periodic(4, [1, 2]), 4), finite(95, 251, 593)),
+    horizon=550, where="one-sided", pick=250,
+)
+# the sup lies among the last points of the stretch that the window cuts
+@example(
+    a=scale(periodic(6, [0, 2]), 2), b=union(scale(periodic(2, [0]), 4), finite(41, 118, 193)),
+    horizon=590, where="mid-stretch", pick=432,
 )
 @settings(max_examples=150, deadline=None)
-def test_equal_tail_sup_matches_two_comparison_reference(a, b, horizon, one_sided, data):
-    ma, mb = brute_members(a, horizon), brute_members(b, horizon)
-    start = _window_start(data, horizon, lambda n: ((n in ma) != (n in mb)) == one_sided)
+def test_equal_tail_sup_matches_two_comparison_reference(a, b, horizon, where, pick):
+    """The window starts at the first point from ``pick`` on where exactly one
+    set is a member, or both or neither, or where neither set starts a stretch
+    of its pieces, so that the window cuts that stretch."""
+    if where == "mid-stretch":
+        sides = _pieces(a, horizon), _pieces(b, horizon)
+        assume(None not in sides)
+        cuts = {t for _, toggles in sides for t in toggles}
+        pool = [n for n in range(2, horizon) if n not in cuts]
+    else:
+        ma, mb = brute_members(a, horizon), brute_members(b, horizon)
+        one_sided = where == "one-sided"
+        pool = [n for n in range(1, horizon) if ((n in ma) != (n in mb)) == one_sided]
+    assume(pool)
+    start = pool[min(bisect_left(pool, pick), len(pool) - 1)]
     rep = equal_measure_test(a, b, [], horizon=horizon, tail_window_start=start)
     assert rep.tail_sup_diff == scan_tail_sup(a, b, start, horizon)
+    described = all(
+        _eventual_period(s) is not None or s.member_runs(horizon) is not None for s in (a, b)
+    )
+    assert rep.grid == ("window-extrema-via-pieces" if described else "integer-scan")
 
 
 @pytest.mark.parametrize(

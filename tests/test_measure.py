@@ -10,7 +10,7 @@ from densitylab.asymptotics import (
     Geometric,
 )
 from densitylab.corpus import closed_form_density_corpus, disjoint_periodic_pairs
-from densitylab.errors import IndexBeyondSet, NoViolationFound
+from densitylab.errors import EnumerationBudgetExceeded, IndexBeyondSet, NoViolationFound
 from densitylab.measure import (
     BlumlingerCombo,
     ImageSet,
@@ -25,6 +25,7 @@ from densitylab.measure import (
 from densitylab.nset import (
     Empty,
     Full,
+    Predicate,
     blocks_dexp,
     blocks_explicit,
     finite,
@@ -293,6 +294,24 @@ def test_equal_measure_odds_evens():
     )
     assert rep.equivalent_likely
     assert rep.tail_sup_diff <= Fraction(1, 1000)
+
+
+def test_equal_measure_budget_bounds_the_work_not_the_horizon():
+    # two periodic sets are read at a few points per stretch, so a horizon
+    # past the budget is no reason to refuse
+    far = equal_measure_test(ODDS, EVENS, [], horizon=2**64)
+    assert far.grid == "window-extrema-via-pieces"
+    assert far.tail_sup_diff == Fraction(1, 2**64 // 10)
+    # coprime moduli near 8000 leave a window shorter than twice their lcm,
+    # to be read whole: more points than the budget
+    with pytest.raises(EnumerationBudgetExceeded):
+        equal_measure_test(periodic(7919, [1]), periodic(7907, [1]), [], horizon=10**6, budget=1000)
+    # a set with neither an eventual period nor member runs is scanned, and
+    # the scan is refused past the budget
+    odd = Predicate(rule=lambda k: k % 2 == 1, enumeration_cap=10**4, label="odd")
+    with pytest.raises(EnumerationBudgetExceeded):
+        equal_measure_test(odd, EVENS, [], horizon=5000, budget=1000)
+    assert equal_measure_test(odd, EVENS, [], horizon=5000).grid == "integer-scan"
 
 
 def test_equal_measure_blocks_vs_empty():

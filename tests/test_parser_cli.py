@@ -211,6 +211,7 @@ def test_witness_cap_below_1_exits_2(cap):
 def test_equal_subcommand():
     rep = run_json(["equal", "periodic(2;1)", "periodic(2;0)", "--horizon", "10000"])
     assert rep["result"]["verdict"] == "equivalent-likely"
+    assert rep["result"]["grid"] == "window-extrema-via-pieces"
     rep2 = run_json(["equal", "blocks(dexp)", "empty", "--horizon", "10000"])
     assert rep2["result"]["verdict"] == "distinct-likely"
 
