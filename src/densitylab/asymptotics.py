@@ -11,14 +11,16 @@ exact rationals; verdicts are finite-horizon heuristics and say so.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import ceil, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import EnumerationBudgetExceeded, WitnessTooSparse
-from .nset import FiniteList, Periodic, SymbolicSet, _run_pieces, checked_budget
+from .nset import FiniteList, Periodic, SymbolicSet, checked_budget
 
 # Reports keep at most this many profile points; longer evaluations are
 # decimated for storage (verdicts are still computed over every point).
@@ -403,6 +405,33 @@ def _extrema_by_scan(
     return (min_c, min_n), (max_c, max_n)
 
 
+def _extrema_by_runs(
+    runs: list[tuple[int, int]], lo: int, hi: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """``_extrema_by_scan`` for the set whose member runs on [1, hi] are ``runs``.
+
+    A(n)/n cannot fall at a member nor rise at a non-member, so past lo the
+    first point attaining the least ratio lies just before a run or is hi,
+    and the first attaining the greatest ends a run: the scan's answer, read
+    at two points per run.
+    """
+    # A(n) just before each run, and at the end of the last
+    before = list(accumulate([b - a + 1 for a, b in runs], initial=0))
+    k = bisect_right(runs, lo, key=itemgetter(0))  # the runs that start at or before lo
+    lc, ln = hc, hn = (before[k] - max(0, runs[k - 1][1] - lo) if k else 0), lo
+    j = bisect_right(runs, lo + 1, key=itemgetter(0))  # the runs that start past lo + 1
+    for c, (a, _) in zip(before[j:], runs[j:]):
+        if c * ln < lc * (a - 1):
+            lc, ln = c, a - 1
+    if before[-1] * ln < lc * hi:
+        lc, ln = before[-1], hi
+    i = bisect_right(runs, lo, key=itemgetter(1))  # the runs that end past lo
+    for c, (_, b) in zip(before[i + 1 :], runs[i:]):
+        if c * hn > hc * b:
+            hc, hn = c, b
+    return (lc, ln), (hc, hn)
+
+
 def density(
     s: SymbolicSet,
     horizon: int,
@@ -414,7 +443,11 @@ def density(
     The ``grid`` of the report says how the estimates were found:
 
     * ``window-extrema-via-runs`` -- the exact inf/sup of A(n)/n over every
-      integer in the window, read from the set's member runs;
+      integer in the window, read from the set's member runs at two points
+      per run.  The runs cost per run of the result and of the part each
+      intersection or difference keeps, whose other part is read only
+      inside the kept runs; a union reads both its parts whole
+      (``SymbolicSet.member_runs``);
     * ``integer-scan`` -- the same exact inf/sup, by a scan of the window
       bounded by the budget;
     * ``geometric-sample`` -- for a set with a closed-form density and no
@@ -429,9 +462,7 @@ def density(
     exact = s.exact_density()
     runs = s.member_runs(horizon)
     if runs is not None:
-        mn, mx = _ratio_extrema(
-            _stretch_points([_run_pieces(runs)], (1,), tail_window_start, horizon)
-        )
+        mn, mx = _extrema_by_runs(runs, tail_window_start, horizon)
         grid = "window-extrema-via-runs"
     elif exact is not None:
         q = horizon // tail_window_start

@@ -107,7 +107,8 @@ def _limit_report_json(rep) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (report_dict, csv_sections)
+# subcommand runners: each returns (report_dict, csv_sections), a section
+# being (label, [(n, value), ...]); rows are formatted only for --format csv
 # ---------------------------------------------------------------------------
 
 
@@ -125,12 +126,7 @@ def _run_density(args, config):
         "has_density_within_tol": within,
         "note": "window estimates are finite-horizon evidence, not a limit",
     }
-    rows = profile_csv_rows(
-        [
-            (rep.argmin, rep.lower_estimate),
-            (rep.argmax, rep.upper_estimate),
-        ]
-    )
+    rows = [(rep.argmin, rep.lower_estimate), (rep.argmax, rep.upper_estimate)]
     return (
         _envelope("density", config, {"set": s.to_expr()}, result),
         [("window-extrema", rows)],
@@ -154,7 +150,7 @@ def _run_levy(args, config):
     }
     return (
         _envelope("levy", config, {"perm": pi.to_expr()}, result),
-        [("defect", profile_csv_rows(entries))],
+        [("defect", entries)],
     )
 
 
@@ -172,7 +168,7 @@ def _run_statlim(args, config):
                 "densities": profile(row.densities),
             }
         )
-        sections.append((f"eps={row.eps}", profile_csv_rows(row.densities)))
+        sections.append((f"eps={row.eps}", row.densities))
     result = {
         "target": rat(rep.stat.target),
         "classification": rep.classification.value,
@@ -194,7 +190,7 @@ def _run_displacement(args, config):
         _envelope(
             "displacement", config, {"perm": pi.to_expr(), "set": s.to_expr()}, result
         ),
-        [("displacement", profile_csv_rows(entries))],
+        [("displacement", entries)],
     )
 
 
@@ -213,7 +209,7 @@ def _run_measure(args, config):
     }
     sections = []
     if rep.partials:
-        sections.append(("partials", profile_csv_rows(rep.partials)))
+        sections.append(("partials", rep.partials))
     return (
         _envelope(
             "measure", config, {"measure": mu.to_expr(), "set": s.to_expr()}, result
@@ -249,7 +245,7 @@ def _run_pair(args, config):
     }
     return (
         _envelope("pair", config, {"set_a": a.to_expr(), "set_b": b.to_expr()}, result),
-        [("defect", profile_csv_rows(entries))],
+        [("defect", entries)],
     )
 
 
@@ -271,7 +267,7 @@ def _run_witness(args, config):
     }
     return (
         _envelope("witness", config, {"perm": pi.to_expr()}, result),
-        [("witness-ratio", profile_csv_rows(entries))],
+        [("witness-ratio", entries)],
     )
 
 
@@ -357,9 +353,9 @@ def _run_suite(args, config):
         ],
     }
     sections = [
-        ("combo-partials-A", profile_csv_rows(i1.partials)),
-        ("combo-partials-2A", profile_csv_rows(i2.partials)),
-        ("half-expectation", profile_csv_rows(i2.half_expectation)),
+        ("combo-partials-A", i1.partials),
+        ("combo-partials-2A", i2.partials),
+        ("half-expectation", i2.half_expectation),
     ]
     return _envelope("suite", config, {}, result), sections
 
@@ -462,7 +458,7 @@ def run_command(argv: list[str]) -> int:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     if config.output_format == "csv":
-        sys.stdout.write(emit_csv(sections))
+        sys.stdout.write(emit_csv([(label, profile_csv_rows(rows)) for label, rows in sections]))
     else:
         sys.stdout.write(emit_json(report))
     return 0

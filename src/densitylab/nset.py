@@ -17,10 +17,11 @@ import heapq
 import itertools
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
@@ -199,10 +200,24 @@ class SymbolicSet:
         return None
 
     def member_runs(
-        self, horizon: int, cap: int = _RUNS_CAP
+        self, horizon: int, cap: int = _RUNS_CAP, within: Optional[list[tuple[int, int]]] = None
     ) -> Optional[list[tuple[int, int]]]:
         """Maximal runs of consecutive members, as inclusive (lo, hi) pairs,
-        clipped to [1, horizon].  None when no cheap decomposition exists."""
+        clipped to [1, horizon] and, when ``within`` is given, to its runs:
+        increasing inclusive runs in [1, horizon] with a gap between any two.
+        None when no cheap decomposition exists or it has more than ``cap``
+        runs.
+
+        The work is per run of the result and of the part it keeps, never
+        per integer.  A periodic set reads each window arithmetically, other
+        leaves by bisection.  An intersection keeps its left part (its right
+        part when the left has no runs within the cap) and a difference its
+        left part, and each reads its other part only inside the runs it
+        keeps; a complement, a scaled set and every algebra node pass the
+        windows down.  A union reads both parts whole, since its result has
+        every run of each part up to merging, and merges the part with fewer
+        runs into the other by bisection and list slices.
+        """
         return None
 
     def iter_elements(
@@ -269,7 +284,7 @@ class Empty(SymbolicSet):
     def exact_density(self):
         return Fraction(0)
 
-    def member_runs(self, horizon, cap=_RUNS_CAP):
+    def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
         return []
 
     def iter_elements(self, upto=None, budget=None):
@@ -293,8 +308,8 @@ class Full(SymbolicSet):
     def exact_density(self):
         return Fraction(1)
 
-    def member_runs(self, horizon, cap=_RUNS_CAP):
-        return [(1, horizon)] if horizon >= 1 else []
+    def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
+        return _capped([(1, horizon)] if horizon >= 1 else [], cap, within)
 
     def iter_elements(self, upto=None, budget=None):
         it = itertools.count(1) if upto is None else range(1, upto + 1)
@@ -334,7 +349,7 @@ class FiniteList(SymbolicSet):
     def exact_density(self):
         return Fraction(0)
 
-    def member_runs(self, horizon, cap=_RUNS_CAP):
+    def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
         runs: list[tuple[int, int]] = []
         for e in self.elements:
             if e > horizon:
@@ -343,7 +358,7 @@ class FiniteList(SymbolicSet):
                 runs[-1] = (runs[-1][0], e)
             else:
                 runs.append((e, e))
-        return runs
+        return _capped(runs, cap, within)
 
     def iter_elements(self, upto=None, budget=None):
         for e in self.elements:
@@ -401,30 +416,37 @@ class Periodic(SymbolicSet):
     def exact_density(self):
         return Fraction(len(self.residues), self.modulus)
 
-    def member_runs(self, horizon, cap=_RUNS_CAP):
+    @cached_property
+    def _cycle(self) -> list[tuple[int, int]]:
+        """The maximal runs of one period as (first residue, last residue + 1), increasing, read
+        around the circle: a run through residue m - 1 that goes on at residue 0 ends past m."""
+        groups: list[tuple[int, int]] = []
+        for r in self.residues:
+            if groups and groups[-1][1] == r:
+                groups[-1] = (groups[-1][0], r + 1)
+            else:
+                groups.append((r, r + 1))
+        if len(groups) > 1 and groups[0][0] == 0 and groups[-1][1] == self.modulus:
+            first = groups.pop(0)
+            groups[-1] = (groups[-1][0], self.modulus + first[1])
+        return groups
+
+    def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
         if not self.residues or horizon < 1:
             return []
-        m = self.modulus
-        # maximal consecutive groups within one period
-        groups: list[tuple[int, int]] = []
-        for off in self._offs:
-            if groups and groups[-1][1] == off - 1:
-                groups[-1] = (groups[-1][0], off)
-            else:
-                groups.append((off, off))
-        if (horizon // m + 1) * len(groups) > cap:
-            return None
+        m, cycle = self.modulus, self._cycle
+        if len(self.residues) == m:
+            return _capped([(1, horizon)], cap, within)
         runs: list[tuple[int, int]] = []
-        for base in range(0, horizon + 1, m):
-            for lo, hi in groups:
-                l = base + lo
-                if l > horizon:
-                    break
-                h = min(base + hi, horizon)
-                if runs and runs[-1][1] == l - 1:
-                    runs[-1] = (runs[-1][0], h)
-                else:
-                    runs.append((l, h))
+        for lo, hi in ((1, horizon),) if within is None else within:
+            # [lo, hi] holds at least (hi - lo + 1) // m - 1 whole copies of each run of the cycle
+            if len(runs) + ((hi - lo + 1) // m - 1) * len(cycle) > cap:
+                return None
+            # the runs of the periods from the one before lo's to hi's, cut to [lo, hi]
+            block = [(base + a, base + b - 1) for base in range(lo - lo % m - m, hi + 1, m) for a, b in cycle]
+            runs += _clip(block, ((lo, hi),))
+            if len(runs) > cap:
+                return None
         return runs
 
     def iter_elements(self, upto=None, budget=None):
@@ -467,7 +489,7 @@ class Blocks(SymbolicSet):
     def exact_density(self):
         return None if self.source.is_infinite() else Fraction(0)
 
-    def member_runs(self, horizon, cap=_RUNS_CAP):
+    def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
         runs: list[tuple[int, int]] = []
         for l, r in self.source.intervals_up_to(horizon):
             hi = min(r - 1, horizon)
@@ -475,9 +497,7 @@ class Blocks(SymbolicSet):
                 runs[-1] = (runs[-1][0], hi)
             else:
                 runs.append((l, hi))
-            if len(runs) > cap:
-                return None
-        return runs
+        return _capped(runs, cap, within)
 
     def iter_elements(self, upto=None, budget=None):
         for l, r in self.source.iter_intervals():
@@ -521,25 +541,31 @@ class Scaled(SymbolicSet):
         d = self.inner.exact_density()
         return None if d is None else d / self.factor
 
-    def member_runs(self, horizon, cap=_RUNS_CAP):
-        if self.factor == 1:
-            return self.inner.member_runs(horizon, cap)
-        # elements are isolated multiples; enumerate them if few enough
-        try:
-            total = self.inner.count(horizon // self.factor, budget=cap)
-        except EnumerationBudgetExceeded:
+    def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
+        t = self.factor
+        if t == 1:
+            return self.inner.member_runs(horizon, cap, within)
+        inner_within = None
+        if within is not None:
+            # the a with t * a in a window, joined where they touch
+            inner_within = []
+            for lo, hi in within:
+                a, z = -(-lo // t), hi // t
+                if a > z:
+                    continue
+                if inner_within and inner_within[-1][1] == a - 1:
+                    inner_within[-1] = (inner_within[-1][0], z)
+                else:
+                    inner_within.append((a, z))
+        runs = self.inner.member_runs(horizon // t, cap, inner_within)
+        # each member t * a of the inner set's runs is a run of its own
+        if runs is None or sum(hi - lo + 1 for lo, hi in runs) > cap:
             return None
-        if total > cap:
-            return None
-        try:
-            return [
-                (self.factor * a, self.factor * a)
-                for a in self.inner.iter_elements(
-                    horizon // self.factor, _Budget(cap, horizon)
-                )
-            ]
-        except EnumerationBudgetExceeded:
-            return None
+        out: list[tuple[int, int]] = []
+        for lo, hi in runs:
+            members = range(t * lo, t * hi + 1, t)
+            out += zip(members, members)
+        return out
 
     def iter_elements(self, upto=None, budget=None):
         inner_upto = None if upto is None else upto // self.factor
@@ -646,8 +672,12 @@ class Union(SymbolicSet):
         a, b = self.left.max_element(), self.right.max_element()
         return None if a is None or b is None else max(a, b)
 
-    def member_runs(self, horizon, cap=_RUNS_CAP):
-        return _combine_runs(self, horizon, cap)
+    def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
+        left = self.left.member_runs(horizon, cap, within)
+        if left is None:
+            return None
+        right = self.right.member_runs(horizon, cap, within)
+        return None if right is None else _union_runs(left, right, cap)
 
     def iter_elements(self, upto=None, budget=None):
         if upto is None:
@@ -707,8 +737,12 @@ class Intersect(SymbolicSet):
         bounds = [x for x in (self.left.max_element(), self.right.max_element()) if x is not None]
         return min(bounds) if bounds else _bound_by_period(self)
 
-    def member_runs(self, horizon, cap=_RUNS_CAP):
-        return _combine_runs(self, horizon, cap)
+    def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
+        for kept, other in ((self.left, self.right), (self.right, self.left)):
+            runs = kept.member_runs(horizon, cap, within)
+            if runs is not None:
+                return other.member_runs(horizon, cap, runs)
+        return None
 
     def iter_elements(self, upto=None, budget=None):
         if upto is None:
@@ -744,8 +778,13 @@ class Diff(SymbolicSet):
         bound = self.left.max_element()
         return _bound_by_period(self) if bound is None else bound
 
-    def member_runs(self, horizon, cap=_RUNS_CAP):
-        return _combine_runs(self, horizon, cap)
+    def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
+        kept = self.left.member_runs(horizon, cap, within)
+        if kept is None:
+            return None
+        # inside each kept run the dropped part has at most one run more than the result
+        dropped = self.right.member_runs(horizon, cap + len(kept), kept)
+        return None if dropped is None else _gaps(kept, dropped, cap)
 
     def iter_elements(self, upto=None, budget=None):
         if upto is None:
@@ -780,19 +819,11 @@ class Complement(SymbolicSet):
         d = self.inner.exact_density()
         return None if d is None else 1 - d
 
-    def member_runs(self, horizon, cap=_RUNS_CAP):
-        inner_runs = self.inner.member_runs(horizon, cap)
-        if inner_runs is None:
-            return None
-        runs = []
-        nxt = 1
-        for l, r in inner_runs:
-            if l > nxt:
-                runs.append((nxt, l - 1))
-            nxt = r + 1
-        if nxt <= horizon:
-            runs.append((nxt, horizon))
-        return runs
+    def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
+        windows = [(1, horizon)] if within is None else within
+        # inside each window the inner set has at most one run more than the result
+        inner = self.inner.member_runs(horizon, cap + len(windows), within)
+        return None if inner is None else _gaps(windows, inner, cap)
 
     def iter_elements(self, upto=None, budget=None):
         if upto is None:
@@ -936,39 +967,74 @@ _KEEP = {
 }
 
 
-def _combine_runs(node: "Union | Intersect | Diff", horizon, cap):
-    lr = node.left.member_runs(horizon, cap)
-    if lr is None:
-        return None
-    rr = node.right.member_runs(horizon, cap)
-    if rr is None:
-        return None
-    keep = _KEEP[type(node)]
-    # linear two-pointer sweep over the piecewise-constant membership state
+# Run lists are increasing, disjoint inclusive (lo, hi) runs; those that
+# ``member_runs`` returns also have a gap between any two.
+_lo = operator.itemgetter(0)
+_hi = operator.itemgetter(1)
+
+
+def _clip(runs, windows) -> list[tuple[int, int]]:
+    """The runs of the points in both run lists.  Each run of the shorter list finds the runs of
+    the longer one that it meets by bisection, copies them as a slice and cuts the two ends."""
+    if len(runs) > len(windows):
+        runs, windows = windows, runs
     out: list[tuple[int, int]] = []
-    i = j = 0
-    pos = 1
-    while pos <= horizon:
-        while i < len(lr) and lr[i][1] < pos:
-            i += 1
-        while j < len(rr) and rr[j][1] < pos:
-            j += 1
-        inl = i < len(lr) and lr[i][0] <= pos
-        inr = j < len(rr) and rr[j][0] <= pos
-        nxt = horizon + 1
-        if i < len(lr):
-            nxt = min(nxt, lr[i][0] if lr[i][0] > pos else lr[i][1] + 1)
-        if j < len(rr):
-            nxt = min(nxt, rr[j][0] if rr[j][0] > pos else rr[j][1] + 1)
-        if keep[2 * inl + inr]:
-            if out and out[-1][1] == pos - 1:
-                out[-1] = (out[-1][0], nxt - 1)
-            else:
-                out.append((pos, nxt - 1))
-                if len(out) > cap:
-                    return None
-        pos = nxt
+    for lo, hi in runs:
+        i = bisect_left(windows, lo, key=_hi)  # the first window that ends at or past lo
+        j = bisect_right(windows, hi, i, key=_lo)  # past the last that starts at or before hi
+        if i < j:
+            out.append((max(windows[i][0], lo), windows[i][1]))
+            out += windows[i + 1 : j]
+            out[-1] = (out[-1][0], min(out[-1][1], hi))
     return out
+
+
+def _capped(runs, cap, within):
+    """``runs`` cut to the runs ``within`` when it is given; None past ``cap`` runs."""
+    if within is not None:
+        runs = _clip(runs, within)
+    return None if len(runs) > cap else runs
+
+
+def _union_runs(a, b, cap):
+    """The runs of the points in either run list, or None past ``cap`` runs.  Each run of the
+    shorter list joins the runs of the longer one that it meets or touches, found by bisection,
+    and the runs of the longer list between two of them are copied as a slice."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: list[tuple[int, int]] = []
+    k = 0  # b[:k] is in out
+    for lo, hi in a:
+        i = bisect_left(b, lo - 1, k, key=_hi)  # the first run of b from k on that meets or touches
+        j = bisect_right(b, hi + 1, i, key=_lo)
+        out += b[k:i]
+        if i < j:
+            lo, hi = min(lo, b[i][0]), max(hi, b[j - 1][1])
+        # a run of b joined to the previous run of a can reach this one
+        if out and out[-1][1] >= lo - 1:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+        k = j
+    out += b[k:]
+    return None if len(out) > cap else out
+
+
+def _gaps(windows, runs, cap):
+    """The runs of the points of ``windows`` outside ``runs``, a run list inside them, or None
+    past ``cap`` runs."""
+    out: list[tuple[int, int]] = []
+    j = 0
+    for lo, hi in windows:
+        nxt = lo
+        while j < len(runs) and runs[j][0] <= hi:
+            if runs[j][0] > nxt:
+                out.append((nxt, runs[j][0] - 1))
+            nxt = runs[j][1] + 1
+            j += 1
+        if nxt <= hi:
+            out.append((nxt, hi))
+    return None if len(out) > cap else out
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from densitylab.nset import (
     union,
 )
 
-from oracles import brute_members, dexp_count_enum, scan_extrema, scan_tail_sup
+from oracles import brute_members, dexp_count_enum, dexp_elements, scan_extrema, scan_tail_sup
 
 
 def spike(n):
@@ -296,6 +296,20 @@ def test_equal_tail_sup_at_the_first_window_point():
     # |A(n) - B(n)| stays 3 past the window start, so only n = 10 holds the sup
     rep = equal_measure_test(finite(1, 2, 3), Empty(), [], horizon=40, tail_window_start=10)
     assert rep.tail_sup_diff == Fraction(3, 10)
+
+
+def test_density_at_a_million_reads_runs_where_a_part_has_too_many():
+    # periodic(7;1,3) alone has more runs than the cap; read inside the four
+    # blocks up to 10^6 it has 18802
+    s = inter(blocks_dexp(), periodic(7, [1, 3]))
+    r = density(s, 10**6, 10**5)
+    assert r.grid == "window-extrema-via-runs"
+    mn, mx = _extrema_by_scan(s, 10**5, 10**6, 10**7)
+    assert (r.lower_estimate, r.argmin) == (Fraction(*mn), mn[1])
+    assert (r.upper_estimate, r.argmax) == (Fraction(*mx), mx[1])
+    # a union of a sparse part and a dense one keeps every run of each
+    u = union(scale(blocks_dexp(), 3), periodic(1000003, [5]))
+    assert u.member_runs(10**6) == [(5, 5)] + [(3 * a, 3 * a) for a in dexp_elements(10**6 // 3)]
 
 
 def test_density_scan_grid_for_opaque_sets():

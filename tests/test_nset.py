@@ -2,7 +2,7 @@ import random
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from densitylab.errors import (
     EnumerationBudgetExceeded,
@@ -19,6 +19,7 @@ from densitylab.nset import (
     Intersect,
     Periodic,
     Predicate,
+    Scaled,
     Union,
     _eventual_period,
     _rank_form,
@@ -452,3 +453,111 @@ def test_rank_form_matches_brute_force_past_b_and_b_plus_l():
         infinite_seen += infinite
         with_flips += bool(form.flips)
     assert finite_seen >= 10 and infinite_seen >= 10 and with_flips >= 30
+
+
+# ---------------------------------------------------------------------------
+# member runs
+# ---------------------------------------------------------------------------
+
+_runs_base = st.one_of(
+    st.builds(
+        lambda m, picks: periodic(m, {p % m for p in picks}),
+        st.integers(2, 12),
+        st.lists(st.integers(0, 11), min_size=1, max_size=5),
+    ),
+    st.builds(lambda xs: finite(*xs), st.lists(st.integers(1, 3000), max_size=10)),
+    st.just(blocks_dexp()),
+    st.builds(
+        lambda lo, w, gap, w2: blocks_explicit([(lo, lo + w), (lo + w + gap, lo + w + gap + w2)]),
+        st.integers(1, 2500), st.integers(1, 300), st.integers(0, 40), st.integers(1, 300),
+    ),
+)
+_runs_leaf = st.one_of(_runs_base, st.builds(scale, _runs_base, st.integers(2, 4)))
+
+
+def _runs_level(child):
+    return st.one_of(
+        st.builds(union, child, child),
+        st.builds(inter, child, child),
+        st.builds(diff, child, child),
+        st.builds(compl, child),
+        st.builds(scale, child, st.integers(2, 4)),
+    )
+
+
+_runs_tree = _runs_level(_runs_level(_runs_level(_runs_leaf)))
+
+
+def _runs_of(members):
+    runs = []
+    for n in sorted(members):
+        if runs and runs[-1][1] == n - 1:
+            runs[-1] = (runs[-1][0], n)
+        else:
+            runs.append((n, n))
+    return runs
+
+
+def _subtrees(s):
+    yield s
+    for part in (getattr(s, "left", None), getattr(s, "right", None), getattr(s, "inner", None)):
+        if part is not None:
+            yield from _subtrees(part)
+
+
+def _reads_windows_exactly(s):
+    """Whether ``s`` is a leaf or a scaled leaf: its read inside windows
+    fails only when its result passes the cap."""
+    while isinstance(s, Scaled):
+        s = s.inner
+    return not isinstance(s, (Union, Intersect, Diff, Complement))
+
+
+# the other part has 858 runs up to 3000, the result 78
+@example(s=inter(blocks_dexp(), periodic(7, [1, 3])), horizon=3000, cap=64, window=blocks_dexp())
+@example(s=diff(blocks_dexp(), periodic(7, [1, 3])), horizon=3000, cap=64, window=Full())
+# the dropped part has 4 runs inside the kept part's 2, the result 2
+@example(
+    s=diff(blocks_explicit([(1, 4), (10, 13)]), blocks_explicit([(1, 2), (3, 11), (12, 13)])),
+    horizon=20, cap=3, window=Full(),
+)
+# a run through residues 5, 0 and 1 begins in the period before 1 and before 12
+@example(s=periodic(6, [0, 1, 5]), horizon=30, cap=64, window=blocks_explicit([(12, 20)]))
+@given(s=_runs_tree, horizon=st.integers(1, 3000), cap=st.integers(1, 64), window=_runs_leaf)
+@settings(max_examples=200, deadline=None)
+def test_member_runs_match_brute_force_under_small_caps(s, horizon, cap, window):
+    """Every subtree's runs, whole and inside the runs of ``window``, are the
+    brute-force runs whenever they are not None, and never more than ``cap``.
+    An intersection or a difference gives runs whenever the part it keeps and
+    its result fit the cap and its other part is a leaf or a scaled leaf,
+    however many runs that part has."""
+    within = window.member_runs(horizon, 10**6)
+    inside = brute_members(window, horizon)
+    for node in _subtrees(s):
+        members = brute_members(node, horizon)
+        runs = node.member_runs(horizon, cap)
+        if runs is not None:
+            assert runs == _runs_of(members) and len(runs) <= cap, node
+        clipped = node.member_runs(horizon, cap, within)
+        if clipped is not None:
+            assert clipped == _runs_of(members & inside) and len(clipped) <= cap, node
+        if isinstance(node, (Intersect, Diff)):
+            kept, other = node.left, node.right
+            if isinstance(node, Intersect) and kept.member_runs(horizon, cap) is None:
+                kept, other = other, kept
+            fits = kept.member_runs(horizon, cap) is not None and len(_runs_of(members)) <= cap
+            if fits and _reads_windows_exactly(other):
+                assert runs is not None, node
+
+
+def test_an_intersection_reads_its_other_part_only_inside_the_part_it_keeps():
+    s = inter(blocks_dexp(), periodic(7, [1, 3]))
+    # periodic(7;1,3) alone has 2 * 10**6 // 7 runs, past the default cap
+    assert periodic(7, [1, 3]).member_runs(10**6) is None
+    runs = s.member_runs(10**6)
+    assert len(runs) == 18802
+    assert sum(hi - lo + 1 for lo, hi in runs) == s.count(10**6)
+    # only when the members pass the cap does a scaled set give up
+    t, members = scale(blocks_dexp(), 3), blocks_dexp().count(1000)
+    assert len(t.member_runs(3000, cap=members)) == members
+    assert t.member_runs(3000, cap=members - 1) is None
