@@ -166,7 +166,14 @@ def evaluate(
     if isinstance(mu, BlumlingerCombo):
         base = limit_along(a, mu.seq, tol, budget=budget)
         dbl = limit_along(a, Doubled(mu.seq), tol, budget=budget)
-        partials = _combo_partials(a, mu.seq, budget)
+        if base.sampled or dbl.sampled:
+            partials = _combo_partials(a, mu.seq, budget)
+        else:
+            # A(n) and A(2n) read off the two profiles: a value c/n in lowest terms is c
+            partials = [
+                (n, Fraction(d.numerator * (2 * n // d.denominator) - v.numerator * (n // v.denominator), n))
+                for n, v, d in zip(base.points, base.values, dbl.values)
+            ]
         tail_vals = [v for _, v in partials[-_tail_len(len(partials)):]]
         lo, hi = min(tail_vals), max(tail_vals)
         converged = base.converged and dbl.converged
@@ -566,19 +573,20 @@ def equal_measure_test(
         # statistic is the per-point difference of the two ratio profiles
         # over the tail window (identical sets give exactly zero even when
         # each profile oscillates on its own)
-        pts = list(seq.points())
-        tail_from = len(pts) - _tail_len(len(pts))
-        dev = Fraction(0)
-        converged = True
-        for idx, n in enumerate(pts):
-            if idx < tail_from:
-                continue
-            va = Fraction(a.count(n, budget=budget), n)
-            vb = Fraction(b.count(n, budget=budget), n)
-            dev = max(dev, abs(va - vb))
         mu = SubsequenceLimit(seq)
         ra = evaluate(mu, a, tol, budget=budget)
         rb = evaluate(mu, b, tol, budget=budget)
+        (la,), (lb,) = ra.diagnostics, rb.diagnostics
+        if la.sampled or lb.sampled:
+            pts = list(seq.points())
+            tail = [
+                (Fraction(a.count(n, budget=budget), n), Fraction(b.count(n, budget=budget), n))
+                for n in pts[len(pts) - _tail_len(len(pts)) :]
+            ]
+        else:
+            tail = list(zip(la.values, lb.values))[len(la.values) - _tail_len(len(la.values)) :]
+        dev = max(abs(va - vb) for va, vb in tail)
+        converged = True
         if ra.converged and rb.converged:
             dev = max(dev, abs(ra.value - rb.value))
         else:

@@ -7,8 +7,10 @@ Every set here is a finite description of a (possibly infinite) subset of
 * ``count(n)``    -- the counting function, the number of elements in [1, n],
 
 and both are exact integer arithmetic at arbitrary horizons: no floats, no
-approximation.  Where no closed form exists the algebra nodes fall back to
-bounded enumeration and *fail loudly* when the enumeration budget is hit.
+approximation.  The algebra nodes count from their segments, periodic
+patterns between the cut points of their finite and block leaves; where a
+pattern would be too wide they fall back, last of all to bounded
+enumeration, and *fail loudly* when the enumeration budget is hit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import heapq
 import itertools
 import math
 import operator
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
@@ -102,6 +105,14 @@ class BlockSource:
             out.append((l, r))
         return out
 
+    def intervals_meeting(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        """The intervals that hold a point of [lo, hi], in increasing order."""
+        for l, r in self.iter_intervals():
+            if l > hi:
+                return
+            if r > lo:
+                yield l, r
+
     def is_infinite(self) -> bool:
         raise NotImplementedError
 
@@ -129,6 +140,9 @@ class ExplicitBlocks(BlockSource):
 
     def iter_intervals(self):
         return iter(self.intervals)
+
+    def intervals_meeting(self, lo, hi):
+        return iter(self.intervals[bisect_right(self.intervals, lo, key=_hi) : bisect_right(self._starts, hi)])
 
     def is_infinite(self) -> bool:
         return False
@@ -177,7 +191,17 @@ class SymbolicSet:
         raise NotImplementedError
 
     def count(self, n: int, budget: Optional[int] = None) -> int:
-        """Exact |S ∩ [1, n]|.  ``budget`` caps enumeration fallbacks."""
+        """Exact |S ∩ [1, n]|.  ``budget`` caps enumeration fallbacks.
+
+        Leaves count in closed form and a scaled set through its inner set.
+        A union, intersection, difference or complement counts from its
+        segments (``_Segments``): between two cut points of its finite and
+        block leaves the tree is one periodic pattern, so a count is a
+        bisection, a stored prefix count and popcounts of one mask, exact
+        at any horizon.  A tree whose pattern is wider than ``_LCM_CAP``,
+        or that holds a ``Predicate`` or an ``ImageSet``, counts from its
+        parts instead, down to bounded enumeration.
+        """
         budget = checked_budget(budget)
         if n < 0:
             raise ValueError("count horizon must be >= 0")
@@ -654,6 +678,9 @@ class Union(SymbolicSet):
         return self.left.contains(n) or self.right.contains(n)
 
     def _count(self, n, budget):
+        segments = _segments(self)
+        if segments is not None:
+            return segments.count(n)
         return (
             self.left.count(n, budget=budget)
             + self.right.count(n, budget=budget)
@@ -701,9 +728,14 @@ class Intersect(SymbolicSet):
         return self.left.contains(n) and self.right.contains(n)
 
     def _count(self, n, budget):
-        # when one side decomposes into FEW runs, count the other side
-        # run-by-run through its own counting; the low cap keeps recursive
-        # intersect-of-intersect counting from multiplying out
+        """From the segments when the tree has them (see ``SymbolicSet.count``).
+        Otherwise, when one part has few member runs, the other part is
+        counted run by run (the low cap keeps nested intersections from
+        multiplying out); then the memoized member runs; then enumeration of
+        the smaller part, which ``budget`` caps."""
+        segments = _segments(self)
+        if segments is not None:
+            return segments.count(n)
         for a, b in ((self.left, self.right), (self.right, self.left)):
             runs = a.member_runs(n, cap=64)
             if runs is not None:
@@ -764,6 +796,9 @@ class Diff(SymbolicSet):
         return self.left.contains(n) and not self.right.contains(n)
 
     def _count(self, n, budget):
+        segments = _segments(self)
+        if segments is not None:
+            return segments.count(n)
         return self.left.count(n, budget=budget) - _both(self).count(n, budget=budget)
 
     def infinitude(self):
@@ -805,6 +840,9 @@ class Complement(SymbolicSet):
         return n >= 1 and not self.inner.contains(n)
 
     def _count(self, n, budget):
+        segments = _segments(self)
+        if segments is not None:
+            return segments.count(n)
         return n - self.inner.count(n, budget=budget)
 
     def infinitude(self):
@@ -1220,6 +1258,184 @@ def _pieces(s: SymbolicSet, horizon: int) -> Optional[tuple[Periodic, Iterable[i
             return tail, _point_toggles(flips)
     runs = s.member_runs(horizon)
     return None if runs is None else _run_pieces(runs)
+
+
+# ---------------------------------------------------------------------------
+# segments: an algebra tree as periodic patterns between cut points
+# ---------------------------------------------------------------------------
+
+
+def _and_not(a: int, b: int) -> int:
+    return a & ~b
+
+
+# a segment's residue mask from the masks of a node's parts
+_MASK_OP = {Union: operator.or_, Intersect: operator.and_, Diff: _and_not}
+
+# held while segments are extended; one for all of them, so that a counted set still pickles
+_EXTEND_LOCK = threading.Lock()
+
+
+def _segment_width(s: SymbolicSet, t: int, width: int) -> Optional[int]:
+    """The lcm of ``width`` with every periodic leaf's t·m and every other leaf's t, for ``s``
+    scaled by ``t``; None past ``_LCM_CAP`` or at a node with no segments (a ``Predicate`` or an
+    ``ImageSet``).  A complement needs no term of its own: a leaf below it has its t."""
+    if isinstance(s, Scaled):
+        return _segment_width(s.inner, t * s.factor, width)
+    if isinstance(s, Complement):
+        return _segment_width(s.inner, t, width)
+    if isinstance(s, (Union, Intersect, Diff)):
+        width = _segment_width(s.left, t, width)
+        return None if width is None else _segment_width(s.right, t, width)
+    if isinstance(s, Periodic):
+        t *= s.modulus
+    elif not isinstance(s, (Empty, Full, FiniteList, Blocks)):
+        return None
+    width = math.lcm(width, t)
+    return None if width > _LCM_CAP else width
+
+
+def _tile(pattern: int, period: int, width: int) -> int:
+    """The residue mask ``pattern`` mod ``period`` as a mask mod ``width``, a multiple of it."""
+    while period < width:
+        pattern |= pattern << period
+        period *= 2
+    return pattern & ((1 << width) - 1)
+
+
+def _segment_program(s: SymbolicSet, t: int, width: int, leaves: list) -> int | tuple:
+    """``s`` scaled by ``t`` as its residue mask mod ``width`` on a segment: an int when no finite
+    or block leaf lies below it, else a tree of (op, x, y) over the states of ``leaves``, to which
+    its finite and block leaves are appended with their factors.  Every mask lies within the
+    multiples of t, so a complement is taken within them."""
+    if isinstance(s, Scaled):
+        return _segment_program(s.inner, t * s.factor, width, leaves)
+    if isinstance(s, Empty):
+        return 0
+    if isinstance(s, Periodic):
+        m = t * s.modulus
+        buf = bytearray(m // 8 + 1)
+        for r in s.residues:
+            buf[t * r >> 3] |= 1 << (t * r & 7)
+        return _tile(int.from_bytes(buf, "little"), m, width)
+    if isinstance(s, (Union, Intersect, Diff)):
+        op = _MASK_OP[type(s)]
+        left, right = (_segment_program(part, t, width, leaves) for part in (s.left, s.right))
+        return op(left, right) if isinstance(left, int) and isinstance(right, int) else (op, left, right)
+    multiples = _tile(1, t, width)
+    if isinstance(s, Full):
+        return multiples
+    if isinstance(s, Complement):
+        inner = _segment_program(s.inner, t, width, leaves)
+        return multiples & ~inner if isinstance(inner, int) else ("compl", multiples, inner)
+    leaves.append((s, t))
+    return "leaf", len(leaves) - 1, multiples
+
+
+def _run_program(program: int | tuple, states: tuple[bool, ...]) -> int:
+    """The mask of ``_segment_program``'s ``program`` for the leaf states ``states``."""
+    if isinstance(program, int):
+        return program
+    op, x, y = program
+    if op == "leaf":
+        return y if states[x] else 0
+    if op == "compl":
+        return x & ~_run_program(y, states)
+    return op(_run_program(x, states), _run_program(y, states))
+
+
+def _leaf_intervals(leaf: FiniteList | Blocks, lo: int, hi: int) -> Iterable[tuple[int, int]]:
+    """The intervals [l, r) of a finite or block leaf that hold a point of [lo, hi]; a finite
+    point e is the interval [e, e + 1)."""
+    if isinstance(leaf, FiniteList):
+        e = leaf.elements
+        return ((x, x + 1) for x in e[bisect_left(e, lo) : bisect_right(e, hi)])
+    return leaf.source.intervals_meeting(lo, hi)
+
+
+class _Segments:
+    """An algebra tree counted on [1, top] from its segments.
+
+    The cut points are t·l and t·(r - 1) + 1 for every interval [l, r) of a
+    block leaf under total scale factor t, and t·e and t·e + 1 for every
+    point e of a finite leaf.  Between two cuts each such leaf is all in or
+    all out on the multiples of t, as at ⌈a/t⌉ for a segment that starts at
+    a, so the tree is one residue mask mod ``width``, the lcm of every
+    periodic leaf's t·m and every other leaf's t.  Segment i starts at
+    ``starts[i]``, and the count at every n in it is ``bases[i]`` plus the
+    members of its mask in [0, n].  Equal leaf states share one mask, equal
+    masks one pattern, and segments with one pattern are joined.  A count
+    past ``top`` appends the segments of the cuts up to it, so the cost is
+    per cut up to the largest count asked, never per integer.  Extensions
+    hold ``_EXTEND_LOCK`` and publish ``top`` last, so readers need none.
+
+    A pattern is its mask cut into chunks of about √width bytes, with
+    the members before each chunk, so that a count reads one chunk of the
+    mask rather than all of it.
+    """
+
+    def __init__(self, width: int, program: int | tuple, leaves: list):
+        self.width, self._program, self._leaves = width, program, leaves
+        self._step = math.isqrt(width) + 1  # bytes per chunk
+        self._by_states: dict[tuple[bool, ...], tuple] = {}
+        self._by_mask: dict[int, tuple] = {}
+        pattern = self._pattern_at(1)
+        self.patterns, self.bases, self.starts = [pattern], [-self._members(pattern, 0)], [1]
+        self.top = 1
+
+    def _pattern_at(self, a: int) -> tuple[list[int], list[int]]:
+        """The pattern of a segment that starts at ``a``."""
+        states = tuple(leaf.contains(-(-a // t)) for leaf, t in self._leaves)
+        pattern = self._by_states.get(states)
+        if pattern is None:
+            mask = _run_program(self._program, states)
+            pattern = self._by_mask.get(mask)
+            if pattern is None:
+                raw, step = mask.to_bytes(self.width // 8 + 1, "little"), self._step
+                chunks = [int.from_bytes(raw[k : k + step], "little") for k in range(0, len(raw), step)]
+                pattern = self._by_mask[mask] = chunks, list(itertools.accumulate(map(int.bit_count, chunks), initial=0))
+            self._by_states[states] = pattern
+        return pattern
+
+    def _members(self, pattern: tuple[list[int], list[int]], n: int) -> int:
+        """The members of ``pattern``'s mask in [0, n]."""
+        q, r = divmod(n, self.width)
+        k, j = divmod(r, 8 * self._step)
+        chunks, before = pattern
+        return q * before[-1] + before[k] + (chunks[k] & ((2 << j) - 1)).bit_count()
+
+    def count(self, n: int) -> int:
+        if n > self.top:
+            with _EXTEND_LOCK:
+                if n > self.top:
+                    self._extend(n)
+        i = bisect_right(self.starts, n) - 1
+        return self.bases[i] + self._members(self.patterns[i], n)
+
+    def _extend(self, n: int) -> None:
+        top, cuts = self.top, set()
+        for leaf, t in self._leaves:
+            for l, r in _leaf_intervals(leaf, -(-top // t), n // t):
+                cuts.update(c for c in (t * l, t * (r - 1) + 1) if top < c <= n)
+        for c in sorted(cuts):
+            pattern = self._pattern_at(c)
+            if pattern is self.patterns[-1]:
+                continue
+            self.bases.append(self.bases[-1] + self._members(self.patterns[-1], c - 1) - self._members(pattern, c - 1))
+            self.patterns.append(pattern)
+            self.starts.append(c)
+        self.top = n
+
+
+def _segments(s: Union | Intersect | Diff | Complement) -> Optional[_Segments]:
+    """The segments of ``s``, built on its first count and memoized on it; None when its width
+    passes ``_LCM_CAP`` or it holds a node with none."""
+    memo = getattr(s, "_segment_memo", None)
+    if memo is None:
+        width, leaves = _segment_width(s, 1, 1), []
+        memo = (None if width is None else _Segments(width, _segment_program(s, 1, width, leaves), leaves),)
+        object.__setattr__(s, "_segment_memo", memo)
+    return memo[0]
 
 
 # ---------------------------------------------------------------------------

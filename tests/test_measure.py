@@ -24,6 +24,7 @@ from densitylab.measure import (
 )
 from densitylab.nset import (
     Empty,
+    union,
     Full,
     Predicate,
     blocks_dexp,
@@ -329,3 +330,39 @@ def test_equal_measure_reflexive_is_exact_zero():
     )
     assert rep.tail_sup_diff == 0
     assert rep.equivalent_likely
+
+
+_PROFILE_SETS = [
+    blocks_dexp(),
+    periodic(5, [0, 2]),
+    union(scale(blocks_dexp(), 3), periodic(7, [1, 3])),
+    union(finite(3, 40, 41), blocks_explicit([(10, 90), (200, 4000)])),
+    # against the empty set its difference peaks at a point that the sampled profile of the last
+    # sequence skips, and at the last point before the tail of the geometric one
+    finite(15013, 59049),
+    Empty(),
+]
+# the last sequence has more points than a profile keeps, so its values are sampled
+_PROFILE_SEQS = [DoubleExponential(5), Geometric(3, 3, 20), Explicit(tuple(range(7, 25000, 6)))]
+
+
+def test_combo_partials_read_off_the_profiles_equal_a_recount():
+    for a in _PROFILE_SETS:
+        for seq in _PROFILE_SEQS:
+            rep = evaluate(BlumlingerCombo(seq), a)
+            want = [(n, Fraction(a.count(2 * n) - a.count(n), n)) for n in seq.points()]
+            assert list(rep.partials) == want, (a, seq)
+            assert [(n, str(v)) for n, v in rep.partials] == [(n, str(v)) for n, v in want]
+
+
+def test_equal_rows_read_off_the_profiles_equal_a_recount():
+    # each set against the next, and the last against itself
+    for a, b in zip(_PROFILE_SETS, _PROFILE_SETS[1:] + _PROFILE_SETS[-1:]):
+        rep = equal_measure_test(a, b, _PROFILE_SEQS, horizon=2000)
+        for seq, row in zip(_PROFILE_SEQS, rep.seq_rows):
+            pts = seq.points()
+            dev = max(abs(Fraction(a.count(n), n) - Fraction(b.count(n), n)) for n in pts[len(pts) // 2 :])
+            ra, rb = (evaluate(SubsequenceLimit(seq), x) for x in (a, b))
+            if ra.converged and rb.converged:
+                dev = max(dev, abs(ra.value - rb.value))
+            assert row.deviation == dev, (a, b, seq)

@@ -1,4 +1,8 @@
+import pickle
 import random
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -10,6 +14,7 @@ from densitylab.errors import (
     PredicateCapExceeded,
 )
 from densitylab.nset import (
+    Blocks,
     Complement,
     Diff,
     Empty,
@@ -23,6 +28,7 @@ from densitylab.nset import (
     Union,
     _eventual_period,
     _rank_form,
+    _segments,
     blocks_dexp,
     blocks_explicit,
     compl,
@@ -36,6 +42,10 @@ from densitylab.nset import (
 )
 
 from oracles import brute_members, dexp_count_enum
+
+# the benchmark's oracle, which parses and counts on its own, without densitylab
+sys.path.append(str(Path(__file__).resolve().parents[1]))
+from perfbench import oracle as bench_oracle  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -561,3 +571,159 @@ def test_an_intersection_reads_its_other_part_only_inside_the_part_it_keeps():
     t, members = scale(blocks_dexp(), 3), blocks_dexp().count(1000)
     assert len(t.member_runs(3000, cap=members)) == members
     assert t.member_runs(3000, cap=members - 1) is None
+
+
+# ---------------------------------------------------------------------------
+# segments
+# ---------------------------------------------------------------------------
+
+
+def _segment_leaf(rng):
+    """A periodic, finite, explicit-block, dexp-block, full or empty leaf, or one scaled, or the
+    complement of one scaled; full and empty leaves are kept as nodes, where the smart
+    constructors would fold them away."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        m = rng.randrange(2, 9)
+        return periodic(m, rng.sample(range(m), rng.randrange(1, m)))
+    if kind == 1:
+        return finite(*rng.sample(range(1, 200), rng.randrange(1, 7)))
+    if kind == 2:
+        ends = sorted(rng.sample(range(1, 300), 2 * rng.randrange(1, 4)))
+        return blocks_explicit(zip(ends[::2], ends[1::2]))
+    if kind == 3:
+        return blocks_dexp()
+    if kind == 4:
+        return Full()
+    if kind == 5:
+        return Empty()
+    inner = _segment_leaf(rng)
+    return Scaled(rng.randrange(2, 5), Complement(inner) if kind == 6 else inner)
+
+
+def _segment_tree(rng, depth):
+    """A tree of ``depth`` levels of union, intersection, difference, complement and scaling
+    over ``_segment_leaf``s, built from the node classes so that nothing folds."""
+    if depth == 0:
+        return _segment_leaf(rng)
+    op = rng.randrange(5)
+    if op == 3:
+        return Complement(_segment_tree(rng, depth - 1))
+    if op == 4:
+        return Scaled(rng.randrange(2, 4), _segment_tree(rng, depth - 1))
+    parts = [_segment_tree(rng, depth - 1), _segment_tree(rng, rng.randrange(depth))]
+    rng.shuffle(parts)
+    return (Union, Intersect, Diff)[op](*parts)
+
+
+def _segment_trees(count):
+    """(seed, depth) of ``count`` trees of depth 3 or 4 whose top is a union, intersection,
+    difference or complement; ``_segment_tree(random.Random(seed), depth)`` rebuilds each."""
+    found, seed = [], 0
+    while len(found) < count:
+        seed += 1
+        depth = 3 + seed % 2
+        if isinstance(_segment_tree(random.Random(seed), depth), (Union, Intersect, Diff, Complement)):
+            found.append((seed, depth))
+    return found
+
+
+def _last_cut(leaves):
+    """Past the last cut of the finite and explicit-block leaves and the third dexp interval."""
+    top = 0
+    for leaf, t in leaves:
+        if isinstance(leaf, FiniteList):
+            top = max(top, t * leaf.elements[-1] + 1)
+        elif leaf.source.is_infinite():
+            top = max(top, t * 511 + 1)
+        else:
+            top = max(top, t * (leaf.source.intervals[-1][1] - 1) + 1)
+    return top
+
+
+def test_segment_counts_match_brute_force_and_the_benchmark_oracle_up_to_two_to_the_64():
+    rng = random.Random(13)
+    dexp_seen = scaled_complements = 0
+    for seed, depth in _segment_trees(40):
+        s = _segment_tree(random.Random(seed), depth)
+        form = _segments(s)
+        assert form is not None, s
+        # every n up to past the last cut plus one width, counted upwards
+        top = _last_cut(form._leaves) + form.width + 10
+        inside = brute_members(s, top)
+        running = 0
+        for n in range(1, top + 1):
+            running += n in inside
+            assert s.count(n) == running, (s, n)
+        assert form.top == top
+        # a fresh tree counted far first, then back below its top
+        s = _segment_tree(random.Random(seed), depth)
+        ref = bench_oracle.RefSet(bench_oracle.parse(s.to_expr(), "set"))
+        far = [rng.randrange(1, 1 << 64) for _ in range(8)] + [(1 << 64) - 1, 1 << 64, (1 << 32) + 1, 1 << 33]
+        for n in far + [rng.randrange(1, 1 << 20) for _ in range(8)]:
+            assert s.count(n) == ref.count(n), (s, n)
+        assert _segments(s).top == 1 << 64
+        dexp_seen += any(isinstance(leaf, Blocks) and leaf.source.is_infinite() for leaf, _ in form._leaves)
+        scaled_complements += _complement_under_a_factor(s)
+    assert dexp_seen >= 15 and scaled_complements >= 10
+
+
+def _complement_under_a_factor(s, scaled=False):
+    if isinstance(s, Complement):
+        return scaled or _complement_under_a_factor(s.inner, scaled)
+    if isinstance(s, Scaled):
+        return _complement_under_a_factor(s.inner, True)
+    if isinstance(s, (Union, Intersect, Diff)):
+        return _complement_under_a_factor(s.left, scaled) or _complement_under_a_factor(s.right, scaled)
+    return False
+
+
+def test_segments_fall_back_past_the_width_cap_and_at_a_predicate():
+    wide = union(scale(blocks_dexp(), 3), periodic(1000003, [5]))
+    assert _segments(wide) is None
+    assert wide.count(10**4) == len(brute_members(wide, 10**4))
+    with_rule = union(Predicate(lambda n: n % 5 == 0, 10**4), blocks_dexp())
+    assert _segments(with_rule) is None
+    assert with_rule.count(10**4) == len(brute_members(with_rule, 10**4))
+
+
+def test_segments_extended_from_many_threads_count_as_one():
+    def tree():
+        rng = random.Random(4)
+        points = finite(*rng.sample(range(1, 20000), 3000))
+        ends = sorted(rng.sample(range(1, 7000), 600))
+        return diff(union(points, scale(blocks_explicit(zip(ends[::2], ends[1::2])), 3)), periodic(5, [1, 2]))
+
+    n_max = 20_000
+    reference = tree()
+    serial = [reference.count(n) for n in range(1, n_max + 1)]
+    s = tree()
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def worker(i):
+        start.wait(timeout=60)
+        # each thread jumps ahead by its own stride, so the extensions race
+        results[i] = [s.count(n) for n in range(1, n_max + 1, i + 1)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert _segments(s) is not None
+    assert results == [serial[:: i + 1] for i in range(4)]
+
+
+def test_a_counted_tree_pickles_with_its_segments():
+    s = diff(union(scale(periodic(4, [1]), 2), blocks_dexp()), union(finite(49, 708), periodic(10, [0, 3])))
+    s.count(10**6)
+    copy = pickle.loads(pickle.dumps(s))
+    assert copy == s and _segments(copy) is not None
+    assert [copy.count(n) for n in (10, 10**6, 2**64)] == [s.count(n) for n in (10, 10**6, 2**64)]

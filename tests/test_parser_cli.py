@@ -276,12 +276,15 @@ def test_exit_code_2_on_bad_input():
 
 
 def test_exit_code_3_on_budget_violation():
+    # two periodic sets whose lcm passes the cap, so that no pattern of the
+    # intersection is built and its count at 2^64 enumerates
+    r1 = ",".join(map(str, range(1, 1000003, 9091)))
+    r2 = ",".join(map(str, range(2, 999983, 9090)))
     code, _, err = run(
         [
             "measure",
-            "sublim(explicit(20000000))",
-            "inter(scale(2,compl(blocks(dexp))),periodic(3;1,2))",
-            "--horizon", "100",
+            "sublim(dexp(6))",
+            f"inter(periodic(1000003;{r1}),periodic(999983;{r2}))",
             "--budget", "1000000",
         ]
     )
