@@ -300,7 +300,7 @@ def _run_equal(args, config):
     }
     return (
         _envelope("equal", config, {"set_a": a.to_expr(), "set_b": b.to_expr()}, result),
-        [],
+        [("", [])],  # no profile: the table is its header alone
     )
 
 

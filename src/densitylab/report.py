@@ -3,24 +3,37 @@
 Every rational in a JSON report is emitted as {"num", "den", "dec"}; the
 decimal field is a rounded display shadow of the exact value, never the
 other way around.
+
+`emit_json` writes exactly the bytes of
+``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"`` without calling
+it: CPython 3.10 and 3.11 use their C encoder only when ``indent`` is None,
+and otherwise fall back to ``json.encoder._make_iterencode``, one Python
+generator per container, which cost a fifth of a typical request.
+`_write` makes the same walk in one pass: strings go through the C
+``encode_basestring``, exact ints through ``int.__repr__``, the dicts `rat`
+builds through one template, and every other scalar through
+``json.dumps`` itself, which raises `TypeError` for an unsupported type as
+the stdlib does.  A value that contains itself raises `RecursionError`
+here, where the stdlib raises `ValueError`.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring as _quote
+from numbers import Rational
 from typing import Iterable, Optional
-
-
-def decimal_shadow(q: Fraction) -> str:
-    return format(float(q), ".12g")
 
 
 def rat(q: Optional[Fraction]) -> Optional[dict]:
     if q is None:
         return None
-    q = Fraction(q)
-    return {"num": q.numerator, "den": q.denominator, "dec": decimal_shadow(q)}
+    if not isinstance(q, Rational):
+        q = Fraction(q)
+    n, d = q.numerator, q.denominator
+    # n / d is the float that Fraction.__float__ returns
+    return {"num": n, "den": d, "dec": format(n / d, ".12g")}
 
 
 def profile(entries: Iterable[tuple[int, Fraction]]) -> list[dict]:
@@ -28,13 +41,76 @@ def profile(entries: Iterable[tuple[int, Fraction]]) -> list[dict]:
 
 
 def profile_csv_rows(entries: Iterable[tuple[int, Fraction]]) -> list[tuple]:
-    return [
-        (n, v.numerator, v.denominator, decimal_shadow(v)) for n, v in entries
-    ]
+    return [(n, *rat(v).values()) for n, v in entries]
+
+
+_RAT_KEYS = ["num", "den", "dec"]
+
+
+def _write(o, put, nl: str) -> None:
+    """Pass the indent-2 JSON text of ``o`` to ``put``, piece by piece.
+
+    ``nl`` is a newline followed by the indent of the line ``o`` starts on.
+    The checks mirror ``json.encoder._make_iterencode``: strings and
+    containers by ``isinstance``, so subclasses keep the layout; ints and the
+    members of the `rat` template by exact type, so a bool or an int subclass
+    reaches ``json.dumps``.
+    """
+    if isinstance(o, str):
+        put(_quote(o))
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        if type(o) is dict and len(o) == 3 and list(o) == _RAT_KEYS:
+            n, d, dec = o.values()
+            if type(n) is int and type(d) is int and type(dec) is str:
+                put(f'{{{inner}"num": {n},{inner}"den": {d},{inner}"dec": {_quote(dec)}{nl}}}')
+                return
+        sep = "{" + inner
+        for k, v in o.items():
+            # json.dumps turns a non-str key into a string, or raises
+            # TypeError, exactly as the indent path does
+            head = f"{sep}{_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: "
+            # the members most reports are made of, written in place
+            if type(v) is int:
+                put(f"{head}{v}")
+            elif type(v) is str:
+                put(head + _quote(v))
+            else:
+                put(head)
+                _write(v, put, inner)
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            put(sep)
+            _write(v, put, inner)
+            sep = "," + inner
+        put(nl + "]")
+    elif type(o) is int:
+        put(int.__repr__(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    else:
+        put(json.dumps(o))
 
 
 def emit_json(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    parts: list[str] = []
+    _write(obj, parts.append, "\n")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def emit_csv(sections: list[tuple[str, list[tuple]]]) -> str:

@@ -266,6 +266,33 @@ def test_csv_output_layout():
     assert all(len(line.split(",")) == 4 for line in lines[2:])
 
 
+def test_equal_csv_is_the_header_alone():
+    code, out, _ = run(["equal", "periodic(2;1)", "periodic(2;0)", "--format", "csv"])
+    assert code == 0
+    assert out == "n,numerator,denominator,decimal\n"
+
+
+# the README commands, one per subcommand
+README_COMMANDS = [
+    ["density", "blocks(dexp)", "--horizon", "1048576", "--tail", "1024"],
+    ["levy", "qswap"],
+    ["statlim", "pair(periodic(2;1),periodic(2;0))", "--eps", "1/10", "--eps", "1/100"],
+    ["displacement", "qswap", "blocks([4,8),[16,32))"],
+    ["measure", "combo(dexp(6))", "blocks(dexp)"],
+    ["pair", "periodic(2;1)", "periodic(2;0)"],
+    ["witness", "qswap", "--cap", "4096"],
+    ["equal", "periodic(2;1)", "periodic(2;0)"],
+    ["suite"],
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+def test_report_bytes_are_the_stdlib_indent_2_json(argv):
+    code, out, err = run(argv)
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+
+
 def test_exit_code_2_on_bad_input():
     code, _, err = run(["density", "junk("])
     assert code == 2 and "parse error" in err
