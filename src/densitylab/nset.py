@@ -7,10 +7,15 @@ Every set here is a finite description of a (possibly infinite) subset of
 * ``count(n)``    -- the counting function, the number of elements in [1, n],
 
 and both are exact integer arithmetic at arbitrary horizons: no floats, no
-approximation.  The algebra nodes count from their segments, periodic
-patterns between the cut points of their finite and block leaves; where a
-pattern would be too wide they fall back, last of all to bounded
-enumeration, and *fail loudly* when the enumeration budget is hit.
+approximation.  One compiler, ``_segment_program``, turns a tree into residue
+masks over the states of its finite, block and opaque leaves (an opaque leaf
+is a part with no pattern of its own: a ``Predicate``, an ``ImageSet`` or a
+part wider than ``_LCM_CAP``).  The algebra nodes count from its segments,
+periodic patterns between the cut points of their finite and block leaves,
+and the eventual period, the points that depart from it and the folds of
+two periodic nodes read the same masks.  Trees with an opaque leaf count
+from their parts, last of all by bounded enumeration, and *fail loudly*
+when the enumeration budget is hit.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .errors import (
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
 # Periodic/Periodic algebra is collapsed via the lcm only below this modulus (beyond it the raw
-# node is kept and counting enumerates); it also caps eventual tails and a rank form's points.
+# node is kept); it also caps a segment program's width and a rank form's points.
 _LCM_CAP = 10**6
 
 # member_runs gives up (returns None) rather than build more runs than this.
@@ -254,36 +259,6 @@ class SymbolicSet:
         """The k-th smallest element (k >= 1); see the module-level ``select``."""
         return select(self, k, budget=budget)
 
-    def _runs_count(self, n: int) -> Optional[int]:
-        """Count via a memoized run decomposition with prefix sums.
-
-        The memo holds the decomposition at the largest horizon seen so far;
-        smaller queries are answered by bisection, larger ones rebuild it.
-        A failed decomposition is remembered by its horizon (run counts only
-        grow with the horizon).
-        """
-        failed_at = getattr(self, "_runs_failed_at", None)
-        if failed_at is not None and n >= failed_at:
-            return None
-        memo = getattr(self, "_runs_memo", None)
-        if memo is None or memo[0] < n:
-            runs = self.member_runs(n)
-            if runs is None:
-                if failed_at is None or n < failed_at:
-                    object.__setattr__(self, "_runs_failed_at", n)
-                return None
-            prefix = [0]
-            for lo, hi in runs:
-                prefix.append(prefix[-1] + hi - lo + 1)
-            memo = (n, runs, prefix)
-            object.__setattr__(self, "_runs_memo", memo)
-        _, runs, prefix = memo
-        idx = bisect_right(runs, (n, float("inf")))
-        total = prefix[idx]
-        if idx and runs[idx - 1][1] > n:
-            total -= runs[idx - 1][1] - n
-        return total
-
     def to_expr(self) -> str:
         raise NotImplementedError
 
@@ -398,12 +373,15 @@ class FiniteList(SymbolicSet):
 
 @dataclass(frozen=True)
 class Periodic(SymbolicSet):
-    """All n >= 1 with n mod modulus in residues; its own rank form, with no flips."""
+    """All n >= 1 with n mod modulus in residues; its own rank form, with no flips, and its own
+    eventual period, with b = 0."""
 
     modulus: int
     residues: tuple[int, ...]
     flips = ()
     tail = property(lambda self: self)
+    # read by _eventual_period in place of the memo it keeps on other nodes
+    _period_memo = property(lambda self: ((0, self),))
 
     def __post_init__(self):
         if self.modulus < 1:
@@ -729,10 +707,10 @@ class Intersect(SymbolicSet):
 
     def _count(self, n, budget):
         """From the segments when the tree has them (see ``SymbolicSet.count``).
-        Otherwise, when one part has few member runs, the other part is
-        counted run by run (the low cap keeps nested intersections from
-        multiplying out); then the memoized member runs; then enumeration of
-        the smaller part, which ``budget`` caps."""
+        Otherwise, when one part has at most 64 member runs (the low cap keeps
+        nested intersections from multiplying out), the other part is counted
+        run by run; otherwise by enumeration of the smaller part, which
+        ``budget`` caps."""
         segments = _segments(self)
         if segments is not None:
             return segments.count(n)
@@ -743,9 +721,6 @@ class Intersect(SymbolicSet):
                     b.count(min(hi, n), budget=budget) - b.count(lo - 1, budget=budget)
                     for lo, hi in runs
                 )
-        via_runs = self._runs_count(n)
-        if via_runs is not None:
-            return via_runs
         return self._count_by_enumeration(n, budget)
 
     def _count_by_enumeration(self, n, budget):
@@ -915,13 +890,14 @@ def scale(s: SymbolicSet, t: int) -> SymbolicSet:
     return Scaled(t, s)
 
 
-def _lcm_periodic(a: Periodic, b: Periodic, keep: tuple[bool, ...]) -> Optional[tuple[int, tuple[int, ...]]]:
-    """The modulus and residues that ``keep`` (a row of ``_KEEP``) keeps over the lcm of the moduli,
-    or None past ``_LCM_CAP``."""
+def _lcm_periodic(a: Periodic, b: Periodic, node: type) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The modulus and residues of ``node(a, b)``, for ``node`` a union, intersection or difference,
+    over the lcm of the moduli: the parts' residue masks in the segment program joined by its
+    ``_MASK_OP``; None past ``_LCM_CAP``."""
     m = math.lcm(a.modulus, b.modulus)
     if m > _LCM_CAP:
         return None
-    return m, tuple(r for r in range(m) if keep[2 * ((r % a.modulus) in a._rset) + ((r % b.modulus) in b._rset)])
+    return m, _residues(_MASK_OP[node](_periodic_mask(a, 1, m), _periodic_mask(b, 1, m)))
 
 
 def union(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
@@ -936,7 +912,7 @@ def union(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     if isinstance(a, FiniteList) and isinstance(b, FiniteList):
         return finite(*(a.elements + b.elements))
     if isinstance(a, Periodic) and isinstance(b, Periodic):
-        merged = _lcm_periodic(a, b, _KEEP[Union])
+        merged = _lcm_periodic(a, b, Union)
         if merged is not None:
             return periodic(*merged)
     return Union(a, b)
@@ -956,7 +932,7 @@ def inter(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     if isinstance(a, FiniteList):
         return finite(*(e for e in a.elements if b.contains(e)))
     if isinstance(a, Periodic) and isinstance(b, Periodic):
-        merged = _lcm_periodic(a, b, _KEEP[Intersect])
+        merged = _lcm_periodic(a, b, Intersect)
         if merged is not None:
             return periodic(*merged)
     return Intersect(a, b)
@@ -972,7 +948,7 @@ def diff(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     if isinstance(a, FiniteList):
         return finite(*(e for e in a.elements if not b.contains(e)))
     if isinstance(a, Periodic) and isinstance(b, Periodic):
-        merged = _lcm_periodic(a, b, _KEEP[Diff])
+        merged = _lcm_periodic(a, b, Diff)
         if merged is not None:
             return periodic(*merged)
     if isinstance(a, Full):
@@ -995,14 +971,6 @@ def compl(a: SymbolicSet) -> SymbolicSet:
 # ---------------------------------------------------------------------------
 # run algebra (for exact window extrema without per-integer scans)
 # ---------------------------------------------------------------------------
-
-
-# whether a point is kept, indexed by 2 * (in left) + (in right)
-_KEEP = {
-    Union: (False, True, True, True),
-    Intersect: (False, False, False, True),
-    Diff: (False, False, True, False),
-}
 
 
 # Run lists are increasing, disjoint inclusive (lo, hi) runs; those that
@@ -1081,48 +1049,21 @@ def _gaps(windows, runs, cap):
 
 
 def _eventual_period(s: SymbolicSet) -> Optional[tuple[int, Periodic]]:
-    """(b, tail): past b, ``s`` has the members of the periodic node ``tail``.
+    """(b, tail): past b, ``s`` has the members of the periodic node ``tail``; None where the
+    segment program of ``s`` cannot tell.
 
-    Defined for trees of finite, periodic and explicit-block leaves joined by
-    scaling, complement, union, intersection and difference while the tail's
-    modulus stays within ``_LCM_CAP``, and for an intersection (a difference)
-    with a part (a left part) of empty tail, whose (b, tail) it takes; None
-    otherwise.  Memoized on algebra nodes.
+    Past b, the largest scaled point of its ``_departures`` leaves, every one of them is out,
+    while a ``dexp`` block or an opaque leaf may be in or out.  Where the program's two masks for
+    those states agree, every choice gives the same residues: they are the tail.  Memoized on ``s``.
     """
-    if isinstance(s, Periodic):
-        return 0, s
-    if isinstance(s, Full):
-        return 0, Periodic(1, (0,))
-    if isinstance(s, (Empty, FiniteList, Blocks)):
-        bound = s.max_element()
-        return None if bound is None else (bound, Periodic(1, ()))
-    if isinstance(s, Scaled):
-        inner, t = _eventual_period(s.inner), s.factor
-        if inner is None or t * inner[1].modulus > _LCM_CAP:
-            return None
-        b, tail = inner
-        return t * b, Periodic(t * tail.modulus, tuple(t * r for r in tail.residues))
-    if not isinstance(s, (Union, Intersect, Diff, Complement)):
-        return None
     memo = getattr(s, "_period_memo", None)
-    if memo is not None:
-        return memo[0]
-    # the parts' tails merge as _lcm_periodic merges leaves; a complement is
-    # a difference from the full set
-    if isinstance(s, Complement):
-        left, right, keep = (0, Periodic(1, (0,))), _eventual_period(s.inner), _KEEP[Diff]
-    else:
-        left, right, keep = _eventual_period(s.left), _eventual_period(s.right), _KEEP[type(s)]
-    if right is None and left is not None and not left[1].residues and not isinstance(s, Union):
-        period = left
-    elif left is None and right is not None and not right[1].residues and isinstance(s, Intersect):
-        period = right
-    elif left is None or right is None or (merged := _lcm_periodic(left[1], right[1], keep)) is None:
-        period = None
-    else:
-        period = max(left[0], right[0]), Periodic(*merged)
-    object.__setattr__(s, "_period_memo", (period,))
-    return period
+    if memo is None:
+        width, program, leaves = _compiled(s)
+        lo, hi = _run_program(program, tuple(False if _departs(leaf, t) else None for leaf, t in leaves))
+        b = max((t * leaf.max_element() for leaf, t in _departures(s)), default=0)
+        memo = (None if lo != hi else (b, Periodic(width, _residues(lo))),)
+        object.__setattr__(s, "_period_memo", memo)
+    return memo[0]
 
 
 def _infinitude_by_period(s: SymbolicSet) -> Infinitude:
@@ -1137,20 +1078,15 @@ def _bound_by_period(s: SymbolicSet) -> Optional[int]:
     return None if period is None or period[1].residues else period[0]
 
 
-def _departures(s: SymbolicSet, factor: int) -> Iterator[tuple[SymbolicSet, int]]:
-    """The finite and block leaves of ``s``, read through every part that has
-    an eventual period, each with ``factor`` times the factor it is scaled by:
-    the points where ``s`` departs from its tail are among theirs."""
-    if isinstance(s, (FiniteList, Blocks)):
-        yield s, factor
-    elif isinstance(s, Scaled):
-        yield from _departures(s.inner, factor * s.factor)
-    elif isinstance(s, Complement):
-        yield from _departures(s.inner, factor)
-    elif isinstance(s, (Union, Intersect, Diff)):
-        for part in (s.left, s.right):
-            if _eventual_period(part) is not None:
-                yield from _departures(part, factor)
+def _departs(leaf: SymbolicSet, t: Optional[int]) -> bool:
+    """Whether a leaf of a segment program is a finite or explicit-block leaf, one with a last point."""
+    return t is not None and leaf.infinitude() is Infinitude.FINITE
+
+
+def _departures(s: SymbolicSet) -> list[tuple[FiniteList | Blocks, int]]:
+    """The finite and explicit-block leaves of the segment program of ``s``, each with the factor it
+    is scaled by: the points where ``s`` departs from its eventual tail are among theirs."""
+    return [(leaf, t) for leaf, t in _compiled(s)[2] if _departs(leaf, t)]
 
 
 class _RankForm:
@@ -1181,9 +1117,11 @@ def _flips(s: SymbolicSet, tail: Periodic, bound: int) -> Optional[list[int]]:
     """The points up to ``bound`` of the ``_departures`` leaves of ``s`` where ``s`` departs from
     ``tail``, its eventual tail, in increasing order; None when those leaves hold more than
     ``_LCM_CAP`` points up to ``bound``."""
+    if bound < 1:  # no point to read, and no program to compile
+        return []
     parts: list = []
     leaves = 0
-    for leaf, factor in _departures(s, 1):
+    for leaf, factor in _departures(s):
         upto = bound // factor
         if leaf.count(upto) > _LCM_CAP:
             return None
@@ -1276,23 +1214,28 @@ _MASK_OP = {Union: operator.or_, Intersect: operator.and_, Diff: _and_not}
 _EXTEND_LOCK = threading.Lock()
 
 
-def _segment_width(s: SymbolicSet, t: int, width: int) -> Optional[int]:
-    """The lcm of ``width`` with every periodic leaf's t·m and every other leaf's t, for ``s``
-    scaled by ``t``; None past ``_LCM_CAP`` or at a node with no segments (a ``Predicate`` or an
-    ``ImageSet``).  A complement needs no term of its own: a leaf below it has its t."""
+def _segment_width(s: SymbolicSet, t: int, opaque: set) -> int:
+    """The lcm of every periodic leaf's t·m and every other leaf's t, for ``s`` scaled by ``t``.  A
+    part with no width of its own, a ``Predicate``, an ``ImageSet`` or a part wider than
+    ``_LCM_CAP``, is an opaque leaf: it is added to ``opaque`` as (id, t) and counts as a leaf.  A
+    complement needs no term of its own: a leaf below it has its t."""
     if isinstance(s, Scaled):
-        return _segment_width(s.inner, t * s.factor, width)
-    if isinstance(s, Complement):
-        return _segment_width(s.inner, t, width)
-    if isinstance(s, (Union, Intersect, Diff)):
-        width = _segment_width(s.left, t, width)
-        return None if width is None else _segment_width(s.right, t, width)
-    if isinstance(s, Periodic):
-        t *= s.modulus
-    elif not isinstance(s, (Empty, Full, FiniteList, Blocks)):
-        return None
-    width = math.lcm(width, t)
-    return None if width > _LCM_CAP else width
+        width = _segment_width(s.inner, t * s.factor, opaque)
+    elif isinstance(s, Complement):
+        width = _segment_width(s.inner, t, opaque)
+    elif isinstance(s, (Union, Intersect, Diff)):
+        width = math.lcm(_segment_width(s.left, t, opaque), _segment_width(s.right, t, opaque))
+    elif isinstance(s, Periodic):
+        width = t * s.modulus
+    elif isinstance(s, (Empty, Full, FiniteList, Blocks)):
+        width = t
+    else:
+        width = _LCM_CAP + 1
+    if width > _LCM_CAP:
+        opaque.add((id(s), t))
+        # past the cap itself, t makes the part above opaque too, up to the root, whose t is 1
+        return t
+    return width
 
 
 def _tile(pattern: int, period: int, width: int) -> int:
@@ -1303,45 +1246,80 @@ def _tile(pattern: int, period: int, width: int) -> int:
     return pattern & ((1 << width) - 1)
 
 
-def _segment_program(s: SymbolicSet, t: int, width: int, leaves: list) -> int | tuple:
-    """``s`` scaled by ``t`` as its residue mask mod ``width`` on a segment: an int when no finite
-    or block leaf lies below it, else a tree of (op, x, y) over the states of ``leaves``, to which
-    its finite and block leaves are appended with their factors.  Every mask lies within the
-    multiples of t, so a complement is taken within them."""
+def _periodic_mask(s: Periodic, t: int, width: int) -> int:
+    """The residue mask of ``s`` scaled by ``t`` mod ``width``, a multiple of t·m."""
+    m = t * s.modulus
+    buf = bytearray(m // 8 + 1)
+    for r in s.residues:
+        buf[t * r >> 3] |= 1 << (t * r & 7)
+    return _tile(int.from_bytes(buf, "little"), m, width)
+
+
+def _residues(mask: int) -> tuple[int, ...]:
+    """The members of the residue mask ``mask``, increasing."""
+    bits, out = bin(mask)[:1:-1], []  # lowest bit first
+    r = bits.find("1")
+    while r >= 0:
+        out.append(r)
+        r = bits.find("1", r + 1)
+    return tuple(out)
+
+
+def _segment_program(s: SymbolicSet, t: int, width: int, leaves: list, opaque: set) -> int | tuple:
+    """``s`` scaled by ``t`` as its residue mask mod ``width`` on a segment: an int when no leaf with
+    a state lies below it, else a tree of (op, x, y) over the states of ``leaves``, to which its
+    finite, block and ``opaque`` leaves are appended with their factors (None for an opaque one).
+    Every mask lies within the multiples of t, so a complement is a difference from them."""
+    if (id(s), t) in opaque:
+        leaves.append((s, None))
+        return "leaf", len(leaves) - 1, _tile(1, t, width)
     if isinstance(s, Scaled):
-        return _segment_program(s.inner, t * s.factor, width, leaves)
+        return _segment_program(s.inner, t * s.factor, width, leaves, opaque)
     if isinstance(s, Empty):
         return 0
     if isinstance(s, Periodic):
-        m = t * s.modulus
-        buf = bytearray(m // 8 + 1)
-        for r in s.residues:
-            buf[t * r >> 3] |= 1 << (t * r & 7)
-        return _tile(int.from_bytes(buf, "little"), m, width)
+        return _periodic_mask(s, t, width)
     if isinstance(s, (Union, Intersect, Diff)):
         op = _MASK_OP[type(s)]
-        left, right = (_segment_program(part, t, width, leaves) for part in (s.left, s.right))
-        return op(left, right) if isinstance(left, int) and isinstance(right, int) else (op, left, right)
+        x, y = (_segment_program(part, t, width, leaves, opaque) for part in (s.left, s.right))
+        return op(x, y) if isinstance(x, int) and isinstance(y, int) else (op, x, y)
     multiples = _tile(1, t, width)
     if isinstance(s, Full):
         return multiples
     if isinstance(s, Complement):
-        inner = _segment_program(s.inner, t, width, leaves)
-        return multiples & ~inner if isinstance(inner, int) else ("compl", multiples, inner)
+        inner = _segment_program(s.inner, t, width, leaves, opaque)
+        return multiples & ~inner if isinstance(inner, int) else (_and_not, multiples, inner)
     leaves.append((s, t))
     return "leaf", len(leaves) - 1, multiples
 
 
-def _run_program(program: int | tuple, states: tuple[bool, ...]) -> int:
-    """The mask of ``_segment_program``'s ``program`` for the leaf states ``states``."""
+def _run_program(program: int | tuple, states: tuple[Optional[bool], ...]) -> tuple[int, int]:
+    """The masks of ``_segment_program``'s ``program`` for the leaf ``states``, each True, False or
+    None (either): the residues in for every choice of the None states, and those in for some."""
     if isinstance(program, int):
-        return program
+        return program, program
     op, x, y = program
     if op == "leaf":
-        return y if states[x] else 0
-    if op == "compl":
-        return x & ~_run_program(y, states)
-    return op(_run_program(x, states), _run_program(y, states))
+        return (y if states[x] else 0), (0 if states[x] is False else y)
+    (xlo, xhi), (ylo, yhi) = _run_program(x, states), _run_program(y, states)
+    if op is _and_not:  # falls as its right part grows
+        ylo, yhi = yhi, ylo
+    return op(xlo, ylo), op(xhi, yhi)
+
+
+def _compiled(s: SymbolicSet) -> tuple[int, int | tuple, list]:
+    """(width, program, leaves): the segment program of ``s``, compiled on first use and memoized
+    on it; every question about the tree's patterns reads this one program.  A program whose leaf
+    is ``s`` itself is one leaf, cheap to compile again, and is not kept: on ``s`` it would make
+    a reference cycle, which only the cyclic collector frees."""
+    memo = getattr(s, "_program_memo", None)
+    if memo is None:
+        opaque: set = set()
+        width, leaves = _segment_width(s, 1, opaque), []
+        memo = width, _segment_program(s, 1, width, leaves, opaque), leaves
+        if not any(leaf is s for leaf, _ in leaves):
+            object.__setattr__(s, "_program_memo", memo)
+    return memo
 
 
 def _leaf_intervals(leaf: FiniteList | Blocks, lo: int, hi: int) -> Iterable[tuple[int, int]]:
@@ -1388,7 +1366,7 @@ class _Segments:
         states = tuple(leaf.contains(-(-a // t)) for leaf, t in self._leaves)
         pattern = self._by_states.get(states)
         if pattern is None:
-            mask = _run_program(self._program, states)
+            mask = _run_program(self._program, states)[0]
             pattern = self._by_mask.get(mask)
             if pattern is None:
                 raw, step = mask.to_bytes(self.width // 8 + 1, "little"), self._step
@@ -1428,12 +1406,12 @@ class _Segments:
 
 
 def _segments(s: Union | Intersect | Diff | Complement) -> Optional[_Segments]:
-    """The segments of ``s``, built on its first count and memoized on it; None when its width
-    passes ``_LCM_CAP`` or it holds a node with none."""
+    """The segments of ``s``, built on its first count and memoized on it; None when its program
+    has an opaque leaf."""
     memo = getattr(s, "_segment_memo", None)
     if memo is None:
-        width, leaves = _segment_width(s, 1, 1), []
-        memo = (None if width is None else _Segments(width, _segment_program(s, 1, width, leaves), leaves),)
+        width, program, leaves = _compiled(s)
+        memo = (None if any(t is None for _, t in leaves) else _Segments(width, program, leaves),)
         object.__setattr__(s, "_segment_memo", memo)
     return memo[0]
 

@@ -145,6 +145,14 @@ def test_constructor_simplifications():
     assert inter(finite(2, 3, 4), periodic(2, [0])) == finite(2, 4)
     assert union(finite(1, 3), finite(3, 5)) == finite(1, 3, 5)
     assert finite() == Empty()
+    # two periodic nodes fold over an lcm of 999999, just under the cap, to the residues read
+    # one by one; over 1000006, just past it, they stay a node of the algebra
+    a, b = periodic(7, [0, 3]), periodic(142857, range(1, 142857, 3))
+    in_a = [r % 7 in (0, 3) for r in range(999999)]
+    in_b = [r % 142857 % 3 == 1 for r in range(999999)]
+    for fold, keep in ((union, bool.__or__), (inter, bool.__and__), (diff, bool.__gt__)):
+        assert fold(a, b) == Periodic(999999, tuple(r for r in range(999999) if keep(in_a[r], in_b[r])))
+        assert type(fold(a, periodic(142858, [1]))) is {union: Union, inter: Intersect, diff: Diff}[fold]
 
 
 def test_infinitude_flags():
@@ -386,8 +394,19 @@ def test_exact_density_values():
 # ---------------------------------------------------------------------------
 
 
-def _small_leaf(rng):
-    kind = rng.randrange(4)
+# parts with no segment width of their own, and a dexp block, which the eventual period reads as
+# either in or out; the predicate's cap covers every brute-force range below
+_OPAQUE_LEAVES = (
+    blocks_dexp(),
+    Predicate(rule=lambda n: n % 5 in (1, 4), enumeration_cap=10**6, label="r5"),
+    union(periodic(999983, [1]), periodic(999979, [1])),
+)
+
+
+def _small_leaf(rng, opaque=False):
+    kind = rng.randrange(5 if opaque else 4)
+    if kind == 4:
+        return rng.choice(_OPAQUE_LEAVES)
     if kind == 0:
         m = rng.randrange(2, 7)
         return periodic(m, rng.sample(range(m), rng.randrange(1, m)))
@@ -397,19 +416,19 @@ def _small_leaf(rng):
         lo = rng.randrange(1, 100)
         mid = lo + rng.randrange(1, 12)
         return blocks_explicit([(lo, mid), (mid + rng.randrange(1, 9), mid + 20)])
-    return scale(_small_leaf(rng), rng.randrange(2, 4))
+    return scale(_small_leaf(rng, opaque), rng.randrange(2, 4))
 
 
-def _periodic_tree(rng, depth):
+def _periodic_tree(rng, depth, opaque=False):
     """A random tree of ``depth`` levels of compl/union/inter/diff over
-    finite, periodic, explicit-block and scaled leaves (the smart
-    constructors may fold some levels away)."""
+    finite, periodic, explicit-block and scaled leaves, and ``_OPAQUE_LEAVES``
+    when ``opaque`` (the smart constructors may fold some levels away)."""
     if depth == 0:
-        return _small_leaf(rng)
+        return _small_leaf(rng, opaque)
     op = rng.randrange(4)
     if op == 3:
-        return compl(_periodic_tree(rng, depth - 1))
-    parts = [_periodic_tree(rng, depth - 1), _periodic_tree(rng, rng.randrange(depth))]
+        return compl(_periodic_tree(rng, depth - 1, opaque))
+    parts = [_periodic_tree(rng, depth - 1, opaque), _periodic_tree(rng, rng.randrange(depth), opaque)]
     rng.shuffle(parts)
     return (union, inter, diff)[op](*parts)
 
@@ -422,22 +441,36 @@ def _join_depth(s):
     return 0
 
 
-def _deep_periodic_trees(seed, count):
+def _deep_periodic_trees(seed, count, opaque=False):
     rng = random.Random(seed)
     trees = []
     while len(trees) < count:
-        s = _periodic_tree(rng, 3)
+        s = _periodic_tree(rng, 3, opaque)
         if _join_depth(s) >= 3:
             trees.append(s)
     return trees
 
 
 def test_rank_form_matches_brute_force_past_b_and_b_plus_l():
-    finite_seen = infinite_seen = with_flips = 0
-    for s in _deep_periodic_trees(101, 80):
-        b, tail = _eventual_period(s)
+    # an opaque part that cannot change the tail is read through; one that can gives no answer,
+    # and a scaled one may hold any multiple of its factor
+    assert _eventual_period(inter(blocks_explicit([(1, 100)]), _OPAQUE_LEAVES[2])) == (99, Periodic(1, ()))
+    assert _eventual_period(union(periodic(2, [1]), inter(blocks_dexp(), periodic(2, [1])))) == (0, periodic(2, [1]))
+    assert _eventual_period(inter(blocks_dexp(), periodic(3, [1]))) is None
+    assert _eventual_period(union(scale(_OPAQUE_LEAVES[1], 2), periodic(3, [0, 2]))) is None
+    plain = _deep_periodic_trees(101, 80)
+    assert all(_eventual_period(s) is not None for s in plain)
+    opaque = [s for s in _deep_periodic_trees(103, 80, opaque=True) if any(x in _OPAQUE_LEAVES for x in _subtrees(s))]
+    finite_seen = infinite_seen = with_flips = unknown = 0
+    for s in plain + opaque:
+        period = _eventual_period(s)
+        if period is None:
+            unknown += 1
+            continue
+        b, tail = period
         form = _rank_form(s)
         top = 3 * (b + tail.modulus) + 20
+        assert top <= _OPAQUE_LEAVES[1].enumeration_cap
         members = sorted(brute_members(s, top))
         inside = set(members)
         # past b the set is its tail
@@ -463,6 +496,8 @@ def test_rank_form_matches_brute_force_past_b_and_b_plus_l():
         infinite_seen += infinite
         with_flips += bool(form.flips)
     assert finite_seen >= 10 and infinite_seen >= 10 and with_flips >= 30
+    # some trees with opaque parts have a period, some do not
+    assert len(opaque) - unknown >= 15 and unknown >= 15
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,16 @@ def test_finite_pairing_matches_rank_matching_oracle():
     assert [phi.apply(n) for n in range(1, 300_001)] == [oracle(n) for n in range(1, 300_001)]
 
 
+def test_pairing_with_a_dexp_part_inside_a_periodic_side_matches_rank_matching():
+    # inter(blocks(dexp),periodic(2;1)) lies in periodic(2;1), so A is the odd numbers whichever
+    # points of the dexp part are in: its eventual period reads that part as either
+    a = union(periodic(2, [1]), inter(blocks_dexp(), periodic(2, [1])))
+    phi = pairing_permutation(a, periodic(2, [0]))
+    oracle = _rank_matching(range(1, 2002, 2), range(2, 2002, 2))
+    assert [phi.apply(n) for n in range(1, 2001)] == [oracle(n) for n in range(1, 2001)]
+    assert _checked_pieces(phi, [2**64]) is not None
+
+
 # scale(...) stays a Scaled node, so a pairing with this side reads its rank
 # form; its members are those of periodic(8;2,6)
 _SCALED_SIDE = scale(periodic(4, [1, 3]), 2)
