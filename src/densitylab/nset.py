@@ -1246,9 +1246,24 @@ def _tile(pattern: int, period: int, width: int) -> int:
     return pattern & ((1 << width) - 1)
 
 
+_ONE_DIGITS = itertools.repeat(ord("1"))
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _periodic_mask(s: Periodic, t: int, width: int) -> int:
-    """The residue mask of ``s`` scaled by ``t`` mod ``width``, a multiple of t·m."""
+    """The residue mask of ``s`` scaled by ``t`` mod ``width``, a multiple of t·m.
+
+    With more than 8 + t·m/16 residues, they are set as binary digits by C-level calls, spread t
+    apart by a slice, and read by ``int``; fewer set one bit each in a Python step, which is
+    faster there and skips the pass over every bit."""
     m = t * s.modulus
+    if len(s.residues) > 8 + m // 16:
+        digits = bytearray(b"0") * s.modulus
+        any(map(digits.__setitem__, s.residues, _ONE_DIGITS))  # each call returns None: sets all
+        if t > 1:
+            digits, spread = bytearray(b"0") * m, digits
+            digits[::t] = spread
+        return _tile(int(digits[::-1], 2), m, width)
     buf = bytearray(m // 8 + 1)
     for r in s.residues:
         buf[t * r >> 3] |= 1 << (t * r & 7)
@@ -1256,8 +1271,16 @@ def _periodic_mask(s: Periodic, t: int, width: int) -> int:
 
 
 def _residues(mask: int) -> tuple[int, ...]:
-    """The members of the residue mask ``mask``, increasing."""
-    bits, out = bin(mask)[:1:-1], []  # lowest bit first
+    """The members of the residue mask ``mask``, increasing.
+
+    With more than 2 + bits/8 members, they are picked from the bit string by
+    ``itertools.compress`` in one C-level pass; fewer are read member by member with
+    ``str.find``, which is faster there and skips the runs of zeros."""
+    bits = bin(mask)[:1:-1]  # lowest bit first
+    if mask.bit_count() > 2 + len(bits) // 8:
+        flags = bits.encode().translate(_BIT_FLAGS)
+        return tuple(itertools.compress(range(len(flags)), flags))
+    out = []
     r = bits.find("1")
     while r >= 0:
         out.append(r)

@@ -538,24 +538,42 @@ def _checked_pieces(pi: PermutationRule, points: Sequence[int]) -> Optional[list
     return pieces
 
 
-def _last_t(k0: int, p: int, terms: int, n: int) -> int:
-    """The largest t < terms with k0 + t*p <= n, or -1 when there is none."""
-    return -1 if n < k0 else min(terms - 1, (n - k0) // p)
+# A progression (first, step, terms) is first + t*step for 0 <= t < terms.
+_Progression = tuple[int, int, int]
 
 
-def _solutions(alpha: int, beta: int, last: int) -> tuple[int, int]:
-    """The t in [0, last] with alpha*t >= beta, as the inclusive interval
-    (lo, hi), which is empty when lo > hi."""
+def _prefix(first: int, step: int, terms: int, n: int) -> int:
+    """#{t < terms : first + t*step <= n}, the terms of a progression up to
+    n: every piece reader counts through it."""
+    return 0 if n < first else min(terms, (n - first) // step + 1)
+
+
+def _terms_where(k0: int, p: int, terms: int, alpha: int, beta: int) -> list[_Progression]:
+    """The terms k0 + t*p, t < terms, with alpha*t >= beta, as a list of at
+    most one progression: the t that solve a linear inequality are an
+    interval."""
     if alpha > 0:
-        return max(0, -(-beta // alpha)), last
-    if alpha < 0:
-        return 0, min(last, beta // alpha)
-    return (0, last) if beta <= 0 else (0, -1)
+        lo, hi = max(0, -(-beta // alpha)), terms - 1
+    elif alpha < 0:
+        lo, hi = 0, min(terms - 1, beta // alpha)
+    else:
+        lo, hi = 0, terms - 1 if beta <= 0 else -1
+    return [(k0 + lo * p, p, hi - lo + 1)] if lo <= hi else []
 
 
-def _count_solutions(alpha: int, beta: int, last: int) -> int:
-    lo, hi = _solutions(alpha, beta, last)
-    return max(0, hi - lo + 1)
+def _prefix_counts(progressions: list[_Progression], points: Sequence[int]) -> list[int]:
+    """The number of terms up to n of the ``progressions``, sorted by first
+    term, at each n of ``points``: the sum of their prefix counts, which
+    stops at the first progression that starts past n."""
+    counts = []
+    for n in points:
+        total = 0
+        for first, step, terms in progressions:
+            if first > n:
+                break
+            total += _prefix(first, step, terms, n)
+        counts.append(total)
+    return counts
 
 
 def _moved_up(pi: PermutationRule, points: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -563,7 +581,11 @@ def _moved_up(pi: PermutationRule, points: Sequence[int]) -> tuple[list[int], li
     |{k <= n : π(k) > k}| at each of the increasing ``points``.
 
     From π's pieces, where π(k) - k = (d - k0) + t*(q - p), so π(k) > k iff
-    (q - p)*t >= 1 - (d - k0); otherwise in one pass."""
+    (q - p)*t >= 1 - (d - k0): an inequality that does not depend on n, so
+    each piece gives one sub-progression of moved-up k, solved once, and
+    the count at n is the sum of their prefix counts.  The sub-progressions
+    are disjoint, so the 20 smallest lie in the 20 that start first.
+    Otherwise in one pass."""
     pieces = _checked_pieces(pi, points)
     if pieces is None:
         smallest, counts, count = [], [], 0
@@ -575,15 +597,9 @@ def _moved_up(pi: PermutationRule, points: Sequence[int]) -> tuple[list[int], li
                         smallest.append(k)
             counts.append(count)
         return smallest, counts
-    smallest = []
-    for k0, p, d, q, terms in pieces:
-        lo, hi = _solutions(q - p, 1 + k0 - d, terms - 1)
-        smallest += (k0 + t * p for t in range(lo, min(hi, lo + 19) + 1))
-    counts = [
-        sum(_count_solutions(q - p, 1 + k0 - d, _last_t(k0, p, terms, n)) for k0, p, d, q, terms in pieces)
-        for n in points
-    ]
-    return sorted(smallest)[:20], counts
+    up = sorted(sub for k0, p, d, q, terms in pieces for sub in _terms_where(k0, p, terms, q - p, 1 + k0 - d))
+    heads = (range(first, first + min(terms, 20) * step, step) for first, step, terms in up[:20])
+    return sorted(itertools.chain.from_iterable(heads))[:20], _prefix_counts(up, points)
 
 
 def _image_counts(
@@ -594,14 +610,16 @@ def _image_counts(
     piece steps by more than 1 and A has no rank form, or when the tables
     below would hold more entries than the horizon.
 
-    Along a piece m = k0 + t*p -> π⁻¹(m) = d + t*q:
+    Along a piece m = k0 + t*p -> π⁻¹(m) = d + t*q, the m <= n are the
+    first s = prefix(k0, p) terms, t < s:
 
-    * with q = 1 the values d, ..., d + t_n are consecutive, so the count
-      is A(d + t_n) - A(d - 1), read from A's rank form when it has one;
+    * with q = 1 their values d, ..., d + s - 1 are consecutive, so the
+      count is A(d + s - 1) - A(d - 1), read from A's rank form when it has
+      one;
     * with q > 1, past the last point c where A departs from its tail of
       modulus l, membership of d + t*q is periodic in t, with period
       l/gcd(q, l); a prefix table over the terms up to c and one period
-      answers every point.
+      answers every s.
     """
     pieces = _checked_pieces(Inverse(pi), points)
     if pieces is None:
@@ -622,14 +640,14 @@ def _image_counts(
         if q == 1:
             before = count(d - 1)
             for i, n in enumerate(points):
-                last = _last_t(k0, p, terms, n)
-                if last >= 0:
-                    totals[i] += count(d + last) - before
+                seen = _prefix(k0, p, terms, n)
+                if seen:
+                    totals[i] += count(d + seen - 1) - before
             continue
         head, cycle = heads[pc], l // gcd(q, l)
         prefix = list(itertools.accumulate((form.contains(d + t * q) for t in range(head + cycle)), initial=0))
         for i, n in enumerate(points):
-            seen = _last_t(k0, p, terms, n) + 1
+            seen = _prefix(k0, p, terms, n)
             if seen <= head:
                 totals[i] += prefix[seen]
             else:
@@ -707,13 +725,17 @@ class DefectProfile:
 def _defect_counts(pi: PermutationRule, points: Sequence[int]) -> list[int]:
     """|{k : k <= n < π(k)}| at each of the increasing ``points``.
 
-    From π's pieces, where k = k0 + t*p <= n < π(k) = d + t*q means
-    t <= t_n and q*t >= n - d + 1.  Otherwise in one pass: n joins the set
-    when π(n) > n, and π⁻¹(n) leaves it when π⁻¹(n) < n."""
+    From π's pieces: the t with k = k0 + t*p <= n are a prefix of the
+    piece's terms, and so are the t with π(k) = d + t*q <= n, so the t with
+    k <= n < π(k) number max(0, prefix(k0, p) - prefix(d, q)) at n.
+    Otherwise in one pass: n joins the set when π(n) > n, and π⁻¹(n)
+    leaves it when π⁻¹(n) < n."""
     pieces = _checked_pieces(pi, points)
     if pieces is not None:
+        # a piece with d <= k0 and q <= p maps no k above k, so it adds 0
+        ups = [pc for pc in pieces if pc[2] > pc[0] or pc[3] > pc[1]]
         return [
-            sum(_count_solutions(q, n - d + 1, _last_t(k0, p, terms, n)) for k0, p, d, q, terms in pieces)
+            sum(max(0, _prefix(k0, p, terms, n) - _prefix(d, q, terms, n)) for k0, p, d, q, terms in ups)
             for n in points
         ]
     counts = []
@@ -857,16 +879,18 @@ def _ratio_exceptions(
 
     In a piece, with u = d - k0 and v = q - p, π(k) - k = u + t*v and
     k = k0 + t*p >= 1, so the two signs of the deviation give two
-    inequalities in t that exclude each other."""
-    rows = [[0] * len(points) for _ in eps_list]
-    for k0, p, d, q, terms in pieces:
-        u, v = d - k0, q - p
-        for i, n in enumerate(points):
-            last = _last_t(k0, p, terms, n)
-            for row, e in zip(rows, eps_list):
-                en, ed = e.numerator, e.denominator
-                row[i] += _count_solutions(v * ed - en * p, en * k0 - u * ed, last)
-                row[i] += _count_solutions(-v * ed - en * p, en * k0 + u * ed, last)
+    inequalities in t that exclude each other and do not depend on n.
+    Each is solved once per piece and eps, as a sub-progression of the
+    piece's domain; a row is the prefix counts of its sub-progressions."""
+    rows = []
+    for e in eps_list:
+        en, ed = e.numerator, e.denominator
+        subs = []
+        for k0, p, d, q, terms in pieces:
+            u, v = d - k0, q - p
+            subs += _terms_where(k0, p, terms, v * ed - en * p, en * k0 - u * ed)
+            subs += _terms_where(k0, p, terms, -v * ed - en * p, en * k0 + u * ed)
+        rows.append(_prefix_counts(sorted(subs), points))
     return rows
 
 

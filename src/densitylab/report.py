@@ -5,10 +5,11 @@ decimal field is a rounded display shadow of the exact value, never the
 other way around.
 
 `emit_json` writes exactly the bytes of
-``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"`` without calling
-it: CPython 3.10 and 3.11 use their C encoder only when ``indent`` is None,
-and otherwise fall back to ``json.encoder._make_iterencode``, one Python
-generator per container, which cost a fifth of a typical request.
+``json.dumps(obj, indent=2, ensure_ascii=False) + "\\n"``.  From CPython
+3.13 on it calls it, since the C encoder then handles ``indent`` too.
+CPython 3.10 to 3.12 use their C encoder only when ``indent`` is None, and
+otherwise fall back to ``json.encoder._make_iterencode``, one Python
+generator per container, which cost a fifth of a typical request; there
 `_write` makes the same walk in one pass: strings go through the C
 ``encode_basestring``, exact ints through ``int.__repr__``, the dicts `rat`
 builds through one template, and every other scalar through
@@ -20,6 +21,7 @@ here, where the stdlib raises `ValueError`.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring as _quote
 from numbers import Rational
@@ -107,6 +109,8 @@ def _write(o, put, nl: str) -> None:
 
 
 def emit_json(obj) -> str:
+    if sys.version_info >= (3, 13):
+        return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
     parts: list[str] = []
     _write(obj, parts.append, "\n")
     parts.append("\n")

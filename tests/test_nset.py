@@ -27,7 +27,9 @@ from densitylab.nset import (
     Scaled,
     Union,
     _eventual_period,
+    _periodic_mask,
     _rank_form,
+    _residues,
     _segments,
     blocks_dexp,
     blocks_explicit,
@@ -177,6 +179,53 @@ def test_validation_errors():
         blocks_explicit([(4, 8), (6, 10)])
     with pytest.raises(ValueError):
         scale(periodic(2, [0]), 0)
+
+
+@pytest.mark.parametrize("size", [1, 2, 8, 9, 40])
+def test_periodic_residue_check_raises_for_every_length(size):
+    good = tuple(range(1, 2 * size, 2))
+    m = 2 * size
+    assert Periodic(m, good).residues == good
+    bad = [
+        good[:-1] + (m,),  # not below the modulus
+        (-1,) + good[1:],  # negative
+        good[:1] + good[:-1],  # a repeat
+        good[1:2] + good[:1] + good[2:],  # out of order
+    ]
+    for residues in bad if size > 1 else bad[:2]:
+        with pytest.raises(ValueError, match="residues must be sorted, distinct, < modulus"):
+            Periodic(m, residues)
+
+
+def _bits(mask):
+    return tuple(r for r, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1")
+
+
+def test_residues_match_a_bit_by_bit_reference():
+    rng = random.Random(83)
+    masks = [0, 1, 2, 3, 0b1001, (1 << 84) - 1, 1 << 99_999, (1 << 99_999) | 1]
+    # random wide masks, dense and sparse: the two ways _residues reads a mask
+    masks += [rng.getrandbits(rng.randrange(1, 100_000)) for _ in range(6)]
+    masks += [sum(1 << rng.randrange(100_000) for _ in range(rng.randrange(1, 200))) for _ in range(6)]
+    masks += [rng.getrandbits(rng.randrange(1, 70)) for _ in range(200)]
+    for mask in masks:
+        assert _residues(mask) == _bits(mask), mask
+
+
+def test_periodic_masks_match_a_bit_by_bit_reference():
+    rng = random.Random(89)
+    cases = [Periodic(1, (0,)), Periodic(7, ()), Periodic(2, (1,)), Periodic(12, (1, 5, 7, 11))]
+    for m in (16, 64, 1000, 20_000):
+        for k in (1, m // 20, m // 3, m):  # the dense ones set their bits as digits
+            cases.append(Periodic(m, tuple(sorted(rng.sample(range(m), max(k, 1))))))
+    for s in cases:
+        for t in (1, 2, 5):
+            for width in (t * s.modulus, 3 * t * s.modulus):
+                members = set(s.residues)
+                want = int("".join("1" if x % t == 0 and x // t % s.modulus in members else "0"
+                                   for x in reversed(range(width))) or "0", 2)
+                assert _periodic_mask(s, t, width) == want, (s.modulus, len(s.residues), t, width)
+                assert _residues(want) == _bits(want)
 
 
 # ---------------------------------------------------------------------------

@@ -1009,6 +1009,61 @@ def test_a_tampered_restricted_piece_fails_its_check(monkeypatch):
             _checked_pieces(psi, [10, 1000])
 
 
+def _boundary_grids(rng, pi, top, count):
+    """Up to ``count`` grids ending at ``top`` on which ``pi`` takes the piece path.  Their other
+    points are drawn from the first and last terms of every piece and of its image, each ±1, and a
+    point below every k0: where a prefix count starts, stops or is cut short."""
+    pieces = pi.pieces(top)
+    near = set()
+    for k0, p, d, q, terms in pieces:
+        for x in (k0, k0 + (terms - 1) * p, d, d + (terms - 1) * q):
+            near.update((x - 1, x, x + 1))
+        near.add(rng.randrange(1, k0 + 1))
+    near = sorted(x for x in near if 1 <= x < top)
+    rng.shuffle(near)
+    size = top // len(pieces) - 1  # the most points the piece path takes besides top
+    grids = [tuple(sorted(near[i:i + size])) + (top,) for i in range(0, len(near), size)][:count]
+    assert all(_checked_pieces(pi, pts) is not None for pts in grids), pi
+    return grids
+
+
+def test_piece_readers_at_the_ends_of_every_piece():
+    """The four piece readers against scans, at the points where a prefix count of a piece
+    changes: its first and last terms and those of its image, ±1."""
+    rng = random.Random(79)
+    top = 3000
+    eps = [Fraction(1, 7), Fraction(1, 2), Fraction(1), Fraction(1, 16)]
+    targets = [scale(periodic(3, [1, 2]), 2), finite(1, 6, 7, 100, 2999), union(finite(5, 9, 1001), periodic(4, [1]))]
+    rules = _PIECE_RULES + rng.sample(_restrictions(rng), 12) + _random_rules_with_pieces(rng, 4)
+    taken = total = 0
+    for pi in rules:
+        grids = _boundary_grids(rng, pi, top, 4)
+        total += len(grids)
+        every = Explicit(tuple(sorted({n for pts in grids for n in pts})))
+        # one scan each over every grid point
+        down = dict(zip(every.points(), levy_defect_profile(pi, every, mode="downward").defects))
+        smallest, up = _moved_up(Scanned(pi), every.points())
+        up = dict(zip(every.points(), up))
+        table = _stat_table(lambda k: (pi.apply(k), k), 1, eps, every, Fraction(1, 100))
+        ratios = [dict(row.densities) for row in table.rows]
+        a = rng.choice(targets)
+        seen, image = 0, {}
+        for m in range(1, top + 1):
+            seen += a.contains(pi.invert(m))
+            image[m] = seen
+        assert image[top] == brute_image_count(pi, a, top)
+        for pts in grids:
+            assert levy_defect_profile(pi, Explicit(pts)).defects == tuple(down[n] for n in pts), (pi, pts)
+            assert _moved_up(pi, pts) == (smallest, [up[n] for n in pts]), (pi, pts)
+            got = ratio_stat_report(pi, eps, Explicit(pts)).stat.rows
+            assert [dict(row.densities) for row in got] == [{n: r[n] for n in pts} for r in ratios], (pi, pts)
+            counted = _image_counts(pi, a, pts, 10**7)
+            if counted is not None:  # else a steep piece needs a period that a finite prefix hides
+                taken += 1
+                assert counted == [image[n] for n in pts], (pi, a, pts)
+    assert total >= 50 and taken >= total * 9 // 10
+
+
 _FAR = ["--horizon", str(2**64), "--budget", str(2**64)]
 
 
