@@ -238,6 +238,8 @@ def limit_along(
     tail_from = total - tail
 
     dense = isinstance(seq, All)
+    if dense and budget is not None and total > budget:
+        raise EnumerationBudgetExceeded(total, budget, "per-integer limit scan")
     keep_every = 1 if total <= _PROFILE_CAP else ceil(total / _PROFILE_CAP)
 
     kept_pts: list[int] = []

@@ -156,7 +156,7 @@ def _run_levy(args, config):
 
 def _run_statlim(args, config):
     pi = parse_expression(args.perm, "perm")
-    eps_grid = [Fraction(e) for e in (args.eps or ["1/10", "1/100"])]
+    eps_grid = args.eps or [Fraction(1, 10), Fraction(1, 100)]
     rep = ratio_stat_report(pi, eps_grid, stat_checkpoints(config.horizon))
     rows = []
     sections = []
@@ -365,11 +365,23 @@ def _run_suite(args, config):
 # ---------------------------------------------------------------------------
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational flag such as 1/1000.  A bad one is an input error, with the
+    message argparse gives for type=Fraction; so is a zero denominator, whose
+    ZeroDivisionError argparse would let through as a traceback."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
 def _add_config_flags(sp, dexp_default: int):
     sp.add_argument("--horizon", type=int, default=ExperimentConfig.horizon, help="largest evaluation index")
     sp.add_argument("--tail", type=int, default=None, metavar="N",
                     help="tail window start (default horizon/10)")
-    sp.add_argument("--tol", type=Fraction, default=ExperimentConfig.tol,
+    sp.add_argument("--tol", type=_fraction, default=ExperimentConfig.tol,
                     help="tolerance as a rational, e.g. 1/1000")
     sp.add_argument("--budget", type=int, default=ExperimentConfig.enumeration_budget,
                     help="enumeration budget for fallback scans")
@@ -412,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for arg, arg_help in positionals:
             sp.add_argument(arg, help=arg_help)
         if name == "statlim":
-            sp.add_argument("--eps", action="append", metavar="Q",
+            sp.add_argument("--eps", action="append", type=_fraction, metavar="Q",
                             help="epsilon as a rational; repeatable (default 1/10, 1/100)")
         if name == "witness":
             sp.add_argument("--cap", type=int, default=None,

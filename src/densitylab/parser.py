@@ -1,7 +1,8 @@
 """Recursive-descent parser for the set / sequence / permutation / measure
 expression grammars.
 
-The grammars are whitespace-insensitive; integers are decimal.  Parsed
+The grammars are whitespace-insensitive; integers are decimal.  Each
+grammar is one table (``_FORMS``) of its forms, read by ``_read``.  Parsed
 expressions are built through the canonicalizing constructors, so
 pretty-printing a parsed rule and re-parsing yields a semantically
 identical rule (possibly in simplified form).
@@ -59,215 +60,147 @@ class _Tokens:
         return int(self.expect("int")[1])
 
 
+def _sequence(t: _Tokens, read) -> list:
+    """read(t), then read(t) again after each comma."""
+    items = [read(t)]
+    while t.peek()[1] == ",":  # only a punctuation token has this text
+        t.i += 1
+        items.append(read(t))
+    return items
+
+
 def _int_list(t: _Tokens) -> list[int]:
-    out = []
-    if t.peek()[:2] == ("punct", ")"):
-        return out
-    out.append(t.expect_int())
-    while t.peek()[:2] == ("punct", ","):
-        t.next()
+    """Integers separated by commas, or none before a ')'; each integer
+    followed by a comma is read straight from the token list."""
+    items, i, out = t.items, t.i, []
+    while i + 1 < len(items) and items[i][0] == "int" and items[i + 1][1] == ",":
+        out.append(int(items[i][1]))
+        i += 2
+    t.i = i
+    if out or t.peek()[1] != ")":
         out.append(t.expect_int())
     return out
 
 
-def _rational(t: _Tokens) -> Fraction:
-    num = t.expect_int()
-    if t.peek()[:2] == ("punct", "/"):
+def _read(t: _Tokens, readers) -> list:
+    """One value per argument reader: a grammar kind reads one form of that
+    grammar, "int" an integer, "ints" a comma list of them (maybe empty) and
+    a function the part of a form that has its own syntax; any other reader
+    is punctuation to expect, which gives no value."""
+    values = []
+    for r in readers:
+        grammar = _FORMS.get(r)
+        if grammar is not None:
+            noun, expected, forms = grammar
+            _, name, pos = t.expect("name")
+            if name not in forms:
+                raise ParseError(f"unknown {noun} form {name!r}", pos, expected=expected)
+            args, build = forms[name]
+            values.append(build(*_read(t, args)))
+        elif r == "int":
+            values.append(t.expect_int())
+        elif r == "ints":
+            values.append(_int_list(t))
+        elif t.peek()[1] == r:  # only a punctuation token has this text
+            t.i += 1
+        elif callable(r):
+            values.append(r(t))
+        else:
+            t.expect("punct", r)
+    return values
+
+
+# readers of the parts with their own syntax
+def _blocks(t: _Tokens):
+    """dexp, or [lo,hi) intervals separated by commas."""
+    if t.peek()[:2] == ("name", "dexp"):
         t.next()
+        return "dexp"
+    return _sequence(t, lambda t: tuple(_read(t, ("[", "int", ",", "int", ")"))))
+
+
+def _cycles(t: _Tokens) -> tuple:
+    """(a b ...) cycles, as the pairs of the table they make."""
+    pairs: list[tuple[int, int]] = []
+    while t.peek()[:2] == ("punct", "("):
+        t.next()
+        cycle = [t.expect_int()]
+        while t.peek()[0] == "int":
+            cycle.append(t.expect_int())
+        t.expect("punct", ")")
+        pairs.extend(zip(cycle, cycle[1:] + cycle[:1]))
+    return tuple(pairs)
+
+
+def _mix_term(t: _Tokens) -> tuple:
+    """w:M with a rational weight w."""
+    num, den = t.expect_int(), 1
+    if t.peek()[1] == "/":
+        t.i += 1
         den = t.expect_int()
         if den == 0:
             raise ParseError("zero denominator", t.peek()[2])
-        return Fraction(num, den)
-    return Fraction(num)
+    return (Fraction(num, den), *_read(t, (":", "measure")))
 
 
-def _parse_set(t: _Tokens) -> nset.SymbolicSet:
-    kind, name, pos = t.expect("name")
-    if name == "empty":
-        return nset.Empty()
-    if name == "full":
-        return nset.Full()
-    if name == "finite":
-        t.expect("punct", "(")
-        elems = _int_list(t)
-        t.expect("punct", ")")
-        return nset.finite(*elems)
-    if name == "periodic":
-        t.expect("punct", "(")
-        m = t.expect_int()
-        t.expect("punct", ";")
-        residues = _int_list(t)
-        t.expect("punct", ")")
-        return nset.periodic(m, residues)
-    if name == "blocks":
-        t.expect("punct", "(")
-        if t.peek()[:2] == ("name", "dexp"):
-            t.next()
-            t.expect("punct", ")")
-            return nset.blocks_dexp()
-        intervals = []
-        while True:
-            t.expect("punct", "[")
-            lo = t.expect_int()
-            t.expect("punct", ",")
-            hi = t.expect_int()
-            t.expect("punct", ")")
-            intervals.append((lo, hi))
-            if t.peek()[:2] == ("punct", ","):
-                t.next()
-                continue
-            break
-        t.expect("punct", ")")
-        return nset.blocks_explicit(intervals)
-    if name == "scale":
-        t.expect("punct", "(")
-        factor = t.expect_int()
-        t.expect("punct", ",")
-        inner = _parse_set(t)
-        t.expect("punct", ")")
-        return nset.scale(inner, factor)
-    if name in ("union", "inter", "diff"):
-        t.expect("punct", "(")
-        left = _parse_set(t)
-        t.expect("punct", ",")
-        right = _parse_set(t)
-        t.expect("punct", ")")
-        return {"union": nset.union, "inter": nset.inter, "diff": nset.diff}[name](left, right)
-    if name == "compl":
-        t.expect("punct", "(")
-        inner = _parse_set(t)
-        t.expect("punct", ")")
-        return nset.compl(inner)
-    raise ParseError(f"unknown set form {name!r}", pos, expected="a set expression")
+def _name_position(t: _Tokens) -> int:
+    """The position of the form's name, the token read last."""
+    return t.items[t.i - 1][2]
 
 
-def _parse_seq(t: _Tokens) -> asymptotics.IndexSequence:
-    _, name, pos = t.expect("name")
-    if name == "all":
-        t.expect("punct", "(")
-        n = t.expect_int()
-        t.expect("punct", ")")
-        return asymptotics.All(n)
-    if name == "explicit":
-        t.expect("punct", "(")
-        pts = _int_list(t)
-        t.expect("punct", ")")
-        return asymptotics.Explicit(tuple(pts))
-    if name == "dexp":
-        t.expect("punct", "(")
-        k = t.expect_int()
-        t.expect("punct", ")")
-        return asymptotics.DoubleExponential(k)
-    if name == "doubled":
-        t.expect("punct", "(")
-        inner = _parse_seq(t)
-        t.expect("punct", ")")
-        return asymptotics.Doubled(inner)
-    if name == "geom":
-        t.expect("punct", "(")
-        first = t.expect_int()
-        t.expect("punct", ",")
-        ratio = t.expect_int()
-        t.expect("punct", ",")
-        k = t.expect_int()
-        t.expect("punct", ")")
-        return asymptotics.Geometric(first, ratio, k)
-    raise ParseError(f"unknown sequence form {name!r}", pos, expected="an index sequence")
+def _restricted(pos: int, base, exceptional) -> perm.PermutationRule:
+    if not isinstance(base, perm.InterlacedPairing):
+        raise ParseError("restrict needs a pairing base", pos, expected="pair(...)")
+    return perm.Restricted(base, exceptional)
 
 
-def _parse_perm(t: _Tokens) -> perm.PermutationRule:
-    _, name, pos = t.expect("name")
-    if name == "id":
-        return perm.Identity()
-    if name == "qswap":
-        return perm.QuarterBlockSwap()
-    if name == "table":
-        t.expect("punct", "(")
-        pairs: list[tuple[int, int]] = []
-        while t.peek()[:2] == ("punct", "("):
-            t.next()
-            cycle = [t.expect_int()]
-            while t.peek()[0] == "int":
-                cycle.append(t.expect_int())
-            t.expect("punct", ")")
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                pairs.append((a, b))
-        t.expect("punct", ")")
-        return perm.FiniteTable(tuple(pairs))
-    if name == "pair":
-        t.expect("punct", "(")
-        a = _parse_set(t)
-        t.expect("punct", ",")
-        b = _parse_set(t)
-        t.expect("punct", ")")
-        return perm.pairing_permutation(a, b)
-    if name == "restrict":
-        t.expect("punct", "(")
-        base = _parse_perm(t)
-        t.expect("punct", ",")
-        exceptional = _parse_set(t)
-        t.expect("punct", ")")
-        if not isinstance(base, perm.InterlacedPairing):
-            raise ParseError("restrict needs a pairing base", pos, expected="pair(...)")
-        return perm.Restricted(base, exceptional)
-    if name == "comp":
-        t.expect("punct", "(")
-        outer = _parse_perm(t)
-        t.expect("punct", ",")
-        inner = _parse_perm(t)
-        t.expect("punct", ")")
-        return perm.Compose(outer, inner)
-    if name == "inv":
-        t.expect("punct", "(")
-        inner = _parse_perm(t)
-        t.expect("punct", ")")
-        return perm.Inverse(inner)
-    raise ParseError(f"unknown permutation form {name!r}", pos, expected="a permutation")
-
-
-def _parse_measure(t: _Tokens) -> measure.MeasureRule:
-    _, name, pos = t.expect("name")
-    if name == "sublim":
-        t.expect("punct", "(")
-        seq = _parse_seq(t)
-        t.expect("punct", ")")
-        return measure.SubsequenceLimit(seq)
-    if name == "combo":
-        t.expect("punct", "(")
-        seq = _parse_seq(t)
-        t.expect("punct", ")")
-        return measure.BlumlingerCombo(seq)
-    if name == "mix":
-        t.expect("punct", "(")
-        terms = []
-        while True:
-            w = _rational(t)
-            t.expect("punct", ":")
-            terms.append((w, _parse_measure(t)))
-            if t.peek()[:2] == ("punct", ","):
-                t.next()
-                continue
-            break
-        t.expect("punct", ")")
-        return measure.Mixture(tuple(terms))
-    raise ParseError(f"unknown measure form {name!r}", pos, expected="a measure rule")
-
-
-_PARSERS = {
-    "set": _parse_set,
-    "seq": _parse_seq,
-    "perm": _parse_perm,
-    "measure": _parse_measure,
+# One table per grammar: (its noun, what an unknown form expected, its
+# forms), a form being name -> (argument readers, constructor).
+_TWO = ("(", "set", ",", "set", ")")
+_FORMS = {
+    "set": ("set", "a set expression", {
+        "empty": ((), nset.Empty),
+        "full": ((), nset.Full),
+        "finite": (("(", "ints", ")"), lambda elems: nset.finite(*elems)),
+        "periodic": (("(", "int", ";", "ints", ")"), nset.periodic),
+        "blocks": (("(", _blocks, ")"), lambda b: nset.blocks_dexp() if b == "dexp" else nset.blocks_explicit(b)),
+        "scale": (("(", "int", ",", "set", ")"), lambda factor, inner: nset.scale(inner, factor)),
+        "union": (_TWO, nset.union),
+        "inter": (_TWO, nset.inter),
+        "diff": (_TWO, nset.diff),
+        "compl": (("(", "set", ")"), nset.compl),
+    }),
+    "seq": ("sequence", "an index sequence", {
+        "all": (("(", "int", ")"), asymptotics.All),
+        "explicit": (("(", "ints", ")"), lambda pts: asymptotics.Explicit(tuple(pts))),
+        "dexp": (("(", "int", ")"), asymptotics.DoubleExponential),
+        "doubled": (("(", "seq", ")"), asymptotics.Doubled),
+        "geom": (("(", "int", ",", "int", ",", "int", ")"), asymptotics.Geometric),
+    }),
+    "perm": ("permutation", "a permutation", {
+        "id": ((), perm.Identity),
+        "qswap": ((), perm.QuarterBlockSwap),
+        "table": (("(", _cycles, ")"), perm.FiniteTable),
+        "pair": (_TWO, perm.pairing_permutation),
+        "restrict": ((_name_position, "(", "perm", ",", "set", ")"), _restricted),
+        "comp": (("(", "perm", ",", "perm", ")"), perm.Compose),
+        "inv": (("(", "perm", ")"), perm.Inverse),
+    }),
+    "measure": ("measure", "a measure rule", {
+        "sublim": (("(", "seq", ")"), measure.SubsequenceLimit),
+        "combo": (("(", "seq", ")"), measure.BlumlingerCombo),
+        "mix": (("(", lambda t: tuple(_sequence(t, _mix_term)), ")"), measure.Mixture),
+    }),
 }
 
 
 def parse_expression(text: str, kind: str):
     """Parse ``text`` as one of the four grammars: set, seq, perm, measure."""
-    if kind not in _PARSERS:
+    if kind not in _FORMS:
         raise ValueError(f"unknown expression kind {kind!r}")
     tokens = _Tokens(text)
     try:
-        result = _PARSERS[kind](tokens)
+        [result] = _read(tokens, (kind,))
     except ValueError as exc:
         # semantic validation inside constructors (bad residues, weights, ...)
         raise ParseError(str(exc), tokens.peek()[2]) from exc

@@ -18,7 +18,7 @@ from densitylab.asymptotics import (
     ratio_profile,
     statistical_limit,
 )
-from densitylab.errors import WitnessTooSparse
+from densitylab.errors import EnumerationBudgetExceeded, WitnessTooSparse
 from densitylab.measure import equal_measure_test
 from densitylab.nset import (
     Empty,
@@ -117,6 +117,13 @@ def test_limit_along_doubled_points_match_block_ends():
         Fraction(69, 128),
         Fraction(16453, 32768),
     ]
+
+
+def test_limit_along_refuses_an_all_sequence_past_the_budget():
+    s, tol = periodic(3, [1]), Fraction(1, 1000)
+    with pytest.raises(EnumerationBudgetExceeded):
+        limit_along(s, All(2001), tol, budget=2000)
+    assert limit_along(s, All(2000), tol, budget=2000).points[-1] == 2000
 
 
 def test_limit_along_streams_dense_sequences():

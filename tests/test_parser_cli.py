@@ -1,11 +1,13 @@
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from densitylab import cli, nset
+from densitylab import cli, nset, parser
 from densitylab.cli import ExperimentConfig, run_command
 from densitylab.errors import ConfigError, ParseError
 from densitylab.parser import parse_expression
@@ -100,6 +102,65 @@ def test_parse_errors_carry_positions(kind, text, at):
     with pytest.raises(ParseError) as exc:
         parse_expression(text, kind)
     assert exc.value.position == at
+
+
+@pytest.mark.parametrize(
+    "kind,text,message,at",
+    [
+        ("set", "perioddic(2;0)", "unknown set form 'perioddic' (expected a set expression)", 0),
+        ("seq", "alll(5)", "unknown sequence form 'alll' (expected an index sequence)", 0),
+        ("perm", "swap", "unknown permutation form 'swap' (expected a permutation)", 0),
+        ("measure", "lim(dexp(2))", "unknown measure form 'lim' (expected a measure rule)", 0),
+        ("measure", "sublim(qswap)", "unknown sequence form 'qswap' (expected an index sequence)", 7),
+        ("set", "", "got '' (expected 'name')", 0),
+        ("set", "periodic 2;0)", "got '2' (expected '(')", 9),
+        ("set", "periodic(2,0)", "got ',' (expected ';')", 10),
+        ("seq", "geom(1;2,3)", "got ';' (expected ',')", 6),
+        ("seq", "dexp()", "got ')' (expected 'int')", 5),
+        ("set", "finite(1,)", "got ')' (expected 'int')", 9),
+        ("set", "union(empty)", "got ')' (expected ',')", 11),
+        ("perm", "comp(qswap;id)", "got ';' (expected ',')", 10),
+        ("measure", "mix(1/2;sublim(dexp(2)))", "got ';' (expected ':')", 7),
+        ("set", "blocks([8,4))", "bad interval [8, 4)", 13),
+        ("set", "blocks([16,32),[4,8))", "intervals must be sorted and disjoint", 21),
+        ("set", "blocks((4,8))", "got '(' (expected '[')", 7),
+        ("set", "blocks([4,8])", "got ']' (expected ')')", 11),
+        ("set", "blocks(dexp", "got '' (expected ')')", 11),
+        ("perm", "table((1 5)(2 3)", "got '' (expected ')')", 16),
+        ("perm", "table((1 5", "got '' (expected ')')", 10),
+        ("perm", "table((1 5)(2,3))", "got ',' (expected ')')", 13),
+        ("measure", "mix(1/0:sublim(dexp(2)))", "zero denominator", 7),
+        ("measure", "mix(1/2:sublim(dexp(2)))", "mixture weights must sum to 1, got 1/2", 24),
+        ("perm", "restrict(id,empty)", "restrict needs a pairing base (expected pair(...))", 0),
+        ("perm", "inv(restrict(comp(id,id),finite(1)))",
+         "restrict needs a pairing base (expected pair(...))", 4),
+        ("perm", "restrict(id,perioddic(1))",
+         "unknown set form 'perioddic' (expected a set expression)", 12),
+        ("set", "finite(3,9,12) junk", "trailing input 'junk' (expected end of input)", 15),
+        ("perm", "qswap)", "trailing input ')' (expected end of input)", 5),
+        ("set", "periodic(2;0)+empty", "unexpected character '+'", 13),
+        ("set", "finite(3,#)", "unexpected character '#'", 9),
+        ("set", "periodic(3;1,7)", "residues must be sorted, distinct, < modulus", 15),
+        ("set", "union(periodic(0;0),full)", "modulus must be >= 1", 19),
+        ("set", "scale(0,full)", "scale factor must be >= 1", 13),
+        ("seq", "geom(1,1,3)", "need first >= 1, integer ratio >= 2, terms >= 1", 11),
+        ("seq", "explicit(5,3)", "points must be strictly increasing and >= 1", 13),
+    ],
+)
+def test_parse_error_messages(kind, text, message, at):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(text, kind)
+    assert str(exc.value) == f"parse error at position {at}: {message}"
+    assert exc.value.position == at
+
+
+def test_readme_grammar_table_names_the_parser_forms():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Expression grammars", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| (set|seq|perm|measure) \| (.*) \|$", section, re.M)
+    assert [kind for kind, _ in rows] == list(parser._FORMS)
+    for kind, forms in rows:
+        assert set(re.findall(r"`([a-z]+)", forms)) == set(parser._FORMS[kind][2]), kind
 
 
 def test_table_cycles_round_trip():
@@ -300,6 +361,20 @@ def test_exit_code_2_on_bad_input():
     assert code2 == 2
     code3, _, _ = run(["nosuchcommand"])
     assert code3 == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["density", "full", "--tol", "1/0"], ["statlim", "id", "--eps", "1/0"]]
+)
+def test_zero_denominator_in_a_flag_exits_2(argv):
+    code, out, err = run(argv)
+    assert code == 2 and out == "" and "zero denominator in '1/0'" in err
+
+
+def test_all_sequence_past_the_budget_exits_3():
+    argv = ["measure", "sublim(all(2000000))", "periodic(3;1)", "--horizon", "1000", "--budget", "1000"]
+    code, out, err = run(argv)
+    assert code == 3 and out == "" and "exceeds the budget of 1000" in err
 
 
 def test_exit_code_3_on_budget_violation():
