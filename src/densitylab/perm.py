@@ -14,8 +14,9 @@ their thresholds and windows.
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,7 +41,6 @@ from .errors import (
 )
 from .nset import (
     _LCM_CAP,
-    Empty,
     FiniteList,
     Infinitude,
     Periodic,
@@ -176,6 +176,10 @@ class InterlacedPairing(PermutationRule):
     one ``select``.  Both sides answer them from their rank forms (a periodic
     tail and the points where the side departs from it) when both have one,
     and through their set trees otherwise.
+
+    Since the i-th pair is a_i <-> b_i, the defect and the image counts of
+    a pairing are read from the same two sides' counts and selects, with no
+    pieces (see ``_defect_counts`` and ``_pairing_image_counts``).
     """
 
     set_a: SymbolicSet
@@ -196,9 +200,8 @@ class InterlacedPairing(PermutationRule):
             ca = a_only.count(a_only.max_element()) if fa == Infinitude.FINITE else None
             cb = b_only.count(b_only.max_element()) if fb == Infinitude.FINITE else None
             if ca != cb:
-                raise CardinalityMismatch(
-                    f"cannot pair parts of sizes {ca} and {cb}"
-                )
+                a_part, b_part = ("an infinite part" if c is None else f"a part of size {c}" for c in (ca, cb))
+                raise CardinalityMismatch(f"cannot pair {a_part} with {b_part}")
             size = ca
         object.__setattr__(self, "a_only", a_only)
         object.__setattr__(self, "b_only", b_only)
@@ -606,7 +609,8 @@ def _image_counts(
     pi: PermutationRule, a: SymbolicSet, points: Sequence[int], budget: int
 ) -> Optional[list[int]]:
     """(πA)(n) = |{m <= n : π⁻¹(m) ∈ A}| at each of the increasing
-    ``points``, from the pieces of π⁻¹; None when there are none, or when a
+    ``points``: for a pairing from its two sides (``_pairing_image_counts``),
+    otherwise from the pieces of π⁻¹; None when there are none, or when a
     piece steps by more than 1 and A has no rank form, or when the tables
     below would hold more entries than the horizon.
 
@@ -620,7 +624,13 @@ def _image_counts(
       modulus l, membership of d + t*q is periodic in t, with period
       l/gcd(q, l); a prefix table over the terms up to c and one period
       answers every s.
+
+    A piece adds nothing at the points before its first term and its whole
+    count at every point from its last term on, so only the points in
+    between read a prefix; the whole count is read once and carried forward.
     """
+    if isinstance(pi, InterlacedPairing):
+        return _pairing_image_counts(pi, a, points, budget)
     pieces = _checked_pieces(Inverse(pi), points)
     if pieces is None:
         return None
@@ -635,34 +645,64 @@ def _image_counts(
             return None
     count = form.count if form is not None else lambda n: a.count(n, budget=budget)
     totals = [0] * len(points)
+    whole = [0] * len(points)  # whole[i]: the pieces complete from points[i] on
     for pc in pieces:
         k0, p, d, q, terms = pc
+        first = bisect_left(points, k0)
+        done = bisect_left(points, k0 + (terms - 1) * p, first)
         if q == 1:
             before = count(d - 1)
-            for i, n in enumerate(points):
-                seen = _prefix(k0, p, terms, n)
-                if seen:
-                    totals[i] += count(d + seen - 1) - before
-            continue
-        head, cycle = heads[pc], l // gcd(q, l)
-        prefix = list(itertools.accumulate((form.contains(d + t * q) for t in range(head + cycle)), initial=0))
-        for i, n in enumerate(points):
-            seen = _prefix(k0, p, terms, n)
-            if seen <= head:
-                totals[i] += prefix[seen]
-            else:
+
+            def members(seen):
+                return count(d + seen - 1) - before
+        else:
+            head, cycle = heads[pc], l // gcd(q, l)
+            prefix = list(itertools.accumulate((form.contains(d + t * q) for t in range(head + cycle)), initial=0))
+
+            def members(seen):
+                if seen <= head:
+                    return prefix[seen]
                 full, rest = divmod(seen - head, cycle)
-                totals[i] += prefix[head + rest] + full * (prefix[head + cycle] - prefix[head])
-    return totals
+                return prefix[head + rest] + full * (prefix[head + cycle] - prefix[head])
+        for i in range(first, done):
+            totals[i] += members(_prefix(k0, p, terms, points[i]))
+        if done < len(points):
+            whole[done] += members(terms)
+    return list(map(operator.add, totals, itertools.accumulate(whole)))
+
+
+def _pairing_image_counts(
+    pi: InterlacedPairing, x: SymbolicSet, points: Sequence[int], budget: int
+) -> list[int]:
+    """(πX)(n) at each of the ``points`` for a pairing of A' = {a_1 < ...}
+    and B' = {b_1 < ...}: π fixes every k outside A' ∪ B', and maps a_i
+    to b_i, which is at most n iff i <= B'(n), and b_i to a_i, at most n iff
+    i <= A'(n).  So
+    (πX)(n) = (X \\ (A' ∪ B'))(n) + (A' ∩ X)(a_B'(n)) + (B' ∩ X)(b_A'(n)),
+    where a term whose rank is 0 is 0.  The three sets are built once and
+    count from their segments; the ranks and a_i, b_i come from the sides."""
+    a, b = pi._sides
+    fixed = diff(x, union(pi.a_only, pi.b_only))
+    from_a, from_b = inter(pi.a_only, x), inter(pi.b_only, x)
+    out = []
+    for n in points:
+        ranks_a, ranks_b = a.count(n), b.count(n)
+        total = fixed.count(n, budget=budget)
+        if ranks_b:
+            total += from_a.count(a.select(ranks_b), budget=budget)
+        if ranks_a:
+            total += from_b.count(b.select(ranks_a), budget=budget)
+        out.append(total)
+    return out
 
 
 @dataclass(frozen=True)
 class ImageSet(SymbolicSet):
     """π(base) described through the inverse: m ∈ πA iff π⁻¹(m) ∈ A.
 
-    Counting reads the affine pieces of π⁻¹ where it has them (see
-    ``_image_counts``), then closed forms for pairings moving the whole of
-    one side to the other; otherwise it scans m <= n within the budget.
+    Counting reads a pairing's sides or the affine pieces of π⁻¹ where it
+    has them (see ``_image_counts``); otherwise it scans m <= n within the
+    budget.
     """
 
     pi: PermutationRule
@@ -676,14 +716,6 @@ class ImageSet(SymbolicSet):
         counted = _image_counts(pi, base, (n,), budget)
         if counted is not None:
             return counted[0]
-        if isinstance(pi, InterlacedPairing):
-            if base == pi.a_only:
-                return pi.b_only.count(n, budget=budget)
-            if base == pi.b_only:
-                return pi.a_only.count(n, budget=budget)
-            moved = union(pi.set_a, pi.set_b)
-            if inter(base, moved) == Empty():
-                return base.count(n, budget=budget)
         if n > budget:
             raise EnumerationBudgetExceeded(n, budget, "image-count scan")
         return sum(1 for m in range(1, n + 1) if base.contains(pi.invert(m)))
@@ -725,11 +757,16 @@ class DefectProfile:
 def _defect_counts(pi: PermutationRule, points: Sequence[int]) -> list[int]:
     """|{k : k <= n < π(k)}| at each of the increasing ``points``.
 
-    From π's pieces: the t with k = k0 + t*p <= n are a prefix of the
-    piece's terms, and so are the t with π(k) = d + t*q <= n, so the t with
-    k <= n < π(k) number max(0, prefix(k0, p) - prefix(d, q)) at n.
-    Otherwise in one pass: n joins the set when π(n) > n, and π⁻¹(n)
-    leaves it when π⁻¹(n) < n."""
+    For a pairing, |A'(n) - B'(n)|: the i-th pair a_i <-> b_i adds 1 at n
+    iff exactly one of a_i, b_i is at most n, that is iff i lies between
+    the two counts.  From π's pieces otherwise: the t with k = k0 + t*p <= n
+    are a prefix of the piece's terms, and so are the t with
+    π(k) = d + t*q <= n, so the t with k <= n < π(k) number
+    max(0, prefix(k0, p) - prefix(d, q)) at n.  Otherwise in one pass: n
+    joins the set when π(n) > n, and π⁻¹(n) leaves it when π⁻¹(n) < n."""
+    if isinstance(pi, InterlacedPairing):
+        a, b = pi._sides
+        return [abs(a.count(n) - b.count(n)) for n in points]
     pieces = _checked_pieces(pi, points)
     if pieces is not None:
         # a piece with d <= k0 and q <= p maps no k above k, so it adds 0
@@ -795,7 +832,10 @@ def displacement_profile(
     """Exact (A(n) - (πA)(n)) / n at the points of ``seq``.
 
     The image count (πA)(n) is |{m <= n : π⁻¹(m) ∈ A}|, evaluated through
-    the inverse so no forward search is ever unbounded.
+    the inverse so no forward search is ever unbounded: for a pairing from
+    the counts of its two sides and of three sets built from A, for a rule
+    with pieces from the pieces of π⁻¹ (see ``_image_counts``), and
+    otherwise by a scan of every m up to the last point.
     """
     pts = list(seq.points())
     maxn = pts[-1]

@@ -243,6 +243,15 @@ def test_pair_subcommand_on_sides_finite_by_their_period():
     assert rep["result"]["first_pairs"] == []
 
 
+@pytest.mark.parametrize("expr, wording", [
+    ("pair(periodic(4;0),periodic(4;))", "cannot pair an infinite part with a part of size 0"),
+    ("pair(finite(3),periodic(4;1))", "cannot pair a part of size 1 with an infinite part"),
+])
+def test_pairing_an_infinite_part_with_a_finite_one_names_it_and_exits_2(expr, wording):
+    code, out, err = run(["levy", expr])
+    assert code == 2 and out == "" and wording in err and "None" not in err
+
+
 def test_witness_subcommand():
     rep = run_json(["witness", "qswap", "--horizon", "1000", "--cap", "1000"])
     assert rep["result"]["first_elements"][:8] == [4, 5, 6, 7, 16, 17, 18, 19]

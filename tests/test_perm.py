@@ -43,6 +43,7 @@ from densitylab.perm import (
     QuarterBlockSwap,
     Restricted,
     _checked_pieces,
+    _defect_counts,
     _image_counts,
     _moved_up,
     classify_tail,
@@ -1062,6 +1063,72 @@ def test_piece_readers_at_the_ends_of_every_piece():
                 taken += 1
                 assert counted == [image[n] for n in pts], (pi, a, pts)
     assert total >= 50 and taken >= total * 9 // 10
+
+
+# ---------------------------------------------------------------------------
+# pairings read from their two sides
+# ---------------------------------------------------------------------------
+
+# unequal densities, sides with heads (rank forms with flips), finite sides of
+# equal size, and random sides of every kind
+_SIDE_PAIRINGS = _MIXED_PAIRINGS + _RANK_FORM_PAIRINGS + _rank_form_pairings(89, 12)
+# each meets A', B' and the fixed points of most pairings above in different proportions
+_PAIRING_TARGETS = [
+    ODDS,
+    periodic(3, [1]),
+    union(finite(2, 3, 5, 8, 13), periodic(7, [0, 4])),
+    diff(periodic(5, [0, 1, 3]), finite(10, 15, 20)),
+    blocks_explicit([(4, 9), (40, 70)]),
+]
+
+
+def test_pairing_readers_match_the_scans_at_the_ends_of_every_piece():
+    """levy and displacement of a pairing, read from its sides' counts, against the downward scan
+    and the scan of the same bijection without pieces, where a piece's prefix count changes."""
+    rng = random.Random(89)
+    kinds = set()
+    for phi in _SIDE_PAIRINGS:
+        kinds |= {_side_kind(side, tree) for side, tree in zip(phi._sides, (phi.a_only, phi.b_only))}
+        grid = Explicit(tuple(sorted({n for pts in _boundary_grids(rng, phi, 3000, 3) for n in pts})))
+        up = levy_defect_profile(phi, grid).defects
+        assert up == levy_defect_profile(phi, grid, mode="downward").defects, (phi, grid)
+        for x in _PAIRING_TARGETS:
+            assert displacement_profile(phi, x, grid) == displacement_profile(Scanned(phi), x, grid), (phi, x)
+    assert kinds == {"periodic", "finite", "pure-periodic-tree", "head-plus-tail"}
+
+
+def test_pairing_readers_match_the_piece_readers_at_two_to_the_64():
+    # a pairing is an involution, so its inverse is the same bijection, read from its pieces
+    pts = sorted(set(doubling_checkpoints(2**64).points()) | {2**64 - 1, 3**40, 10**19 + 7})
+    for phi in _SIDE_PAIRINGS:
+        assert _checked_pieces(Inverse(phi), pts) is not None, phi
+        assert _defect_counts(phi, pts) == _defect_counts(Inverse(phi), pts), phi
+        for x in _PAIRING_TARGETS:
+            assert _image_counts(phi, x, pts, 2**64) == _image_counts(Inverse(phi), x, pts, 2**64), (phi, x)
+
+
+def test_pairing_past_the_rank_form_cap_reads_levy_and_displacement_from_its_sides():
+    # A' = [1, lo] and B' = [shift + 1, shift + lo]: π moves each onto the other by ±shift
+    lo, shift = 1000001, 2000000
+    assert _OVER_CAP._sides == (_OVER_CAP.a_only, _OVER_CAP.b_only)
+
+    def defect(n):
+        return min(n, lo) - max(0, min(n, shift + lo) - shift)
+
+    def image(x, n):
+        """|X ∩ π⁻¹[1, n]|: [1, n] with its part in A' shifted up and its part in B' down."""
+        def between(l, r):
+            return x.count(r) - x.count(l - 1) if l <= r else 0
+        return (between(shift + 1, shift + min(n, lo)) + between(lo + 1, min(n, shift))
+                + between(1, min(n, shift + lo) - shift) + between(shift + lo + 1, n))
+
+    ends = (1, lo, shift, shift + lo)
+    grid = Explicit(tuple(sorted({e + d for e in ends for d in (-1, 0, 1) if e + d >= 1} | {1234567, 2**64})))
+    defects = levy_defect_profile(_OVER_CAP, grid, budget=2**64).defects
+    assert defects == tuple(Fraction(defect(n), n) for n in grid.points())
+    for x in _PAIRING_TARGETS:
+        want = [(n, Fraction(x.count(n) - image(x, n), n)) for n in grid.points()]
+        assert displacement_profile(_OVER_CAP, x, grid, budget=2**64) == want, x
 
 
 _FAR = ["--horizon", str(2**64), "--budget", str(2**64)]
