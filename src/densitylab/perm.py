@@ -14,7 +14,6 @@ their thresholds and windows.
 from __future__ import annotations
 
 import itertools
-import operator
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -627,7 +626,7 @@ def _image_counts(
 
     A piece adds nothing at the points before its first term and its whole
     count at every point from its last term on, so only the points in
-    between read a prefix; the whole count is read once and carried forward.
+    between read a prefix; the whole count is read once and added at the rest.
     """
     if isinstance(pi, InterlacedPairing):
         return _pairing_image_counts(pi, a, points, budget)
@@ -645,7 +644,6 @@ def _image_counts(
             return None
     count = form.count if form is not None else lambda n: a.count(n, budget=budget)
     totals = [0] * len(points)
-    whole = [0] * len(points)  # whole[i]: the pieces complete from points[i] on
     for pc in pieces:
         k0, p, d, q, terms = pc
         first = bisect_left(points, k0)
@@ -667,8 +665,10 @@ def _image_counts(
         for i in range(first, done):
             totals[i] += members(_prefix(k0, p, terms, points[i]))
         if done < len(points):
-            whole[done] += members(terms)
-    return list(map(operator.add, totals, itertools.accumulate(whole)))
+            whole = members(terms)
+            for i in range(done, len(points)):
+                totals[i] += whole
+    return totals
 
 
 def _pairing_image_counts(
