@@ -42,7 +42,7 @@ from .errors import (
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
 # Periodic/Periodic algebra is collapsed via the lcm only below this modulus (beyond it the raw
-# node is kept); it also caps a segment program's width and a rank form's points.
+# node is kept); it also caps a segment program's width and the leaf points ``_pieces`` reads.
 _LCM_CAP = 10**6
 
 # member_runs gives up (returns None) rather than build more runs than this.
@@ -373,13 +373,10 @@ class FiniteList(SymbolicSet):
 
 @dataclass(frozen=True)
 class Periodic(SymbolicSet):
-    """All n >= 1 with n mod modulus in residues; its own rank form, with no flips, and its own
-    eventual period, with b = 0."""
+    """All n >= 1 with n mod modulus in residues; its own eventual period, with b = 0."""
 
     modulus: int
     residues: tuple[int, ...]
-    flips = ()
-    tail = property(lambda self: self)
     # read by _eventual_period in place of the memo it keeps on other nodes
     _period_memo = property(lambda self: ((0, self),))
 
@@ -1089,28 +1086,14 @@ def _departures(s: SymbolicSet) -> list[tuple[FiniteList | Blocks, int]]:
     return [(leaf, t) for leaf, t in _compiled(s)[2] if _departs(leaf, t)]
 
 
-class _RankForm:
-    """A set as the periodic node ``tail`` and the sorted points ``flips`` (at least one) where it
-    departs from it.  Past i flips its count is the tail's plus ``_shift[i]``, a prefix sum of +1
-    per flip in the set, -1 per one out; a set with no flips is its tail, a ``Periodic`` node."""
-
-    def __init__(self, tail: Periodic, flips: tuple[int, ...]):
-        self.tail, self.flips, self._flipset = tail, flips, frozenset(flips)
-        self._shift = list(itertools.accumulate((-1 if tail.contains(f) else 1 for f in flips), initial=0))
-        self._last = self.count(flips[-1])  # the count at the last flip
-
-    def contains(self, n: int) -> bool:
-        return (n in self._flipset) != self.tail.contains(n)
-
-    def count(self, n: int) -> int:
-        return self.tail._count(n, 0) + self._shift[bisect_right(self.flips, n)]
-
-    def select(self, k: int) -> int:
-        if k > self._last:
-            return select(self.tail, k - self._shift[-1])
-        # flips[j] is the first flip where the count reaches k; the set has the tail's members before it
-        j = _least(0, len(self.flips) - 1, lambda i: self.count(self.flips[i]) >= k)
-        return self.flips[j] if self.count(self.flips[j] - 1) < k else select(self.tail, k - self._shift[j])
+def _last_departure(s: SymbolicSet) -> Optional[tuple[int, Periodic]]:
+    """(c, tail): ``s`` departs from ``tail``, its eventual tail, last at c (0: never); None where
+    ``_eventual_period`` cannot tell.  c is read from the segments up to b, else is b (exact for leaves)."""
+    period = _eventual_period(s)
+    segments = None if period is None or period[0] == 0 else _segments(s)
+    if segments is None:
+        return period
+    return segments.last_departure(_periodic_mask(period[1], 1, segments.width), period[0]), period[1]
 
 
 def _flips(s: SymbolicSet, tail: Periodic, bound: int) -> Optional[list[int]]:
@@ -1140,21 +1123,6 @@ def _flips(s: SymbolicSet, tail: Periodic, bound: int) -> Optional[list[int]]:
         return [n for n in points if s.contains(n) != tail.contains(n)]
     # s departs from an empty tail at its members
     return list(filter(s.contains, points))
-
-
-def _rank_form(s: SymbolicSet) -> Optional[_RankForm | Periodic]:
-    """``s`` as its tail and the points of its ``_departures`` leaves where it departs from it (the
-    tail alone when there are none); None when ``s`` has no eventual period or those leaves hold
-    more than ``_LCM_CAP`` points."""
-    period = _eventual_period(s)
-    if period is None:
-        return None
-    # every departure point is at most b
-    b, tail = period
-    flips = _flips(s, tail, b)
-    if flips is None:
-        return None
-    return _RankForm(tail, tuple(flips)) if flips else tail
 
 
 def _run_pieces(runs: list[tuple[int, int]]) -> tuple[Periodic, Iterator[int]]:
@@ -1355,7 +1323,7 @@ def _leaf_intervals(leaf: FiniteList | Blocks, lo: int, hi: int) -> Iterable[tup
 
 
 class _Segments:
-    """An algebra tree counted on [1, top] from its segments.
+    """A tree counted on [1, top] from its segments.
 
     The cut points are t·l and t·(r - 1) + 1 for every interval [l, r) of a
     block leaf under total scale factor t, and t·e and t·e + 1 for every
@@ -1363,16 +1331,17 @@ class _Segments:
     all out on the multiples of t, as at ⌈a/t⌉ for a segment that starts at
     a, so the tree is one residue mask mod ``width``, the lcm of every
     periodic leaf's t·m and every other leaf's t.  Segment i starts at
-    ``starts[i]``, and the count at every n in it is ``bases[i]`` plus the
-    members of its mask in [0, n].  Equal leaf states share one mask, equal
-    masks one pattern, and segments with one pattern are joined.  A count
-    past ``top`` appends the segments of the cuts up to it, so the cost is
-    per cut up to the largest count asked, never per integer.  Extensions
-    hold ``_EXTEND_LOCK`` and publish ``top`` last, so readers need none.
+    ``starts[i]``, the count at every n in it is ``bases[i]`` plus the
+    members of its mask in [0, n], and the count before it is ``below[i]``.
+    Equal leaf states share one mask, equal masks one pattern, and segments
+    with one pattern are joined.  A count past ``top`` appends the segments
+    of the cuts up to it, so the cost is per cut up to the largest count
+    asked, never per integer.  Extensions hold ``_EXTEND_LOCK`` and publish
+    ``top`` last, so readers need none.
 
-    A pattern is its mask cut into chunks of about √width bytes, with
-    the members before each chunk, so that a count reads one chunk of the
-    mask rather than all of it.
+    A pattern is its mask cut into chunks of about √width bytes, with the
+    members before each chunk, so that a count or a select reads one chunk
+    of the mask rather than all of it.
     """
 
     def __init__(self, width: int, program: int | tuple, leaves: list):
@@ -1381,7 +1350,7 @@ class _Segments:
         self._by_states: dict[tuple[bool, ...], tuple] = {}
         self._by_mask: dict[int, tuple] = {}
         pattern = self._pattern_at(1)
-        self.patterns, self.bases, self.starts = [pattern], [-self._members(pattern, 0)], [1]
+        self.patterns, self.bases, self.starts, self.below = [pattern], [-self._members(pattern, 0)], [1], [0]
         self.top = 1
 
     def _pattern_at(self, a: int) -> tuple[list[int], list[int]]:
@@ -1413,6 +1382,32 @@ class _Segments:
         i = bisect_right(self.starts, n) - 1
         return self.bases[i] + self._members(self.patterns[i], n)
 
+    def select(self, k: int, hi: int) -> int:
+        """The k-th member, at most ``hi``: in the last segment i whose count before its start is
+        below k, the member of rank k - ``bases[i]`` of its mask over n >= 0, read in one chunk."""
+        self.count(hi)  # extends the segments to hi
+        i = bisect_left(self.below, k) - 1
+        chunks, before = self.patterns[i]
+        q, j = divmod(k - self.bases[i] - 1, before[-1])  # j members of one period come first
+        c = bisect_right(before, j) - 1
+        return q * self.width + 8 * self._step * c + _residues(chunks[c])[j - before[c]]
+
+    def last_departure(self, tail: int, b: int) -> int:
+        """The last n <= b where the mask of n's segment and ``tail``, a residue mask mod ``width``,
+        differ, or 0; read from b's segment backwards, each only on the residues it reaches."""
+        self.count(b)  # extends the segments to b
+        end = b
+        for i in range(bisect_right(self.starts, b) - 1, -1, -1):
+            differ = tail ^ sum(chunk << 8 * self._step * k for k, chunk in enumerate(self.patterns[i][0]))
+            # the last differing residue at or below end's, else the last one a period before
+            r = end % self.width
+            low = differ & ((2 << r) - 1)
+            n = end - r + low.bit_length() - 1 if low else end - r - self.width + differ.bit_length() - 1
+            if differ and n >= self.starts[i]:
+                return n
+            end = self.starts[i] - 1
+        return 0
+
     def _extend(self, n: int) -> None:
         top, cuts = self.top, set()
         for leaf, t in self._leaves:
@@ -1422,19 +1417,20 @@ class _Segments:
             pattern = self._pattern_at(c)
             if pattern is self.patterns[-1]:
                 continue
-            self.bases.append(self.bases[-1] + self._members(self.patterns[-1], c - 1) - self._members(pattern, c - 1))
+            self.below.append(self.bases[-1] + self._members(self.patterns[-1], c - 1))  # the count at c - 1
+            self.bases.append(self.below[-1] - self._members(pattern, c - 1))
             self.patterns.append(pattern)
             self.starts.append(c)
         self.top = n
 
 
-def _segments(s: Union | Intersect | Diff | Complement) -> Optional[_Segments]:
-    """The segments of ``s``, built on its first count and memoized on it; None when its program
-    has an opaque leaf."""
+def _segments(s: SymbolicSet) -> Optional[_Segments]:
+    """The segments of ``s``, built on first use and memoized on it; None when its program has an
+    opaque leaf, or when ``s`` is a leaf of its own program, which counts and selects on its own."""
     memo = getattr(s, "_segment_memo", None)
     if memo is None:
         width, program, leaves = _compiled(s)
-        memo = (None if any(t is None for _, t in leaves) else _Segments(width, program, leaves),)
+        memo = (None if any(t is None or leaf is s for leaf, t in leaves) else _Segments(width, program, leaves),)
         object.__setattr__(s, "_segment_memo", memo)
     return memo[0]
 
@@ -1458,8 +1454,8 @@ def _least(lo: int, hi: int, test: Callable[[int], bool]) -> int:
 def select(s: SymbolicSet, k: int, budget: Optional[int] = None) -> int:
     """Return the k-th smallest element of ``s``.
 
-    Finite lists and periodic sets are indexed directly; every other set is
-    searched by bisection over ``count``.  Satisfies
+    Finite lists and periodic sets are indexed directly; every other set
+    selects from its segments or bisects ``count`` below an n with k members.  Satisfies
     ``count(select(s, k)) == k`` and ``contains(select(s, k))``.
     """
     if k < 1:
@@ -1471,6 +1467,9 @@ def select(s: SymbolicSet, k: int, budget: Optional[int] = None) -> int:
     if isinstance(s, Periodic) and s.residues:
         q, i = divmod(k - 1, len(s.residues))
         return q * s.modulus + s._offs[i]
+    segments = _segments(s)
+    if segments is not None and k <= segments.count(segments.top):
+        return segments.select(k, segments.top)
 
     flag = s.infinitude()
     if flag == Infinitude.FINITE:
@@ -1486,4 +1485,6 @@ def select(s: SymbolicSet, k: int, budget: Optional[int] = None) -> int:
                 raise UnknownInfinitude(
                     f"cannot certify that {s.to_expr()} has {k} elements"
                 )
+    if segments is not None:
+        return segments.select(k, hi)
     return _least(1, hi, lambda n: s.count(n, budget=budget) >= k)

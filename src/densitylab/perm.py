@@ -42,11 +42,10 @@ from .nset import (
     _LCM_CAP,
     FiniteList,
     Infinitude,
-    Periodic,
     Predicate,
     SymbolicSet,
-    _RankForm,
-    _rank_form,
+    _bound_by_period,
+    _last_departure,
     checked_budget,
     diff,
     inter,
@@ -172,9 +171,9 @@ class InterlacedPairing(PermutationRule):
     equal cardinality.
 
     ``apply`` maps a_i <-> b_i with i = A'(n) or B'(n), one ``count`` and
-    one ``select``.  Both sides answer them from their rank forms (a periodic
-    tail and the points where the side departs from it) when both have one,
-    and through their set trees otherwise.
+    one ``select``.  A side that never departs from its periodic tail is
+    that tail and answers them in closed form; any other side answers
+    through its set tree, from its segments where it has them.
 
     Since the i-th pair is a_i <-> b_i, the defect and the image counts of
     a pairing are read from the same two sides' counts and selects, with no
@@ -205,8 +204,8 @@ class InterlacedPairing(PermutationRule):
         object.__setattr__(self, "a_only", a_only)
         object.__setattr__(self, "b_only", b_only)
         object.__setattr__(self, "pair_total", size)
-        a, b = _rank_form(a_only), _rank_form(b_only)
-        object.__setattr__(self, "_sides", (a_only, b_only) if a is None or b is None else (a, b))
+        late = [(side, _last_departure(side)) for side in (a_only, b_only)]
+        object.__setattr__(self, "_sides", tuple(p[1] if p and p[0] == 0 else side for side, p in late))
 
     def apply(self, n):
         a, b = self._sides
@@ -220,19 +219,20 @@ class InterlacedPairing(PermutationRule):
         return self.apply(m)
 
     def pieces(self, horizon):
-        """For sides with rank forms: past c, the last point where either
-        side departs from its tail, both sides are periodic with period m,
-        the lcm of their tails' moduli, and A' has ra and B' rb members per
-        period, so a_(i+L) = a_i + m*L/ra and b_(i+L) = b_i + m*L/rb for
+        """For sides with eventual periods: past c, the last point where
+        either side departs from its tail, both sides are periodic with
+        period m, the lcm of their tails' moduli, and A' has ra and B' rb
+        members per period, so a_(i+L) = a_i + m*L/ra and b_(i+L) = b_i + m*L/rb for
         L = lcm(ra, rb) and i > i0 = max(A'(c), B'(c)).  The first i0 pairs
         are single points, with identity runs between them up to c; each of
         the next L pairs gives two progressions, and every residue in
         (c, c + m] in neither tail is fixed."""
         a, b = self._sides
-        if not all(isinstance(side, (_RankForm, Periodic)) for side in (a, b)):
+        late = _last_departure(a), _last_departure(b)
+        if None in late:
             return None
-        ta, tb = a.tail, b.tail
-        c = max(side.flips[-1] if side.flips else 0 for side in (a, b))
+        (ca, ta), (cb, tb) = late
+        c = max(ca, cb)
         m = lcm(ta.modulus, tb.modulus)
         if m > _LCM_CAP:
             return None
@@ -310,19 +310,19 @@ class Restricted(PermutationRule):
             raise ValueError("restriction base must be a pairing")
 
     def pieces(self, horizon):
-        """For an F whose rank form has an empty tail (its flips are then its
+        """For an F finite by its eventual period (an empty tail, b past its
         members) and a base with pieces: the base's pieces, each cut at every
         point e of E in its domain into the piece before e, the fixed point
         e -> e and the piece after e.  Points outside E map as under the base."""
-        form = _rank_form(self.exceptional)
+        f, bound = self.exceptional, _bound_by_period(self.exceptional)
         # reading more than ``horizon`` members of F costs more than a scan
-        if form is None or form.tail.residues or len(form.flips) > horizon:
+        if bound is None or f.count(bound) > horizon:
             return None
         pieces = self.base.pieces(horizon)
         if pieces is None:
             return None
         a, b = self.base._sides
-        orbit = {g for f in form.flips if a.contains(f) or b.contains(f) for g in (f, self.base.apply(f))}
+        orbit = {g for e in f.iter_elements(bound) if a.contains(e) or b.contains(e) for g in (e, self.base.apply(e))}
         fixed = sorted(e for e in orbit if e <= horizon)
         if len(fixed) * len(pieces) > horizon:
             return None
@@ -610,19 +610,18 @@ def _image_counts(
     """(πA)(n) = |{m <= n : π⁻¹(m) ∈ A}| at each of the increasing
     ``points``: for a pairing from its two sides (``_pairing_image_counts``),
     otherwise from the pieces of π⁻¹; None when there are none, or when a
-    piece steps by more than 1 and A has no rank form, or when the tables
-    below would hold more entries than the horizon.
+    piece steps by more than 1 and A has no eventual period, or when the
+    tables below would hold more entries than the horizon.
 
     Along a piece m = k0 + t*p -> π⁻¹(m) = d + t*q, the m <= n are the
     first s = prefix(k0, p) terms, t < s:
 
     * with q = 1 their values d, ..., d + s - 1 are consecutive, so the
-      count is A(d + s - 1) - A(d - 1), read from A's rank form when it has
-      one;
+      count is A(d + s - 1) - A(d - 1);
     * with q > 1, past the last point c where A departs from its tail of
-      modulus l, membership of d + t*q is periodic in t, with period
-      l/gcd(q, l); a prefix table over the terms up to c and one period
-      answers every s.
+      modulus l (``_last_departure``), membership of d + t*q is periodic in
+      t, with period l/gcd(q, l); a prefix table over the terms up to c and
+      one period answers every s.
 
     A piece adds nothing at the points before its first term and its whole
     count at every point from its last term on, so only the points in
@@ -633,29 +632,28 @@ def _image_counts(
     pieces = _checked_pieces(Inverse(pi), points)
     if pieces is None:
         return None
-    form = _rank_form(a)
     steep = [pc for pc in pieces if pc[3] > 1]
     if steep:
-        if form is None:
+        late = _last_departure(a)
+        if late is None:
             return None
-        c, l = form.flips[-1] if form.flips else 0, form.tail.modulus
+        c, l = late[0], late[1].modulus
         heads = {pc: min(pc[4], max(0, (c - pc[2]) // pc[3] + 1)) for pc in steep}
         if sum(heads[pc] + l // gcd(pc[3], l) for pc in steep) > points[-1]:
             return None
-    count = form.count if form is not None else lambda n: a.count(n, budget=budget)
     totals = [0] * len(points)
     for pc in pieces:
         k0, p, d, q, terms = pc
         first = bisect_left(points, k0)
         done = bisect_left(points, k0 + (terms - 1) * p, first)
         if q == 1:
-            before = count(d - 1)
+            before = a.count(d - 1, budget=budget)
 
             def members(seen):
-                return count(d + seen - 1) - before
+                return a.count(d + seen - 1, budget=budget) - before
         else:
             head, cycle = heads[pc], l // gcd(q, l)
-            prefix = list(itertools.accumulate((form.contains(d + t * q) for t in range(head + cycle)), initial=0))
+            prefix = list(itertools.accumulate((a.contains(d + t * q) for t in range(head + cycle)), initial=0))
 
             def members(seen):
                 if seen <= head:

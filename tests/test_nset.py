@@ -27,8 +27,8 @@ from densitylab.nset import (
     Scaled,
     Union,
     _eventual_period,
+    _last_departure,
     _periodic_mask,
-    _rank_form,
     _residues,
     _segments,
     blocks_dexp,
@@ -500,24 +500,52 @@ def _deep_periodic_trees(seed, count, opaque=False):
     return trees
 
 
-def test_rank_form_matches_brute_force_past_b_and_b_plus_l():
+def _headed_trees(seed, count):
+    """Depth-3 trees: a periodic set, of a modulus up to 210, with a finite head and an explicit
+    block added, taken out or kept, and a scaled ``dexp`` part inside the periodic set, which
+    cannot change the tail.  Head points inside the periodic set give segments whose masks differ
+    from the tail only on residues they never reach."""
+    rng = random.Random(seed)
+    trees = []
+    while len(trees) < count:
+        m = rng.choice((2, 3, 4, 5, 6, 70, 210))
+        p = periodic(m, rng.sample(range(m), rng.randrange(1, m)))
+        masked = union(p, inter(scale(blocks_dexp(), rng.randrange(1, 4)), p))
+        lo = rng.randrange(1, 100)
+        head = rng.choice((union, diff))(
+            finite(*rng.sample(range(1, 150), rng.randrange(1, 7))), blocks_explicit([(lo, lo + rng.randrange(1, 30))])
+        )
+        s = rng.choice((union, inter, diff, lambda x, y: diff(y, x)))(masked, head)
+        s = compl(s) if rng.random() < 0.2 else s
+        if _join_depth(s) >= 3:
+            trees.append(s)
+    return trees
+
+
+def test_segment_readers_match_brute_force_past_b_and_b_plus_l():
+    """count, contains, select and the last departure c from the tail, read from the segments,
+    against brute force up to 3(b + l) + 20, and select near 2^64 against the benchmark's oracle."""
     # an opaque part that cannot change the tail is read through; one that can gives no answer,
     # and a scaled one may hold any multiple of its factor
     assert _eventual_period(inter(blocks_explicit([(1, 100)]), _OPAQUE_LEAVES[2])) == (99, Periodic(1, ()))
     assert _eventual_period(union(periodic(2, [1]), inter(blocks_dexp(), periodic(2, [1])))) == (0, periodic(2, [1]))
     assert _eventual_period(inter(blocks_dexp(), periodic(3, [1]))) is None
     assert _eventual_period(union(scale(_OPAQUE_LEAVES[1], 2), periodic(3, [0, 2]))) is None
+    # the last segment starts at 2000002 and its last cut is 2000001, but the point is in the tail
+    assert _last_departure(union(periodic(4, [1]), finite(2000001))) == (0, periodic(4, [1]))
+    assert _last_departure(finite(3, 8)) == (8, Periodic(1, ()))
     plain = _deep_periodic_trees(101, 80)
     assert all(_eventual_period(s) is not None for s in plain)
     opaque = [s for s in _deep_periodic_trees(103, 80, opaque=True) if any(x in _OPAQUE_LEAVES for x in _subtrees(s))]
-    finite_seen = infinite_seen = with_flips = unknown = 0
-    for s in plain + opaque:
+    headed = _headed_trees(107, 60)
+    rng = random.Random(109)
+    finite_seen = infinite_seen = departing = unknown = unreached = 0
+    for s in plain + headed + opaque:
         period = _eventual_period(s)
         if period is None:
             unknown += 1
             continue
         b, tail = period
-        form = _rank_form(s)
         top = 3 * (b + tail.modulus) + 20
         assert top <= _OPAQUE_LEAVES[1].enumeration_cap
         members = sorted(brute_members(s, top))
@@ -528,23 +556,51 @@ def test_rank_form_matches_brute_force_past_b_and_b_plus_l():
         assert s.infinitude() == (Infinitude.INFINITE if infinite else Infinitude.FINITE), s
         bound = s.max_element()
         assert (bound is None) if infinite else (bound is not None and all(n <= bound for n in members)), s
-        assert all(f <= b for f in form.flips), s
-        assert [form.contains(n) for n in range(1, top + 1)] == [n in inside for n in range(1, top + 1)], s
+        departures = [n for n in range(1, b + 1) if (n in inside) != tail.contains(n)]
+        c, late_tail = _last_departure(s)
+        assert late_tail is tail, s
+        segments = _segments(s)
+        if segments is None:  # an opaque leaf: c is b, past every departure
+            assert c == b, s
+        else:
+            assert c == (departures[-1] if departures else 0), s
+        assert [s.contains(n) for n in range(1, top + 1)] == [n in inside for n in range(1, top + 1)], s
         prefix = [0]
         for n in range(1, top + 1):
             prefix.append(prefix[-1] + (n in inside))
-        assert [form.count(n) for n in range(top + 1)] == prefix, s
-        assert [form.select(k) for k in range(1, len(members) + 1)] == members, s
+        # a tree with an opaque leaf counts from its parts, which costs too much to read everywhere;
+        # segments are extended to top once, by the first count
+        ns = range(top, -1, -1) if segments is not None else sorted(rng.sample(range(top + 1), 8) + [0, b, top])
+        assert [s.count(n) for n in ns] == [prefix[n] for n in ns], s
+        ks = range(1, len(members) + 1)
+        if segments is None and members:
+            ks = sorted({rng.choice(ks) for _ in range(4)} | {1, len(members)})
+        assert [select(s, k) for k in ks] == [members[k - 1] for k in ks], s
         if infinite:
-            beyond = form.select(len(members) + 1)
-            assert beyond > top and s.contains(beyond) and form.count(beyond) == len(members) + 1, s
+            beyond = select(s, len(members) + 1)
+            assert beyond > top and s.contains(beyond) and s.count(beyond) == len(members) + 1, s
         else:
             with pytest.raises(IndexBeyondSet):
-                form.select(len(members) + 1)
+                select(s, len(members) + 1)
+        if infinite and segments is not None and rng.random() < 0.4:
+            ref = bench_oracle.RefSet(bench_oracle.parse(s.to_expr(), "set"))
+            far = s.count(1 << 64)
+            for k in (far - 1, far, far + 1, rng.randrange(1, far)):
+                n = select(s, k)
+                assert ref.contains(n) and ref.count(n) == k, (s, k)
         finite_seen += not infinite
         infinite_seen += infinite
-        with_flips += bool(form.flips)
-    assert finite_seen >= 10 and infinite_seen >= 10 and with_flips >= 30
+        departing += c > 0
+        if segments is not None:
+            # a segment up to b whose mask differs from the tail's only on residues it never reaches
+            mask = _periodic_mask(tail, 1, tail.modulus)
+            ends = segments.starts[1:] + [b + 1]
+            unreached += any(
+                pattern[0] != mask and not any(start <= n < end for n in departures)
+                for pattern, start, end in zip(segments.patterns, segments.starts, ends)
+                if start <= b
+            )
+    assert finite_seen >= 10 and infinite_seen >= 10 and departing >= 30 and unreached >= 10
     # some trees with opaque parts have a period, some do not
     assert len(opaque) - unknown >= 15 and unknown >= 15
 

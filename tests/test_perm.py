@@ -16,12 +16,14 @@ from densitylab.asymptotics import Explicit, _stat_table, density, statistical_l
 from densitylab.cli import run_command
 from densitylab.corpus import disjoint_periodic_pairs, standard_permutation_corpus
 from densitylab.errors import CardinalityMismatch, UnknownInfinitude
+from densitylab.parser import parse_expression
 from densitylab.nset import (
     _LCM_CAP,
     Empty,
     Periodic,
-    _RankForm,
+    SymbolicSet,
     _eventual_period,
+    _last_departure,
     blocks_dexp,
     blocks_explicit,
     compl,
@@ -239,10 +241,13 @@ def test_closed_form_pairing_near_two_to_the_64():
 
 
 def _side_kind(side, tree):
-    assert isinstance(side, (_RankForm, Periodic)), side
-    if not side.tail.residues:
+    """The kind of a pairing side, by its tree and the last point c where the tree departs from its
+    tail; a side with c = 0 is its tail."""
+    c, tail = _last_departure(tree)
+    assert side is (tail if c == 0 else tree), side
+    if not tail.residues:
         return "finite"
-    if side.flips:
+    if c:
         return "head-plus-tail"
     return "periodic" if isinstance(tree, Periodic) else "pure-periodic-tree"
 
@@ -276,6 +281,8 @@ def _brute_members(s, count_at, top):
 
 
 def _rank_form_pairings(seed, count):
+    """Seeded pairings of ``_random_pairing_side``s, the kinds of side a rank form (a tail and the
+    points where a side departs from it) once held; they now read their trees' segments."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -293,7 +300,7 @@ def test_rank_form_pairings_match_rank_matching_past_b_and_b_plus_l():
         sides, trees = phi._sides, (phi.a_only, phi.b_only)
         kinds |= {_side_kind(side, tree) for side, tree in zip(sides, trees)}
         b = max(_eventual_period(tree)[0] for tree in trees)
-        l = max(side.tail.modulus for side in sides)
+        l = max(_last_departure(tree)[1].modulus for tree in trees)
         top = 3 * (b + l) + 20
         need = max(phi.a_only.count(top), phi.b_only.count(top))
         members = [_brute_members(tree, need, top) for tree in (phi.a_only, phi.b_only)]
@@ -311,7 +318,7 @@ def test_rank_form_pairings_match_rank_matching_past_b_and_b_plus_l():
 
 
 # 2000001 is odd, so A' is the odd numbers, but its tree has b = 2000001;
-# its rank form has no flip
+# it never departs from its tail, so c = 0
 _FAR_POINT = pairing_permutation(union(periodic(2, [1]), finite(2000001)), periodic(2, [0]))
 
 
@@ -327,13 +334,13 @@ def test_pairing_with_a_far_finite_point_has_pieces_near_two_to_the_64():
     assert [_FAR_POINT.apply(n) for n in points] == [oracle(n) for n in points]
 
 
-# each side has more than _LCM_CAP points, so neither has a rank form
+# each side is a block of more than 10^6 points, where it departs from its empty tail: past the
+# 10^6-point cap of the rank form that sides once had, which the tests' names recall
 _OVER_CAP = pairing_permutation(blocks_explicit([(1, 1000002)]), blocks_explicit([(2000001, 3000002)]))
 
 
 def test_pairing_past_the_rank_form_cap_answers_through_its_trees():
-    assert _OVER_CAP._sides == (_OVER_CAP.a_only, _OVER_CAP.b_only)
-    assert _OVER_CAP.pieces(3000) is None
+    assert _OVER_CAP.pieces(3000) is None  # 10^6 head pairs, more than the horizon
 
     def oracle(n):
         if n <= 1000001:
@@ -831,7 +838,7 @@ def test_pieces_partition_the_horizon_and_agree_with_apply():
 def test_rules_without_affine_structure_have_no_pieces():
     phi = pairing_permutation(ODDS, EVENS)
     assert restrict_pairing(phi, periodic(1000, [1])).pieces(100) is None  # F is infinite
-    assert _OVER_CAP.pieces(100) is None  # more than _LCM_CAP points per side
+    assert _OVER_CAP.pieces(100) is None  # 10^6 head pairs, more than the horizon
     assert Compose(QuarterBlockSwap(), Scanned(phi)).pieces(100) is None
     assert Inverse(Scanned(phi)).pieces(100) is None
 
@@ -1069,7 +1076,7 @@ def test_piece_readers_at_the_ends_of_every_piece():
 # pairings read from their two sides
 # ---------------------------------------------------------------------------
 
-# unequal densities, sides with heads (rank forms with flips), finite sides of
+# unequal densities, sides with heads (c > 0), finite sides of
 # equal size, and random sides of every kind
 _SIDE_PAIRINGS = _MIXED_PAIRINGS + _RANK_FORM_PAIRINGS + _rank_form_pairings(89, 12)
 # each meets A', B' and the fixed points of most pairings above in different proportions
@@ -1110,7 +1117,6 @@ def test_pairing_readers_match_the_piece_readers_at_two_to_the_64():
 def test_pairing_past_the_rank_form_cap_reads_levy_and_displacement_from_its_sides():
     # A' = [1, lo] and B' = [shift + 1, shift + lo]: π moves each onto the other by ±shift
     lo, shift = 1000001, 2000000
-    assert _OVER_CAP._sides == (_OVER_CAP.a_only, _OVER_CAP.b_only)
 
     def defect(n):
         return min(n, lo) - max(0, min(n, shift + lo) - shift)
@@ -1129,6 +1135,63 @@ def test_pairing_past_the_rank_form_cap_reads_levy_and_displacement_from_its_sid
     for x in _PAIRING_TARGETS:
         want = [(n, Fraction(x.count(n) - image(x, n), n)) for n in grid.points()]
         assert displacement_profile(_OVER_CAP, x, grid, budget=2**64) == want, x
+
+
+def test_a_side_with_a_million_point_head_reads_levy_and_displacement_from_its_segments(monkeypatch):
+    # A' = ([1, L] minus the n = 2 mod 3) plus the n = 1 mod 3, and B' = the n = 2 mod 3 past L; each
+    # departs from its tail at up to 10^6 points, which a reader of every point would visit
+    calls = [0]
+    for cls in SymbolicSet.__subclasses__():
+        if "contains" in cls.__dict__:
+            def counted(self, n, inner=cls.contains):
+                calls[0] += 1
+                return inner(self, n)
+            monkeypatch.setattr(cls, "contains", counted)
+    phi = parse_expression("pair(union(blocks([1,1000000)),periodic(3;1)),periodic(3;2))", "perm")
+    big = 999999
+
+    def per(m, residues, y):
+        """#{k in [1, y] : k mod m in residues}."""
+        return sum((y - r) // m + (r > 0) for r in residues) if y > 0 else 0
+
+    def a_count(n):
+        low = min(n, big)
+        return low - per(3, [2], low) + per(3, [1], n) - per(3, [1], low)
+
+    def b_count(n):
+        return per(3, [2], n) - per(3, [2], min(n, big))
+
+    def a_select(i):
+        if i <= 666666:
+            return 3 * ((i + 1) // 2) - 2 * (i % 2)
+        return big + 1 + 3 * (i - 666667)
+
+    def b_select(i):
+        return big + 2 + 3 * (i - 1)
+
+    def past(m, residues, y):
+        """#{k in (L, y] : k mod m in residues}."""
+        return per(m, residues, y) - per(m, residues, min(y, big))
+
+    def image(n):
+        """(πX)(n) for X = periodic(4;1): X meets A' mod 12 at 1 and 9 up to L and at 1 past it, B'
+        at 5, and the fixed points, the n = 2 mod 3 up to L and the n = 0 mod 3 past it, at 5 and 9."""
+        total = per(12, [5], min(n, big)) + past(12, [9], n)
+        if b_count(n):
+            y = a_select(b_count(n))
+            total += per(12, [1, 9], min(y, big)) + past(12, [1], y)
+        if a_count(n):
+            total += past(12, [5], b_select(a_count(n)))
+        return total
+
+    grid = doubling_checkpoints(2**64)
+    defects = levy_defect_profile(phi, grid, budget=2**64).defects
+    x = periodic(4, [1])
+    profile = displacement_profile(phi, x, grid, budget=2**64)
+    assert calls[0] < 10**4
+    assert defects == tuple(Fraction(abs(a_count(n) - b_count(n)), n) for n in grid.points())
+    assert profile == [(n, Fraction(per(4, [1], n) - image(n), n)) for n in grid.points()]
+    assert [a_count(n) for n in (1, 2, 3, big, big + 1, 2**64)] == [phi.a_only.count(n) for n in (1, 2, 3, big, big + 1, 2**64)]
 
 
 _FAR = ["--horizon", str(2**64), "--budget", str(2**64)]
