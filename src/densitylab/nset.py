@@ -1335,13 +1335,13 @@ class _Segments:
     members of its mask in [0, n], and the count before it is ``below[i]``.
     Equal leaf states share one mask, equal masks one pattern, and segments
     with one pattern are joined.  A count past ``top`` appends the segments
-    of the cuts up to it, so the cost is per cut up to the largest count
-    asked, never per integer.  Extensions hold ``_EXTEND_LOCK`` and publish
+    of the cuts up to it, or to twice ``top`` if that is further: the cost is
+    per cut, never per integer.  Extensions hold ``_EXTEND_LOCK`` and publish
     ``top`` last, so readers need none.
 
     A pattern is its mask cut into chunks of about √width bytes, with the
     members before each chunk, so that a count or a select reads one chunk
-    of the mask rather than all of it.
+    of the mask rather than all of it, and the mask itself.
     """
 
     def __init__(self, width: int, program: int | tuple, leaves: list):
@@ -1353,7 +1353,7 @@ class _Segments:
         self.patterns, self.bases, self.starts, self.below = [pattern], [-self._members(pattern, 0)], [1], [0]
         self.top = 1
 
-    def _pattern_at(self, a: int) -> tuple[list[int], list[int]]:
+    def _pattern_at(self, a: int) -> tuple[list[int], list[int], int]:
         """The pattern of a segment that starts at ``a``."""
         states = tuple(leaf.contains(-(-a // t)) for leaf, t in self._leaves)
         pattern = self._by_states.get(states)
@@ -1363,22 +1363,23 @@ class _Segments:
             if pattern is None:
                 raw, step = mask.to_bytes(self.width // 8 + 1, "little"), self._step
                 chunks = [int.from_bytes(raw[k : k + step], "little") for k in range(0, len(raw), step)]
-                pattern = self._by_mask[mask] = chunks, list(itertools.accumulate(map(int.bit_count, chunks), initial=0))
+                before = list(itertools.accumulate(map(int.bit_count, chunks), initial=0))
+                pattern = self._by_mask[mask] = chunks, before, mask
             self._by_states[states] = pattern
         return pattern
 
-    def _members(self, pattern: tuple[list[int], list[int]], n: int) -> int:
+    def _members(self, pattern: tuple[list[int], list[int], int], n: int) -> int:
         """The members of ``pattern``'s mask in [0, n]."""
         q, r = divmod(n, self.width)
         k, j = divmod(r, 8 * self._step)
-        chunks, before = pattern
+        chunks, before, _ = pattern
         return q * before[-1] + before[k] + (chunks[k] & ((2 << j) - 1)).bit_count()
 
     def count(self, n: int) -> int:
         if n > self.top:
             with _EXTEND_LOCK:
                 if n > self.top:
-                    self._extend(n)
+                    self._extend(max(n, 2 * self.top))  # a sweep upwards extends log2(n) times
         i = bisect_right(self.starts, n) - 1
         return self.bases[i] + self._members(self.patterns[i], n)
 
@@ -1387,7 +1388,7 @@ class _Segments:
         below k, the member of rank k - ``bases[i]`` of its mask over n >= 0, read in one chunk."""
         self.count(hi)  # extends the segments to hi
         i = bisect_left(self.below, k) - 1
-        chunks, before = self.patterns[i]
+        chunks, before, _ = self.patterns[i]
         q, j = divmod(k - self.bases[i] - 1, before[-1])  # j members of one period come first
         c = bisect_right(before, j) - 1
         return q * self.width + 8 * self._step * c + _residues(chunks[c])[j - before[c]]
@@ -1398,7 +1399,7 @@ class _Segments:
         self.count(b)  # extends the segments to b
         end = b
         for i in range(bisect_right(self.starts, b) - 1, -1, -1):
-            differ = tail ^ sum(chunk << 8 * self._step * k for k, chunk in enumerate(self.patterns[i][0]))
+            differ = tail ^ self.patterns[i][2]
             # the last differing residue at or below end's, else the last one a period before
             r = end % self.width
             low = differ & ((2 << r) - 1)
@@ -1454,8 +1455,8 @@ def _least(lo: int, hi: int, test: Callable[[int], bool]) -> int:
 def select(s: SymbolicSet, k: int, budget: Optional[int] = None) -> int:
     """Return the k-th smallest element of ``s``.
 
-    Finite lists and periodic sets are indexed directly; every other set
-    selects from its segments or bisects ``count`` below an n with k members.  Satisfies
+    Finite lists, periodic sets and blocks are indexed directly; every other
+    set selects from its segments or bisects ``count`` below an n with k members.  Satisfies
     ``count(select(s, k)) == k`` and ``contains(select(s, k))``.
     """
     if k < 1:
@@ -1467,6 +1468,13 @@ def select(s: SymbolicSet, k: int, budget: Optional[int] = None) -> int:
     if isinstance(s, Periodic) and s.residues:
         q, i = divmod(k - 1, len(s.residues))
         return q * s.modulus + s._offs[i]
+    if isinstance(s, Blocks):
+        seen = 0  # the members of the intervals before [l, r)
+        for l, r in s.source.iter_intervals():
+            if k <= seen + r - l:
+                return l + k - seen - 1
+            seen += r - l
+        raise IndexBeyondSet(f"finite set has fewer than {k} elements")
     segments = _segments(s)
     if segments is not None and k <= segments.count(segments.top):
         return segments.select(k, segments.top)

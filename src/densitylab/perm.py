@@ -315,14 +315,15 @@ class Restricted(PermutationRule):
         point e of E in its domain into the piece before e, the fixed point
         e -> e and the piece after e.  Points outside E map as under the base."""
         f, bound = self.exceptional, _bound_by_period(self.exceptional)
-        # reading more than ``horizon`` members of F costs more than a scan
+        # reading more than ``horizon`` members of F costs more than a scan; each is one select
         if bound is None or f.count(bound) > horizon:
             return None
         pieces = self.base.pieces(horizon)
         if pieces is None:
             return None
         a, b = self.base._sides
-        orbit = {g for e in f.iter_elements(bound) if a.contains(e) or b.contains(e) for g in (e, self.base.apply(e))}
+        members = map(f.select, range(1, f.count(bound) + 1))
+        orbit = {g for e in members if a.contains(e) or b.contains(e) for g in (e, self.base.apply(e))}
         fixed = sorted(e for e in orbit if e <= horizon)
         if len(fixed) * len(pieces) > horizon:
             return None

@@ -593,10 +593,10 @@ def test_segment_readers_match_brute_force_past_b_and_b_plus_l():
         departing += c > 0
         if segments is not None:
             # a segment up to b whose mask differs from the tail's only on residues it never reaches
-            mask = _periodic_mask(tail, 1, tail.modulus)
+            mask = _periodic_mask(tail, 1, segments.width)
             ends = segments.starts[1:] + [b + 1]
             unreached += any(
-                pattern[0] != mask and not any(start <= n < end for n in departures)
+                pattern[2] != mask and not any(start <= n < end for n in departures)
                 for pattern, start, end in zip(segments.patterns, segments.starts, ends)
                 if start <= b
             )
@@ -792,17 +792,20 @@ def test_segment_counts_match_brute_force_and_the_benchmark_oracle_up_to_two_to_
         top = _last_cut(form._leaves) + form.width + 10
         inside = brute_members(s, top)
         running = 0
+        extends, extend = [], form._extend
+        form._extend = lambda n: (extends.append(n), extend(n))
         for n in range(1, top + 1):
             running += n in inside
             assert s.count(n) == running, (s, n)
-        assert form.top == top
+        # each extension reaches at least twice the top before it
+        assert top <= form.top <= 2 * top and len(extends) <= top.bit_length(), s
         # a fresh tree counted far first, then back below its top
         s = _segment_tree(random.Random(seed), depth)
         ref = bench_oracle.RefSet(bench_oracle.parse(s.to_expr(), "set"))
         far = [rng.randrange(1, 1 << 64) for _ in range(8)] + [(1 << 64) - 1, 1 << 64, (1 << 32) + 1, 1 << 33]
         for n in far + [rng.randrange(1, 1 << 20) for _ in range(8)]:
             assert s.count(n) == ref.count(n), (s, n)
-        assert _segments(s).top == 1 << 64
+        assert _segments(s).top >= 1 << 64
         dexp_seen += any(isinstance(leaf, Blocks) and leaf.source.is_infinite() for leaf, _ in form._leaves)
         scaled_complements += _complement_under_a_factor(s)
     assert dexp_seen >= 15 and scaled_complements >= 10

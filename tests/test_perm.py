@@ -1239,3 +1239,29 @@ def test_restricted_pairings_at_two_to_the_64():
     assert defects[2**64] == 0 and defects[2**64 // 4096] == 0
     rows = _far(["statlim", "inv(restrict(pair(periodic(3;1),periodic(3;2)),finite(1,7)))"])["rows"]
     assert len(rows) == 2
+
+
+def test_a_restriction_to_a_far_finite_set_reads_its_members_by_select(monkeypatch):
+    # F, the odd n in [10^12, 10^12 + 4), has two members at a far b behind a periodic left part
+    # whose 5·10^11 members up to b a walk of F would visit, each with a contains call
+    calls = [0]
+    for cls in SymbolicSet.__subclasses__():
+        if "contains" in cls.__dict__:
+            def counted(self, n, inner=cls.contains):
+                calls[0] += 1
+                assert calls[0] < 10**4, "F's members are read by a walk up to b"
+                return inner(self, n)
+            monkeypatch.setattr(cls, "contains", counted)
+    far = 10**12
+    expr = f"restrict(pair(periodic(2;1),periodic(2;0)),inter(periodic(2;1),blocks([{far},{far + 4}))))"
+    psi = parse_expression(expr, "perm")
+    pieces = psi.pieces(2**64)
+    assert pieces is not None
+    window = range(far - 6, far + 10)
+    image = {n: d + (n - k0) // p * q for k0, p, d, q, terms in pieces for n in window
+             if (n - k0) % p == 0 and 0 <= (n - k0) // p < terms}
+    # φ swaps 2i - 1 and 2i; E = F ∪ φF = (far, far + 4] is fixed
+    assert image == {n: n if far < n <= far + 4 else n + 1 if n % 2 else n - 1 for n in window}
+    defects = {e["n"]: Fraction(e["value"]["num"], e["value"]["den"]) for e in _far(["levy", expr])["defects"]}
+    # D(n) is 1 at odd n outside E, where n -> n + 1, and 0 elsewhere
+    assert 2**64 in defects and all(v == Fraction(n % 2 and not far < n <= far + 4, n) for n, v in defects.items())
