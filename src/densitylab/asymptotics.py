@@ -291,6 +291,13 @@ def _checkpoint_ranges(points: Iterable[int], start: int = 1) -> Iterator[range]
         start = p + 1
 
 
+def _running_sums(term: Callable[[int], int], points: Iterable[int]) -> list[int]:
+    """The sum of ``term(k)`` over 1 <= k <= p at each of the strictly
+    increasing ``points`` p: the one scan of every integer that the Lévy
+    diagnostics fall back to, summed block by block."""
+    return list(accumulate(sum(map(term, block)) for block in _checkpoint_ranges(points)))
+
+
 def _ratio_extrema(
     pairs: Iterable[tuple[int, int]]
 ) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -18,7 +18,7 @@ from .asymptotics import (
     Explicit,
     IndexSequence,
     LimitReport,
-    _checkpoint_ranges,
+    _running_sums,
     _stretch_points,
     _tail_len,
     limit_along,
@@ -395,21 +395,14 @@ class ViolationCertificate:
     profile: tuple[tuple[int, Fraction], ...]
 
     def verify(self) -> bool:
-        """Re-run the witness identity at the certificate's points."""
+        """Re-run the witness identity at the certificate's points, counting
+        the witness and its image in the one scan, ``_running_sums``."""
         pi = self.permutation
         w = self.witness_set
         img = ImageSet(pi, w)
         pts = self.subsequence.values
         want = dict(self.profile)
-        gaps = []
-        in_w = in_img = 0
-        for block in _checkpoint_ranges(pts):
-            for n in block:
-                if w.contains(n):
-                    in_w += 1
-                if img.contains(n):
-                    in_img += 1
-            gaps.append(in_w - in_img)
+        gaps = _running_sums(lambda n: w.contains(n) - img.contains(n), pts)
         return all(
             gap == defect and Fraction(gap, n) == want[n]
             for n, gap, defect in zip(pts, gaps, _defect_counts(pi, pts))

@@ -27,8 +27,8 @@ from .asymptotics import (
     IndexSequence,
     StatReport,
     _SLACK,
-    _checkpoint_ranges,
     _positive_eps,
+    _running_sums,
     _stat_report,
     _stat_table,
     _tail_len,
@@ -342,13 +342,11 @@ class Restricted(PermutationRule):
                 out.append(_piece(k0 + t * p, p, d + t * q, q, terms - t))
         return out
 
-    def _excluded(self, n: int) -> bool:
-        a, b = self.base._sides
-        f = self.exceptional
-        return (a.contains(n) or b.contains(n)) and (f.contains(n) or f.contains(self.base.apply(n)))
-
     def apply(self, n):
-        return n if self._excluded(n) else self.base.apply(n)
+        # the base fixes every n outside A' ∪ B', and n lies in E iff F holds n or its partner
+        m = self.base.apply(n)
+        f = self.exceptional
+        return n if m == n or f.contains(n) or f.contains(m) else m
 
     def invert(self, m):
         return self.apply(m)
@@ -588,18 +586,19 @@ def _moved_up(pi: PermutationRule, points: Sequence[int]) -> tuple[list[int], li
     each piece gives one sub-progression of moved-up k, solved once, and
     the count at n is the sum of their prefix counts.  The sub-progressions
     are disjoint, so the 20 smallest lie in the 20 that start first.
-    Otherwise in one pass."""
+    Otherwise in the one scan, ``_running_sums``, whose term also keeps
+    the first 20 moved-up k."""
     pieces = _checked_pieces(pi, points)
     if pieces is None:
-        smallest, counts, count = [], [], 0
-        for block in _checkpoint_ranges(points):
-            for k in block:
-                if pi.apply(k) > k:
-                    count += 1
-                    if count <= 20:
-                        smallest.append(k)
-            counts.append(count)
-        return smallest, counts
+        smallest: list[int] = []
+
+        def is_up(k: int) -> bool:
+            moved = pi.apply(k) > k
+            if moved and len(smallest) < 20:
+                smallest.append(k)
+            return moved
+
+        return smallest, _running_sums(is_up, points)
     up = sorted(sub for k0, p, d, q, terms in pieces for sub in _terms_where(k0, p, terms, q - p, 1 + k0 - d))
     heads = (range(first, first + min(terms, 20) * step, step) for first, step, terms in up[:20])
     return sorted(itertools.chain.from_iterable(heads))[:20], _prefix_counts(up, points)
@@ -761,8 +760,9 @@ def _defect_counts(pi: PermutationRule, points: Sequence[int]) -> list[int]:
     the two counts.  From π's pieces otherwise: the t with k = k0 + t*p <= n
     are a prefix of the piece's terms, and so are the t with
     π(k) = d + t*q <= n, so the t with k <= n < π(k) number
-    max(0, prefix(k0, p) - prefix(d, q)) at n.  Otherwise in one pass: n
-    joins the set when π(n) > n, and π⁻¹(n) leaves it when π⁻¹(n) < n."""
+    max(0, prefix(k0, p) - prefix(d, q)) at n.  Otherwise in the one scan,
+    ``_running_sums``: n joins the set when π(n) > n, and π⁻¹(n) leaves it
+    when π⁻¹(n) < n."""
     if isinstance(pi, InterlacedPairing):
         a, b = pi._sides
         return [abs(a.count(n) - b.count(n)) for n in points]
@@ -774,13 +774,7 @@ def _defect_counts(pi: PermutationRule, points: Sequence[int]) -> list[int]:
             sum(max(0, _prefix(k0, p, terms, n) - _prefix(d, q, terms, n)) for k0, p, d, q, terms in ups)
             for n in points
         ]
-    counts = []
-    acc = 0
-    for block in _checkpoint_ranges(points):
-        for n in block:
-            acc += (1 if pi.apply(n) > n else 0) - (1 if pi.invert(n) < n else 0)
-        counts.append(acc)
-    return counts
+    return _running_sums(lambda n: (pi.apply(n) > n) - (pi.invert(n) < n), points)
 
 
 def levy_defect_profile(
@@ -793,7 +787,7 @@ def levy_defect_profile(
 
     ``mode="downward"`` instead counts {k : π(k) <= n < k}; the two counts
     agree for every bijection and every n, so the downward mode exists as an
-    independently computed cross-check.
+    independently computed cross-check, always in the one scan, ``_running_sums``.
     """
     pts = list(seq.points())
     maxn = pts[-1]
@@ -805,14 +799,8 @@ def levy_defect_profile(
     if mode == "upward":
         defects = tuple(map(Fraction, _defect_counts(pi, pts), pts))
     else:
-        out = []
-        acc = 0
-        for block in _checkpoint_ranges(pts):
-            for n in block:
-                acc += (1 if pi.apply(n) <= n else 0) + (1 if pi.invert(n) < n else 0)
-            n = block[-1]
-            out.append(Fraction(n - acc, n))
-        defects = tuple(out)
+        stay = _running_sums(lambda n: (pi.apply(n) <= n) + (pi.invert(n) < n), pts)
+        defects = tuple(Fraction(n - s, n) for n, s in zip(pts, stay))
     return DefectProfile(
         points=tuple(pts),
         defects=defects,
@@ -834,7 +822,8 @@ def displacement_profile(
     the inverse so no forward search is ever unbounded: for a pairing from
     the counts of its two sides and of three sets built from A, for a rule
     with pieces from the pieces of π⁻¹ (see ``_image_counts``), and
-    otherwise by a scan of every m up to the last point.
+    otherwise in the one scan, ``_running_sums``, of every m up to the last
+    point.
     """
     pts = list(seq.points())
     maxn = pts[-1]
@@ -844,18 +833,8 @@ def displacement_profile(
     image = _image_counts(pi, a, pts, budget)
     if image is not None:
         return [(n, Fraction(a.count(n, budget=budget) - c, n)) for n, c in zip(pts, image)]
-    out = []
-    in_a = 0
-    in_image = 0
-    for block in _checkpoint_ranges(pts):
-        for n in block:
-            if a.contains(n):
-                in_a += 1
-            if a.contains(pi.invert(n)):
-                in_image += 1
-        n = block[-1]
-        out.append((n, Fraction(in_a - in_image, n)))
-    return out
+    gaps = _running_sums(lambda n: a.contains(n) - a.contains(pi.invert(n)), pts)
+    return [(n, Fraction(g, n)) for n, g in zip(pts, gaps)]
 
 
 def displacement_classification(

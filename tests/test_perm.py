@@ -6,7 +6,7 @@ import threading
 import warnings
 from bisect import bisect_left, bisect_right
 from contextlib import redirect_stdout
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +16,7 @@ from densitylab.asymptotics import Explicit, _stat_table, density, statistical_l
 from densitylab.cli import run_command
 from densitylab.corpus import disjoint_periodic_pairs, standard_permutation_corpus
 from densitylab.errors import CardinalityMismatch, UnknownInfinitude
+from densitylab.measure import ViolationCertificate
 from densitylab.parser import parse_expression
 from densitylab.nset import (
     _LCM_CAP,
@@ -436,18 +437,49 @@ def _checkpoint_grids(rng, horizon):
     for _ in range(4):
         grids.append(Explicit(tuple(sorted(rng.sample(range(1, horizon + 1), rng.randrange(1, 12))))))
     grids.append(Explicit((rng.randrange(1, horizon + 1),)))
+    # a scan's blocks at their edges: one that holds only 1, one that holds only p + 1, and the horizon
+    p = rng.randrange(2, horizon - 1)
+    grids.append(Explicit((1, p, p + 1, horizon)))
     return grids
 
 
 def test_upward_downward_and_brute_defects_agree_on_random_grids():
     rng = random.Random(23)
     pairings = [pairing_permutation(a, b) for a, b in disjoint_periodic_pairs(10, seed=9)]
-    for pi in corpus_rules() + pairings:
+    rules = corpus_rules() + pairings
+    # the same bijections without pieces or sides take the upward scan
+    for pi in rules + [Scanned(pi) for pi in rules]:
         for grid in _checkpoint_grids(rng, 300):
             up = levy_defect_profile(pi, grid)
             down = levy_defect_profile(pi, grid, mode="downward")
             brute = tuple(Fraction(brute_defect(pi, n), n) for n in grid.points())
             assert up.defects == down.defects == brute, (pi, grid)
+
+
+def test_scans_match_brute_force_at_their_block_edges():
+    """The scan fallbacks of the displacement, the moved-up count and the violation certificate
+    against brute force, on the grids above: their blocks hold only 1, only p + 1, or end at the
+    horizon."""
+    rng = random.Random(31)
+    horizon = 300
+    pairings = [pairing_permutation(a, b) for a, b in disjoint_periodic_pairs(4, seed=9)]
+    targets = [ODDS, finite(1, 2, 150, 299, 300), blocks_explicit([(4, 8), (30, 70)])]
+    for pi in [Scanned(pi) for pi in corpus_rules() + pairings]:
+        images = [pi.apply(k) for k in range(1, horizon + 1)]
+        up = [k for k, v in enumerate(images, 1) if v > k]
+        w = levy_witness_set(pi, 4 * horizon)
+        for grid in _checkpoint_grids(rng, horizon):
+            pts = grid.points()
+            smallest = up[:min(20, bisect_right(up, pts[-1]))]
+            assert _moved_up(pi, pts) == (smallest, [bisect_right(up, n) for n in pts]), (pi, pts)
+            a = rng.choice(targets)
+            want = [(n, Fraction(a.count(n) - brute_image_count(pi, a, n), n)) for n in pts]
+            assert displacement_profile(pi, a, grid) == want, (pi, a, pts)
+            defects = tuple((n, Fraction(sum(v > n for v in images[:n]), n)) for n in pts)
+            gap = min(d for _, d in defects)
+            cert = ViolationCertificate(pi, w, grid, gap, defects)
+            assert cert.verify(), (pi, pts)
+            assert not replace(cert, profile=defects[:-1] + ((pts[-1], defects[-1][1] + 1),)).verify()
 
 
 def test_exceptional_set_ratios_match_brute_force():
@@ -980,7 +1012,13 @@ def test_restricted_pieces_partition_the_horizon_and_fix_the_orbit():
             assert sorted(image) == list(range(1, horizon + 1)), (psi, horizon)
             assert all(psi.apply(k) == v for k, v in image.items()), (psi, horizon)
             moved = {k for k in range(1, horizon + 1) if psi.base.apply(k) != k}
-            assert {k for k in moved if image[k] == k} == {k for k in moved if psi._excluded(k)}
+            # the orbit of the class docstring: F' = A' ∩ (F ∪ φF) and E = F' ∪ φF', φ an involution
+            phi, f, a = psi.base.apply, psi.exceptional.contains, psi.base._sides[0].contains
+
+            def in_f1(k):
+                return a(k) and (f(k) or f(phi(k)))
+
+            assert {k for k in moved if image[k] == k} == {k for k in moved if in_f1(k) or in_f1(phi(k))}
     assert cut > len(rules)
 
 
@@ -1112,6 +1150,29 @@ def test_pairing_readers_match_the_piece_readers_at_two_to_the_64():
         assert _defect_counts(phi, pts) == _defect_counts(Inverse(phi), pts), phi
         for x in _PAIRING_TARGETS:
             assert _image_counts(phi, x, pts, 2**64) == _image_counts(Inverse(phi), x, pts, 2**64), (phi, x)
+
+
+def test_every_piece_agrees_with_the_rule_at_its_ends():
+    """Each piece against ``apply`` and ``invert`` at t = 0, 1 and terms - 1, up to 3000 and up to
+    2^64; ``_checked_pieces`` reads only t = 0 and 1.  The terms also lie in [1, horizon] and
+    number the horizon, as the pieces partition it."""
+    rng = random.Random(83)
+    rules = _PIECE_RULES + _SIDE_PAIRINGS + _restrictions(rng) + [_random_rule(rng, 3) for _ in range(12)]
+    checked = 0
+    for horizon in (3000, 2**64):
+        for pi in rules:
+            pieces = pi.pieces(horizon)
+            if pieces is None:  # more pieces than the horizon: the scan is cheaper
+                continue
+            checked += 1
+            assert sum(terms for *_, terms in pieces) == horizon, (pi, horizon)
+            for piece in pieces:
+                k0, p, d, q, terms = piece
+                assert 1 <= k0 and k0 + (terms - 1) * p <= horizon, (pi, horizon, piece)
+                for t in {0, min(1, terms - 1), terms - 1}:
+                    k, v = k0 + t * p, d + t * q
+                    assert pi.apply(k) == v and pi.invert(v) == k, (pi, horizon, piece, t)
+    assert checked >= 2 * len(_PIECE_RULES + _SIDE_PAIRINGS), checked
 
 
 def test_pairing_past_the_rank_form_cap_reads_levy_and_displacement_from_its_sides():
