@@ -10,17 +10,16 @@ exact rationals; verdicts are finite-horizon heuristics and say so.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from math import ceil, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import EnumerationBudgetExceeded, WitnessTooSparse
-from .nset import FiniteList, Periodic, SymbolicSet, checked_budget
+from .nset import FiniteList, SymbolicSet, _cut_segments, checked_budget
 
 # Reports keep at most this many profile points; longer evaluations are
 # decimated for storage (verdicts are still computed over every point).
@@ -313,78 +312,37 @@ def _ratio_extrema(
     return mn, mx
 
 
-def _stretch_points(
-    sides: Sequence[tuple[Periodic, Iterable[int]]], weights: Sequence[int], lo: int, hi: int
-) -> Iterator[tuple[int, int]]:
-    """(D(n), n) for D = weights[0] S_0 + weights[1] S_1 + ..., the S_k given as
-    ``nset._pieces`` (tail, toggles), at the points of [lo, hi] that can hold an extremum of
-    D(n)/n or of |D(n)|/n, in increasing n.
+def _stretch_points(a: SymbolicSet, b: SymbolicSet, lo: int, hi: int) -> Optional[Iterator[tuple[int, int]]]:
+    """(D(n), n) for D(n) = A(n) - B(n) at the points of [lo, hi] that can hold an extremum of
+    |D(n)|/n, in increasing n; None when either set has an opaque leaf.
 
-    The toggles of all sides cut [1, hi] into stretches, and on each stretch every S_k is a
-    periodic set of its tail's modulus.  For L the lcm of those moduli, D(n + L) - D(n) is then
-    constant while n and n + L lie in one stretch, so along each phase n, n + L, n + 2L, ...
-    D(n)/n is monotone (or constant) and |D(n)|/n is greatest at an end.  Hence the first L and
-    the last L points of each stretch in the window hold the extrema over the stretch, and the
-    first point attaining each of them; a stretch shorter than 2L is read whole.  D is carried
-    from point to point as a scan carries it, and across the rest of a stretch by the tails'
-    counts.
+    The cuts of both sets' segments (``nset._cut_segments``) cut [1, hi] into stretches, and on
+    each stretch each set is a periodic set of its segments' width.  For L the lcm of the two
+    widths, D(n + L) - D(n) is then constant while n and n + L lie in one stretch, so along each
+    phase n, n + L, n + 2L, ... D(n)/n is monotone (or constant) and |D(n)|/n is greatest at an
+    end.  Hence the first L and the last L points of each stretch in the window hold the extrema
+    over the stretch, and the first point attaining each of them; a stretch shorter than 2L is
+    read whole.  D is counted at the start of each read and carried by the two sets' ``contains``.
     """
-    tails = [tail for tail, _ in sides]
-    span = lcm(*(tail.modulus for tail in tails))
-    flipped = [False] * len(sides)
-    # with L = 1 each side is all in or all out on a stretch, and D gains ``rate`` per point;
-    # flipping side k moves the rate by steps[k] (by -steps[k] when flipping it back)
-    rate = sum(w for w, tail in zip(weights, tails) if tail.residues)
-    steps = [-w if tail.residues else w for w, tail in zip(weights, tails)]
-    d = at = 0  # d is D(at)
+    sa, sb = _cut_segments(a, hi), _cut_segments(b, hi)
+    if sa is None or sb is None:
+        return None
+    span = lcm(sa.width, sb.width)
+    starts = [lo, *sorted({c for c in chain(sa.starts, sb.starts) if lo < c <= hi})]
+    ends = [c - 1 for c in starts[1:]] + [hi]
 
-    def gain(to: int) -> int:
-        """D(to) - D(at), for (at, to] in one stretch."""
-        if span == 1:
-            return rate * (to - at)
-        total = 0
-        for w, tail, f in zip(weights, tails, flipped):
-            members = tail._count(to, 0) - tail._count(at, 0)
-            total += w * (to - at - members if f else members)
-        return total
+    def points() -> Iterator[tuple[int, int]]:
+        for first, last in zip(starts, ends):
+            reads = (
+                ((first, last),) if last - first < 2 * span else ((first, first + span - 1), (last - span + 1, last))
+            )
+            for x, z in reads:
+                d = sa.count(x - 1) - sb.count(x - 1) if x > 1 else 0
+                for n in range(x, z + 1):
+                    d += a.contains(n) - b.contains(n)
+                    yield d, n
 
-    start = 1  # the first point of the current stretch
-    marks = heapq.merge(*(zip(toggles, repeat(k)) for k, (_, toggles) in enumerate(sides)))
-    for end, k in chain(marks, ((hi + 1, -1),)):
-        if end > start:  # the stretch [start, min(end - 1, hi)]
-            last = end - 1 if end <= hi else hi
-            if last < lo:
-                d += gain(last)
-            elif span == 1:
-                first = start if start > lo else lo
-                d += rate * (first - at)
-                yield d, first
-                if last > first:
-                    d += rate * (last - first)
-                    yield d, last
-            else:
-                first = start if start > lo else lo
-                now = [(w, tail.modulus, tail._rset, f) for w, tail, f in zip(weights, tails, flipped)]
-                ends = (
-                    ((first, last),)
-                    if last - first < 2 * span
-                    else ((first, first + span - 1), (last - span + 1, last))
-                )
-                for a, z in ends:
-                    if a - 1 > at:
-                        d += gain(a - 1)
-                    for n in range(a, z + 1):
-                        for w, m, rset, f in now:
-                            if (n % m in rset) != f:
-                                d += w
-                        yield d, n
-                    at = z
-            at = last
-            start = end
-        if end > hi:
-            return
-        flipped[k] = f = not flipped[k]
-        rate += steps[k] if f else -steps[k]
+    return points()
 
 
 def _extrema_by_scan(

@@ -29,7 +29,6 @@ from .nset import (
     Full,
     Predicate,
     SymbolicSet,
-    _pieces,
     checked_budget,
     inter,
     union,
@@ -530,25 +529,25 @@ def equal_measure_test(
     The supremum is exact either way, and the report's ``grid`` says how it
     was found:
 
-    * ``window-extrema-via-pieces`` -- when each set has an eventual period
-      (read first) or member runs (read next), each is a periodic set
-      between its break points, and along each phase n, n + L, n + 2L, ...
-      of a stretch with no break, for L the lcm of the two moduli,
-      A(n) - B(n) changes by a constant per step, so |A(n) - B(n)|/n is
-      greatest at the phase's first or last point.  Only the first L and
-      the last L points of each stretch are read
-      (``asymptotics._stretch_points``), and the budget caps their number;
-    * ``integer-scan`` -- otherwise, a scan of every integer in the window,
-      refused when the horizon exceeds the budget.
+    * ``window-extrema-via-pieces`` -- when both sets have segments, each
+      is a periodic set of its segments' width between the cuts of the two
+      segment lists, and along each phase n, n + L, n + 2L, ... of a
+      stretch with no cut, for L the lcm of the two widths, A(n) - B(n)
+      changes by a constant per step, so |A(n) - B(n)|/n is greatest at
+      the phase's first or last point.  Only the first L and the last L
+      points of each stretch are read (``asymptotics._stretch_points``),
+      and the budget caps their number;
+    * ``integer-scan`` -- otherwise (a set with an opaque leaf), a scan of
+      every integer in the window, refused when the horizon exceeds the
+      budget.
     """
     start = tail_window_start if tail_window_start is not None else max(1, horizon // 10)
     budget = checked_budget(budget)
-    pa = _pieces(a, horizon)
-    pb = None if pa is None else _pieces(b, horizon)
-    if pb is not None:
+    walk = _stretch_points(a, b, start, horizon)
+    if walk is not None:
         grid = "window-extrema-via-pieces"
         best_dev, best_n = 0, 1
-        for read, (d, n) in enumerate(_stretch_points((pa, pb), (1, -1), start, horizon), 1):
+        for read, (d, n) in enumerate(walk, 1):
             if read > budget:
                 raise EnumerationBudgetExceeded(horizon, budget, "difference walk")
             dev = abs(d)

@@ -42,7 +42,7 @@ from .errors import (
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
 # Periodic/Periodic algebra is collapsed via the lcm only below this modulus (beyond it the raw
-# node is kept); it also caps a segment program's width and the leaf points ``_pieces`` reads.
+# node is kept); it also caps a segment program's width.
 _LCM_CAP = 10**6
 
 # member_runs gives up (returns None) rather than build more runs than this.
@@ -1096,76 +1096,6 @@ def _last_departure(s: SymbolicSet) -> Optional[tuple[int, Periodic]]:
     return segments.last_departure(_periodic_mask(period[1], 1, segments.width), period[0]), period[1]
 
 
-def _flips(s: SymbolicSet, tail: Periodic, bound: int) -> Optional[list[int]]:
-    """The points up to ``bound`` of the ``_departures`` leaves of ``s`` where ``s`` departs from
-    ``tail``, its eventual tail, in increasing order; None when those leaves hold more than
-    ``_LCM_CAP`` points up to ``bound``."""
-    if bound < 1:  # no point to read, and no program to compile
-        return []
-    parts: list = []
-    leaves = 0
-    for leaf, factor in _departures(s):
-        upto = bound // factor
-        if leaf.count(upto) > _LCM_CAP:
-            return None
-        leaves += 1
-        if isinstance(leaf, Blocks):
-            parts += (range(factor * l, factor * min(r, upto + 1), factor) for l, r in leaf.source.intervals_up_to(upto))
-        else:
-            parts.append(map(factor.__mul__, leaf.iter_elements(upto)))
-    # one leaf gives its points in increasing order, each once
-    points = itertools.chain.from_iterable(parts)
-    if leaves > 1:
-        points = sorted(set(points))
-        if len(points) > _LCM_CAP:
-            return None
-    if tail.residues:
-        return [n for n in points if s.contains(n) != tail.contains(n)]
-    # s departs from an empty tail at its members
-    return list(filter(s.contains, points))
-
-
-def _run_pieces(runs: list[tuple[int, int]]) -> tuple[Periodic, Iterator[int]]:
-    """A set's disjoint inclusive member ``runs`` as ``_pieces``: an empty tail of modulus 1, and
-    lo, hi + 1 of each run as toggles, produced one at a time."""
-    return Periodic(1, ()), itertools.chain.from_iterable((lo, hi + 1) for lo, hi in runs)
-
-
-def _point_toggles(points: list[int]) -> list[int]:
-    """lo, hi + 1 of each maximal run [lo, hi] of consecutive integers in the increasing ``points``,
-    in order."""
-    if not points:
-        return []
-    toggles = [points[0]]
-    # the indices where a new run starts, found without a Python step per point
-    for i in itertools.compress(
-        range(1, len(points)), map((1).__ne__, map(operator.sub, points[1:], points))
-    ):
-        toggles += (points[i - 1] + 1, points[i])
-    toggles.append(points[-1] + 1)
-    return toggles
-
-
-def _pieces(s: SymbolicSet, horizon: int) -> Optional[tuple[Periodic, Iterable[int]]]:
-    """``s`` on [1, horizon] as (tail, toggles): ``s`` has the members of the periodic node
-    ``tail``, except on [toggles[0], toggles[1]), [toggles[2], toggles[3]), ..., where it has
-    exactly the tail's non-members.  So between two toggles ``s`` is a periodic set of the tail's
-    modulus.
-
-    The eventual period gives the tail, and the toggles bound the runs of consecutive flips up to
-    the horizon.  Otherwise the member runs give the toggles, with an empty tail of modulus 1.
-    None when neither applies.
-    """
-    period = _eventual_period(s)
-    if period is not None:
-        b, tail = period
-        flips = _flips(s, tail, min(b, horizon))
-        if flips is not None:
-            return tail, _point_toggles(flips)
-    runs = s.member_runs(horizon)
-    return None if runs is None else _run_pieces(runs)
-
-
 # ---------------------------------------------------------------------------
 # segments: an algebra tree as periodic patterns between cut points
 # ---------------------------------------------------------------------------
@@ -1434,6 +1364,19 @@ def _segments(s: SymbolicSet) -> Optional[_Segments]:
         memo = (None if any(t is None or leaf is s for leaf, t in leaves) else _Segments(width, program, leaves),)
         object.__setattr__(s, "_segment_memo", memo)
     return memo[0]
+
+
+def _cut_segments(s: SymbolicSet, top: int) -> Optional[_Segments]:
+    """The segments of ``s`` extended to ``top``; None when its program has an opaque leaf.  A
+    finite or block leaf, whose segments ``_segments`` does not keep, has its own built afresh."""
+    segments = _segments(s)
+    if segments is None:
+        width, program, leaves = _compiled(s)
+        if any(t is None for _, t in leaves):
+            return None
+        segments = _Segments(width, program, leaves)
+    segments.count(top)
+    return segments
 
 
 # ---------------------------------------------------------------------------

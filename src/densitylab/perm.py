@@ -49,6 +49,7 @@ from .nset import (
     checked_budget,
     diff,
     inter,
+    periodic,
     union,
 )
 
@@ -609,19 +610,14 @@ def _image_counts(
 ) -> Optional[list[int]]:
     """(πA)(n) = |{m <= n : π⁻¹(m) ∈ A}| at each of the increasing
     ``points``: for a pairing from its two sides (``_pairing_image_counts``),
-    otherwise from the pieces of π⁻¹; None when there are none, or when a
-    piece steps by more than 1 and A has no eventual period, or when the
-    tables below would hold more entries than the horizon.
+    otherwise from the pieces of π⁻¹; None when there are none.
 
     Along a piece m = k0 + t*p -> π⁻¹(m) = d + t*q, the m <= n are the
-    first s = prefix(k0, p) terms, t < s:
-
-    * with q = 1 their values d, ..., d + s - 1 are consecutive, so the
-      count is A(d + s - 1) - A(d - 1);
-    * with q > 1, past the last point c where A departs from its tail of
-      modulus l (``_last_departure``), membership of d + t*q is periodic in
-      t, with period l/gcd(q, l); a prefix table over the terms up to c and
-      one period answers every s.
+    first s = prefix(k0, p) terms, t < s, and the members of A among their
+    values d, d + q, ..., d + (s - 1)q are the members of
+    C = A ∩ periodic(q; d mod q) in [d, d + (s - 1)q], so the count is
+    C(d + (s - 1)q) - C(d - 1).  C is built once per (q, d mod q); for
+    q = 1 it is A itself.
 
     A piece adds nothing at the points before its first term and its whole
     count at every point from its last term on, so only the points in
@@ -632,34 +628,20 @@ def _image_counts(
     pieces = _checked_pieces(Inverse(pi), points)
     if pieces is None:
         return None
-    steep = [pc for pc in pieces if pc[3] > 1]
-    if steep:
-        late = _last_departure(a)
-        if late is None:
-            return None
-        c, l = late[0], late[1].modulus
-        heads = {pc: min(pc[4], max(0, (c - pc[2]) // pc[3] + 1)) for pc in steep}
-        if sum(heads[pc] + l // gcd(pc[3], l) for pc in steep) > points[-1]:
-            return None
+    lanes: dict[tuple[int, int], SymbolicSet] = {}
     totals = [0] * len(points)
-    for pc in pieces:
-        k0, p, d, q, terms = pc
+    for k0, p, d, q, terms in pieces:
+        key = q, d % q
+        if key not in lanes:
+            lanes[key] = a if q == 1 else inter(a, periodic(q, [d % q]))
+        lane = lanes[key]
         first = bisect_left(points, k0)
         done = bisect_left(points, k0 + (terms - 1) * p, first)
-        if q == 1:
-            before = a.count(d - 1, budget=budget)
+        before = lane.count(d - 1, budget=budget)
 
-            def members(seen):
-                return a.count(d + seen - 1, budget=budget) - before
-        else:
-            head, cycle = heads[pc], l // gcd(q, l)
-            prefix = list(itertools.accumulate((a.contains(d + t * q) for t in range(head + cycle)), initial=0))
+        def members(seen):
+            return lane.count(d + (seen - 1) * q, budget=budget) - before
 
-            def members(seen):
-                if seen <= head:
-                    return prefix[seen]
-                full, rest = divmod(seen - head, cycle)
-                return prefix[head + rest] + full * (prefix[head + cycle] - prefix[head])
         for i in range(first, done):
             totals[i] += members(_prefix(k0, p, terms, points[i]))
         if done < len(points):

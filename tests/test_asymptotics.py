@@ -23,8 +23,7 @@ from densitylab.measure import equal_measure_test
 from densitylab.nset import (
     Empty,
     Full,
-    _eventual_period,
-    _pieces,
+    _cut_segments,
     blocks_dexp,
     blocks_explicit,
     compl,
@@ -241,8 +240,14 @@ _scaled_periodic = st.builds(
     st.integers(2, 12),
     st.lists(st.integers(0, 11), min_size=1, max_size=5),
 )
+# scaled dexp, finite and explicit-block leaves cut their trees' segments at multiples of the
+# factor, and their widths at the factor
+_scaled_leaf = st.builds(scale, _leaf, st.integers(2, 4))
 _equal_side = st.one_of(
-    _depth3_tree, _scaled_periodic, _level(st.one_of(_leaf, _scaled_periodic))
+    _depth3_tree,
+    _scaled_periodic,
+    _level(st.one_of(_leaf, _scaled_periodic)),
+    _level(_level(_level(st.one_of(_leaf, _scaled_leaf)))),
 )
 
 
@@ -260,15 +265,20 @@ _equal_side = st.one_of(
     a=scale(periodic(6, [0, 2]), 2), b=union(scale(periodic(2, [0]), 4), finite(41, 118, 193)),
     horizon=590, where="mid-stretch", pick=432,
 )
+# only B's cuts bound the stretch [500, 599] that holds the sup
+@example(
+    a=periodic(3, [0]), b=union(periodic(3, [0]), blocks_explicit([(500, 600)])),
+    horizon=3000, where="two-sided", pick=1,
+)
 @settings(max_examples=150, deadline=None)
 def test_equal_tail_sup_matches_two_comparison_reference(a, b, horizon, where, pick):
     """The window starts at the first point from ``pick`` on where exactly one
-    set is a member, or both or neither, or where neither set starts a stretch
-    of its pieces, so that the window cuts that stretch."""
+    set is a member, or both or neither, or where neither set starts a
+    segment, so that the window cuts a stretch."""
+    sides = _cut_segments(a, horizon), _cut_segments(b, horizon)
     if where == "mid-stretch":
-        sides = _pieces(a, horizon), _pieces(b, horizon)
         assume(None not in sides)
-        cuts = {t for _, toggles in sides for t in toggles}
+        cuts = {c for side in sides for c in side.starts}
         pool = [n for n in range(2, horizon) if n not in cuts]
     else:
         ma, mb = brute_members(a, horizon), brute_members(b, horizon)
@@ -278,10 +288,7 @@ def test_equal_tail_sup_matches_two_comparison_reference(a, b, horizon, where, p
     start = pool[min(bisect_left(pool, pick), len(pool) - 1)]
     rep = equal_measure_test(a, b, [], horizon=horizon, tail_window_start=start)
     assert rep.tail_sup_diff == scan_tail_sup(a, b, start, horizon)
-    described = all(
-        _eventual_period(s) is not None or s.member_runs(horizon) is not None for s in (a, b)
-    )
-    assert rep.grid == ("window-extrema-via-pieces" if described else "integer-scan")
+    assert rep.grid == ("integer-scan" if None in sides else "window-extrema-via-pieces")
 
 
 @pytest.mark.parametrize(

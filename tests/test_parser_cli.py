@@ -12,6 +12,8 @@ from densitylab.cli import ExperimentConfig, run_command
 from densitylab.errors import ConfigError, ParseError
 from densitylab.parser import parse_expression
 
+from oracles import dexp_count_closed
+
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -284,6 +286,28 @@ def test_equal_subcommand():
     assert rep["result"]["grid"] == "window-extrema-via-pieces"
     rep2 = run_json(["equal", "blocks(dexp)", "empty", "--horizon", "10000"])
     assert rep2["result"]["verdict"] == "distinct-likely"
+
+
+# F1, F2, F4 and F5 of ROADMAP: each has segments, read at 2^64 without a scan of the window
+_FAR_SETS = [
+    "scale(3,blocks(dexp))",
+    "inter(blocks(dexp),periodic(7;1,3))",
+    "union(blocks(dexp),scale(2,blocks(dexp)))",
+    "diff(union(scale(2,periodic(4;1)),periodic(10;0,2,3,4,9)),"
+    "union(finite(49,708,1676,2776,2886,4031,4870,4913),periodic(10;0,3,4,6,9)))",
+]
+
+
+@pytest.mark.parametrize("x", _FAR_SETS)
+def test_equal_against_empty_at_two_to_the_64(x):
+    far = str(2**64)
+    rep = run_json(["equal", x, "empty", "--horizon", far, "--budget", far])
+    assert rep["result"]["grid"] == "window-extrema-via-pieces"
+    if x == _FAR_SETS[0]:
+        # the window [w, 2^64] holds no member of F1, so the sup is at its first point
+        w = 2**64 // 10
+        sup = rep["result"]["tail_sup_diff"]
+        assert Fraction(sup["num"], sup["den"]) == Fraction(dexp_count_closed(w // 3), w)
 
 
 def test_suite_subcommand():

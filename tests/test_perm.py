@@ -923,17 +923,20 @@ def test_piece_displacement_matches_the_scan():
     # the inverses of these have only pieces of step 1, which count any set
     unit_steps = [QuarterBlockSwap(), Identity(), FiniteTable(((1, 5), (5, 1), (2, 3), (3, 2))),
                   Compose(QuarterBlockSwap(), Inverse(FiniteTable(((1, 2), (2, 3), (3, 1)))))]
-    # these need an eventual period
-    periodic_targets = [
+    # _PIECE_RULES also has inverses with pieces of step q > 1, whose values d, d + q, ... are
+    # counted in A ∩ periodic(q; d mod q), for any target, dexp included
+    targets = [
         scale(periodic(3, [1, 2]), 2),
         compl(periodic(8, [0])),
         compl(finite(2, 3, 40)),
         finite(1, 6, 7, 100, 2999),
         blocks_explicit([(4, 8), (30, 70), (500, 900)]),
         union(finite(5, 9, 1001), periodic(4, [1])),
+        blocks_dexp(),
+        scale(blocks_dexp(), 3),
     ]
     cases = [(pi, blocks_dexp()) for pi in unit_steps]
-    cases += [(pi, a) for pi in _PIECE_RULES for a in periodic_targets]
+    cases += [(pi, a) for pi in _PIECE_RULES for a in targets]
     taken = 0
     for pi, a in cases:
         for grid in _piece_grids(rng, pi, 3000):
@@ -1036,10 +1039,8 @@ def test_restricted_piece_diagnostics_match_the_scan():
             assert got == _stat_table(lambda k: (pi.apply(k), k), 1, eps, grid, got.slack), (pi, grid, eps)
             a = rng.choice(targets)
             want = [brute_image_count(pi, a, n) for n in pts]
-            image = _image_counts(pi, a, pts, 10**7)
-            if image is not None:  # else a steep piece needs a period that a finite prefix hides
-                taken += 1
-                assert image == want, (pi, a, grid)
+            assert _image_counts(pi, a, pts, 10**7) == want, (pi, a, grid)
+            taken += 1
             assert displacement_profile(pi, a, grid) == [(n, Fraction(a.count(n) - c, n)) for n, c in zip(pts, want)]
     assert taken >= 50
 
