@@ -1234,7 +1234,10 @@ def _compiled(s: SymbolicSet) -> tuple[int, int | tuple, list]:
     is ``s`` itself is one leaf, cheap to compile again, and is not kept: on ``s`` it would make
     a reference cycle, which only the cyclic collector frees."""
     memo = getattr(s, "_program_memo", None)
-    if memo is None:
+    if memo is None and isinstance(s, Periodic) and s.modulus <= _LCM_CAP:  # the program is its mask
+        memo = s.modulus, _periodic_mask(s, 1, s.modulus), []
+        object.__setattr__(s, "_program_memo", memo)
+    elif memo is None:
         opaque: set = set()
         width, leaves = _segment_width(s, 1, opaque), []
         memo = width, _segment_program(s, 1, width, leaves, opaque), leaves
@@ -1306,6 +1309,8 @@ class _Segments:
         return q * before[-1] + before[k] + (chunks[k] & ((2 << j) - 1)).bit_count()
 
     def count(self, n: int) -> int:
+        if n < 1:
+            return 0
         if n > self.top:
             with _EXTEND_LOCK:
                 if n > self.top:
@@ -1377,6 +1382,20 @@ def _cut_segments(s: SymbolicSet, top: int) -> Optional[_Segments]:
         segments = _Segments(width, program, leaves)
     segments.count(top)
     return segments
+
+
+def _segment_runs(s: SymbolicSet, top: int) -> Optional[tuple[int, list[int], list[int], list[int]]]:
+    """(width, starts, below, masks): segment i of ``s`` starts at ``starts[i]``, has ``below[i]``
+    members before it and the residue mask ``masks[i]`` mod ``width``, for the segments up to
+    ``top`` at least; None when its program has an opaque leaf.  A program with no leaves is one
+    segment, read without building ``_Segments``."""
+    width, program, leaves = _compiled(s)
+    if not leaves:
+        return width, [1], [0], [program]
+    segments = _cut_segments(s, top)
+    if segments is None:
+        return None
+    return width, segments.starts, segments.below, [pattern[2] for pattern in segments.patterns]
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,15 @@ from .errors import (
     UnknownInfinitude,
 )
 from .nset import (
-    _LCM_CAP,
     FiniteList,
     Infinitude,
     Predicate,
     SymbolicSet,
     _bound_by_period,
     _last_departure,
+    _residues,
+    _segment_runs,
+    _tile,
     checked_budget,
     diff,
     inter,
@@ -220,40 +222,67 @@ class InterlacedPairing(PermutationRule):
         return self.apply(m)
 
     def pieces(self, horizon):
-        """For sides with eventual periods: past c, the last point where
-        either side departs from its tail, both sides are periodic with
-        period m, the lcm of their tails' moduli, and A' has ra and B' rb
-        members per period, so a_(i+L) = a_i + m*L/ra and b_(i+L) = b_i + m*L/rb for
-        L = lcm(ra, rb) and i > i0 = max(A'(c), B'(c)).  The first i0 pairs
-        are single points, with identity runs between them up to c; each of
-        the next L pairs gives two progressions, and every residue in
-        (c, c + m] in neither tail is fixed."""
+        """Per run of ranks, from the two sides' segments (``nset._segment_runs``).
+
+        The ranks i <= R = max(A'(horizon), B'(horizon)) are those with a_i or b_i in
+        [1, horizon], and the starts of either side's segments cut them into runs.  On a run
+        where A' has p members per width w and B' has q per width v, a_(i+L) = a_i + w*L/p and
+        b_(i+L) = b_i + v*L/q for L = lcm(p, q), so each of its first L ranks gives two
+        progressions, a_i -> b_i and back.  The same starts cut [1, horizon] into stretches;
+        the residues mod lcm(w, v) in neither side's mask are fixed, one progression per residue
+        and maximal run of stretches that hold it (a stretch shorter than lcm(w, v) holds the
+        residues it does not reach).  lcm(w, v) is within ``_LCM_CAP``: both sides' programs
+        hold A and B, unless one side is finite (width 1) or both fold to periodic sets."""
         a, b = self._sides
-        late = _last_departure(a), _last_departure(b)
-        if None in late:
+        sides = [_segment_runs(s, horizon) for s in (a, b)]
+        if None in sides:
             return None
-        (ca, ta), (cb, tb) = late
-        c = max(ca, cb)
-        m = lcm(ta.modulus, tb.modulus)
-        if m > _LCM_CAP:
-            return None
-        ra = len(ta.residues) * (m // ta.modulus)
-        rb = len(tb.residues) * (m // tb.modulus)
-        pairs = lcm(ra, rb)
-        i0 = max(a.count(c), b.count(c))
-        if 2 * i0 + 2 * pairs + m - ra - rb > horizon:
-            return None
-        heads = [(a.select(i), b.select(i)) for i in range(1, i0 + 1)]
-        moved = dict(heads + [(y, x) for x, y in heads])
-        out = FiniteTable(tuple(moved.items())).pieces(min(c, horizon))
-        out += [(k, 1, moved[k], 1, 1) for k in sorted(moved) if c < k <= horizon]
-        pa, pb = (m * pairs // ra, m * pairs // rb) if pairs else (0, 0)
-        for i in range(i0 + 1, i0 + pairs + 1):
-            x, y = a.select(i), b.select(i)
-            out += _progression(x, pa, y, pb, horizon) + _progression(y, pb, x, pa, horizon)
-        for r in range(c + 1, c + m + 1):
-            if not (ta.contains(r) or tb.contains(r)):
-                out += _progression(r, m, r, m, horizon)
+        ranks = max(a.count(horizon), b.count(horizon))
+        top = max(horizon, a.select(ranks), b.select(ranks)) if ranks else horizon
+        if top > horizon:  # a side's R-th member lies past the horizon
+            sides = [_segment_runs(s, top) for s in (a, b)]
+        (w, starts_a, below_a, masks_a), (v, starts_b, below_b, masks_b) = sides
+        residues, out = {}, []
+
+        def members(width, starts, below, masks, i, rank, count):
+            """The members of ranks rank + 1, ..., rank + count, all in segment i."""
+            res = residues.get(masks[i]) or residues.setdefault(masks[i], _residues(masks[i]))
+            q, r = divmod(starts[i], width)
+            first = bisect_left(res, r) + rank - below[i]
+            return [(q + k // len(res)) * width + res[k % len(res)] for k in range(first, first + count)]
+
+        cuts = sorted({r for r in below_a + below_b if r < ranks} | {ranks})
+        for r0, r1 in zip(cuts, cuts[1:]):
+            ia, ib = bisect_right(below_a, r0) - 1, bisect_right(below_b, r0) - 1
+            p, q = masks_a[ia].bit_count(), masks_b[ib].bit_count()
+            pairs = lcm(p, q)
+            step_a, step_b = w * pairs // p, v * pairs // q
+            xs = members(w, starts_a, below_a, masks_a, ia, r0, min(pairs, r1 - r0))
+            ys = members(v, starts_b, below_b, masks_b, ib, r0, len(xs))
+            for k, (x, y) in enumerate(zip(xs, ys)):
+                t = (r1 - r0 - 1 - k) // pairs  # the last term
+                out += _progression(x, step_a, y, step_b, min(horizon, x + t * step_a))
+                out += _progression(y, step_b, x, step_a, min(horizon, y + t * step_b))
+        span = lcm(w, v)
+        full = (1 << span) - 1
+        stretches = sorted({c for c in starts_a + starts_b if c <= horizon})
+        held, opened = 0, {}  # the fixed residues, and the first point of each one's run
+        for lo, hi in zip(stretches, stretches[1:] + [horizon + 1]):
+            ia, ib = bisect_right(starts_a, lo) - 1, bisect_right(starts_b, lo) - 1
+            fixed = full & ~(_tile(masks_a[ia], w, span) | _tile(masks_b[ib], v, span))
+            if hi - lo < span:
+                reach = ((1 << (hi - lo)) - 1) << lo % span
+                reach = (reach | reach >> span) & full
+                fixed = fixed & reach | held & ~reach
+            for r in _residues(held ^ fixed):
+                if fixed >> r & 1:
+                    opened[r] = lo + (r - lo) % span
+                else:
+                    x = opened.pop(r)
+                    out += _progression(x, span, x, span, lo - 1)
+            held = fixed
+        for x in opened.values():
+            out += _progression(x, span, x, span, horizon)
         return out
 
     def to_expr(self):

@@ -29,6 +29,7 @@ from densitylab.nset import (
     _eventual_period,
     _last_departure,
     _periodic_mask,
+    _cut_segments,
     _residues,
     _segments,
     blocks_dexp,
@@ -828,6 +829,12 @@ def test_segments_fall_back_past_the_width_cap_and_at_a_predicate():
     with_rule = union(Predicate(lambda n: n % 5 == 0, 10**4), blocks_dexp())
     assert _segments(with_rule) is None
     assert with_rule.count(10**4) == len(brute_members(with_rule, 10**4))
+
+
+def test_segments_count_nothing_below_one():
+    # the last segment, past 100, counts 5 at its start; no n < 1 may be read in it
+    segments = _cut_segments(union(blocks_explicit([(5, 9)]), finite(100)), 1000)
+    assert [segments.count(n) for n in (-1, 0, 1, 5, 8, 100, 1000)] == [0, 0, 0, 1, 4, 5, 5]
 
 
 def test_segments_extended_from_many_threads_count_as_one():

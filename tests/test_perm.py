@@ -341,13 +341,19 @@ _OVER_CAP = pairing_permutation(blocks_explicit([(1, 1000002)]), blocks_explicit
 
 
 def test_pairing_past_the_rank_form_cap_answers_through_its_trees():
-    assert _OVER_CAP.pieces(3000) is None  # 10^6 head pairs, more than the horizon
-
     def oracle(n):
         if n <= 1000001:
             return n + 2000000
         return n - 2000000 if 2000001 <= n <= 3000001 else n
 
+    # one run of 10^6 ranks: a piece each way, and one per stretch of fixed points
+    for horizon in (3000, 2**64):
+        pieces = _OVER_CAP.pieces(horizon)
+        image = [(k0 + t * p, d + t * q) for k0, p, d, q, terms in pieces
+                 for t in range(min(terms, max(0, (3000 - k0) // p + 1)))]  # the terms up to 3000
+        assert sorted(image) == [(n, oracle(n)) for n in range(1, 3001)], horizon
+    assert len(pieces) == 4
+    assert _checked_pieces(_OVER_CAP, [2**64]) is not None
     rng = random.Random(97)
     points = [1, 1000001, 1000002, 2000000, 2000001, 3000001, 3000002] + rng.sample(range(1, 3000100), 60)
     assert [_OVER_CAP.apply(n) for n in points] == [oracle(n) for n in points]
@@ -870,7 +876,6 @@ def test_pieces_partition_the_horizon_and_agree_with_apply():
 def test_rules_without_affine_structure_have_no_pieces():
     phi = pairing_permutation(ODDS, EVENS)
     assert restrict_pairing(phi, periodic(1000, [1])).pieces(100) is None  # F is infinite
-    assert _OVER_CAP.pieces(100) is None  # 10^6 head pairs, more than the horizon
     assert Compose(QuarterBlockSwap(), Scanned(phi)).pieces(100) is None
     assert Inverse(Scanned(phi)).pieces(100) is None
 
@@ -1174,6 +1179,65 @@ def test_every_piece_agrees_with_the_rule_at_its_ends():
                     k, v = k0 + t * p, d + t * q
                     assert pi.apply(k) == v and pi.invert(v) == k, (pi, horizon, piece, t)
     assert checked >= 2 * len(_PIECE_RULES + _SIDE_PAIRINGS), checked
+
+
+def _random_run_leaf(rng):
+    """Explicit blocks (one of them, at times, longer than 3000), a finite list or a scaled
+    periodic leaf."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        ends = sorted(rng.sample(range(1, 12000), 2 * rng.randrange(1, 4)))
+        if rng.random() < 0.3:
+            ends[-1] = ends[-2] + rng.randrange(3001, 9000)
+        return blocks_explicit(list(zip(ends[::2], ends[1::2])))
+    if kind == 1:
+        return finite(*rng.sample(range(1, 4000), rng.randrange(1, 9)))
+    m = rng.choice((2, 3, 4, 5, 6))
+    return scale(periodic(m, rng.sample(range(m), rng.randrange(1, m))), rng.choice((1, 1, 2, 3)))
+
+
+def _random_run_side(rng, depth):
+    """A depth-``depth`` union or difference of ``_random_run_leaf``s."""
+    if depth == 0 or rng.random() < 0.2:
+        return _random_run_leaf(rng)
+    return rng.choice((union, union, diff))(_random_run_side(rng, depth - 1), _random_run_side(rng, depth - 1))
+
+
+def _rank_run_pairings(seed, count):
+    """Seeded pairings of depth-3 ``_random_run_side``s."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        try:
+            phi = InterlacedPairing(_random_run_side(rng, 3), _random_run_side(rng, 3))
+        except (CardinalityMismatch, UnknownInfinitude):
+            continue
+        out.append(phi)
+    return out
+
+
+def test_rank_run_pieces_match_the_rank_matching_and_the_rule():
+    """Pairing pieces, read per run of ranks from the sides' segments, against brute rank matching
+    and ``apply``/``invert`` at every k <= 3000, and against ``apply``/``invert`` at t = 0, 1 and
+    terms - 1 of every piece up to 2^64, on sides with heads that hold more ranks than 3000."""
+    top, long_heads, fixed_runs = 3000, 0, 0
+    for phi in _rank_run_pairings(101, 24):
+        a, b = phi.a_only, phi.b_only
+        need = max(a.count(top), b.count(top))
+        # a side that departs from its tail last at c, with more members up to c than the horizon
+        long_heads += any(side.count(_last_departure(side)[0]) > top for side in (a, b))
+        oracle = _rank_matching(*(_brute_members(side, need, top) for side in (a, b)))
+        image = [(k0 + t * p, d + t * q) for k0, p, d, q, terms in phi.pieces(top) for t in range(terms)]
+        assert sorted(image) == [(k, oracle(k)) for k in range(1, top + 1)], phi
+        assert all(phi.apply(k) == v and phi.invert(v) == k for k, v in image), phi
+        pieces = phi.pieces(2**64)
+        assert sum(terms for *_, terms in pieces) == 2**64, phi
+        for k0, p, d, q, terms in pieces:
+            fixed_runs += k0 == d and p == q and k0 + terms * p <= 2**64  # a run of fixed points that ends
+            for t in {0, min(1, terms - 1), terms - 1}:
+                k, v = k0 + t * p, d + t * q
+                assert phi.apply(k) == v and phi.invert(v) == k, (phi, (k0, p, d, q, terms), t)
+    assert long_heads >= 5 and fixed_runs >= 10, (long_heads, fixed_runs)
 
 
 def test_pairing_past_the_rank_form_cap_reads_levy_and_displacement_from_its_sides():
