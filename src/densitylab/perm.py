@@ -43,7 +43,6 @@ from .nset import (
     Infinitude,
     Predicate,
     SymbolicSet,
-    _bound_by_period,
     _last_departure,
     _residues,
     _segment_runs,
@@ -329,7 +328,10 @@ class Restricted(PermutationRule):
 
     With base pairing φ and exceptional set F, let F' = A' ∩ (F ∪ φF) and
     E = F' ∪ φF'.  The rule fixes E pointwise and agrees with φ elsewhere;
-    since φE = E it is again a bijection (and an involution).
+    since φE = E it is again a bijection (and an involution).  As φ is an
+    involution, a k that φ moves lies in E iff F holds k or φ(k).  So along a
+    piece k0 + t*p -> d + t*q of φ, where F is one residue mask mod m, E's
+    state repeats in t with period P = lcm(m/gcd(p, m), m/gcd(q, m)).
     """
 
     base: InterlacedPairing
@@ -340,36 +342,58 @@ class Restricted(PermutationRule):
             raise ValueError("restriction base must be a pairing")
 
     def pieces(self, horizon):
-        """For an F finite by its eventual period (an empty tail, b past its
-        members) and a base with pieces: the base's pieces, each cut at every
-        point e of E in its domain into the piece before e, the fixed point
-        e -> e and the piece after e.  Points outside E map as under the base."""
-        f, bound = self.exceptional, _bound_by_period(self.exceptional)
-        # reading more than ``horizon`` members of F costs more than a scan; each is one select
-        if bound is None or f.count(bound) > horizon:
-            return None
+        """The base's pieces, the moved ones cut where E's state changes: along k0 + t*p -> d + t*q,
+        k lies in E iff F holds k or d + t*q.  The starts of F's segments (``nset._segment_runs``)
+        cut the t into runs on which k and its image each stay in one segment of width m, so on a
+        run the state repeats with period P = lcm(m/gcd(p, m), m/gcd(q, m)); each class of t mod P
+        is one fixed or moved sub-progression, joined across cuts while its state holds.  None
+        when F has an opaque leaf, or when the pieces could number more than ``horizon``, counted
+        as P per run before any is built: a piece of fewer than P terms splits into single points,
+        which cost no less than a scan."""
         pieces = self.base.pieces(horizon)
         if pieces is None:
             return None
-        a, b = self.base._sides
-        members = map(f.select, range(1, f.count(bound) + 1))
-        orbit = {g for e in members if a.contains(e) or b.contains(e) for g in (e, self.base.apply(e))}
-        fixed = sorted(e for e in orbit if e <= horizon)
-        if len(fixed) * len(pieces) > horizon:
+        moved = [pc for pc in pieces if pc[0] != pc[2]]
+        top = max((max(k0 + (T - 1) * p, d + (T - 1) * q) for k0, p, d, q, T in moved), default=1)
+        segments = _segment_runs(self.exceptional, top)
+        if segments is None:
             return None
-        out = []
-        for k0, p, d, q, terms in pieces:
-            t = 0  # the first term not yet emitted
-            for e in fixed:
-                s, off = divmod(e - k0, p)
-                if off or not 0 <= s < terms:
-                    continue
-                if s > t:
-                    out.append(_piece(k0 + t * p, p, d + t * q, q, s - t))
-                out.append((e, 1, e, 1, 1))
-                t = s + 1
-            if t < terms:
-                out.append(_piece(k0 + t * p, p, d + t * q, q, terms - t))
+        m, starts, _, masks = segments
+
+        def runs(k0, p, d, q, terms):
+            """0, ``terms`` and each t where k0 + t*p or d + t*q is the first in a segment."""
+            cuts = {0, terms}
+            for first, step in ((k0, p), (d, q)):
+                lo, hi = bisect_right(starts, first), bisect_right(starts, first + (terms - 1) * step)
+                cuts.update(-(-(c - first) // step) for c in starts[lo:hi])
+            return sorted(cuts)
+
+        plans = [(pc, lcm(m // gcd(pc[1], m), m // gcd(pc[3], m)), runs(*pc)) for pc in moved]
+        if len(pieces) - len(moved) + sum(span * (len(ts) - 1) for _, span, ts in plans) > horizon:
+            return None
+        out = [pc for pc in pieces if pc[0] == pc[2]]
+        for (k0, p, d, q, terms), span, ts in plans:
+            state, first = [None] * span, [0] * span  # each class of t mod P: fixed, and its run's first t
+
+            def close(c, end):
+                """The run of class c, from first[c] to before ``end``."""
+                t = first[c]
+                x, step = k0 + t * p, p * span
+                image = (x, step) if state[c] else (d + t * q, q * span)
+                out.append(_piece(x, step, *image, (end - t + span - 1) // span))
+
+            for t0, t1 in zip(ts, ts[1:]):
+                at_k = masks[bisect_right(starts, k0 + t0 * p) - 1]
+                at_d = masks[bisect_right(starts, d + t0 * q) - 1]
+                for t in range(t0, min(t1, t0 + span)):
+                    fixed = (at_k >> (k0 + t * p) % m | at_d >> (d + t * q) % m) & 1
+                    c = t % span
+                    if state[c] != fixed:
+                        if state[c] is not None:
+                            close(c, t)
+                        state[c], first[c] = fixed, t
+            for c in range(min(span, terms)):
+                close(c, terms)
         return out
 
     def apply(self, n):

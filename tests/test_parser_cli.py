@@ -1,6 +1,8 @@
 import io
 import json
+import random
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -9,10 +11,15 @@ import pytest
 
 from densitylab import cli, nset, parser
 from densitylab.cli import ExperimentConfig, run_command
+from densitylab.corpus import disjoint_periodic_pairs
 from densitylab.errors import ConfigError, ParseError
 from densitylab.parser import parse_expression
 
 from oracles import dexp_count_closed
+
+# the benchmark's oracle, which parses and computes on its own, without densitylab
+sys.path.append(str(Path(__file__).resolve().parents[1]))
+from perfbench import oracle as bench_oracle  # noqa: E402
 
 
 def run(argv):
@@ -461,3 +468,39 @@ def test_parser_reused_after_an_exit_gives_the_same_bytes(monkeypatch, first, co
     alone = run(good)
     assert run(first)[0] == code
     assert run(good) == alone
+
+
+# ---------------------------------------------------------------------------
+# end to end against the benchmark's oracle
+# ---------------------------------------------------------------------------
+
+
+def _random_periodic(rng):
+    modulus = rng.randrange(3, 13)
+    residues = sorted(rng.sample(range(modulus), rng.randrange(1, 3)))
+    return f"periodic({modulus};{','.join(map(str, residues))})"
+
+
+def _random_finite(rng):
+    return f"finite({','.join(map(str, sorted(rng.sample(range(1, 5000), rng.randrange(1, 9)))))})"
+
+
+def test_perm_requests_match_the_benchmark_oracle():
+    """Seeded levy, statlim, displacement and witness requests on periodic pairings and their
+    restrictions by finite, periodic and headed F, each result against the oracle's."""
+    rng = random.Random(101)
+    rules = []
+    for a, b in disjoint_periodic_pairs(4, seed=103):
+        pair = f"pair({a.to_expr()},{b.to_expr()})"
+        lo = rng.randrange(1, 200)
+        headed = rng.choice([
+            f"union({_random_finite(rng)},{_random_periodic(rng)})",
+            f"diff({_random_periodic(rng)},{_random_finite(rng)})",
+            f"union(blocks([{lo},{lo + rng.randrange(1, 60)})),{_random_periodic(rng)})",
+        ])
+        rules += [pair] + [f"restrict({pair},{f})" for f in (_random_finite(rng), _random_periodic(rng), headed)]
+    targets = ["periodic(3;1)", "union(finite(2,9,40),periodic(7;3))", "blocks(dexp)"]
+    for rule in rules:
+        for argv in (["levy", rule], ["statlim", rule], ["displacement", rule, rng.choice(targets)], ["witness", rule]):
+            argv += ["--horizon", "4096"]
+            assert bench_oracle.matches(bench_oracle.expected(argv), run_json(argv)["result"]), argv

@@ -875,7 +875,7 @@ def test_pieces_partition_the_horizon_and_agree_with_apply():
 
 def test_rules_without_affine_structure_have_no_pieces():
     phi = pairing_permutation(ODDS, EVENS)
-    assert restrict_pairing(phi, periodic(1000, [1])).pieces(100) is None  # F is infinite
+    assert restrict_pairing(phi, periodic(1000003, [1])).pieces(100) is None  # F is wider than the cap: opaque
     assert Compose(QuarterBlockSwap(), Scanned(phi)).pieces(100) is None
     assert Inverse(Scanned(phi)).pieces(100) is None
 
@@ -984,15 +984,17 @@ def test_a_tampered_piece_fails_its_check(monkeypatch):
         _moved_up(q, grid.points())
 
 
+_RESTRICTION_BASES = [pairing_permutation(ODDS, EVENS)] + _MIXED_PAIRINGS
+_RESTRICTION_BASES += [pairing_permutation(a, b) for a, b in disjoint_periodic_pairs(8, seed=67)]
+
+
 def _restrictions(rng):
     """Seeded periodic pairings restricted by random finite sets F, some of
     whose points are the first or last terms of the base's pieces on
     [1, 3000]."""
     horizon = 3000
-    bases = [pairing_permutation(ODDS, EVENS)] + _MIXED_PAIRINGS
-    bases += [pairing_permutation(a, b) for a, b in disjoint_periodic_pairs(8, seed=67)]
     rules = []
-    for phi in bases:
+    for phi in _RESTRICTION_BASES:
         ends = sorted({k0 + t * p for k0, p, _, _, terms in phi.pieces(horizon) for t in (0, terms - 1)})
         f = rng.sample(range(1, horizon + 40), rng.randrange(0, 5)) + rng.sample(ends, 3)
         psi = Restricted(phi, finite(*sorted(set(f))))
@@ -1053,12 +1055,82 @@ def test_restricted_piece_diagnostics_match_the_scan():
 def test_a_tampered_restricted_piece_fails_its_check(monkeypatch):
     honest = Restricted.pieces
     psi = Restricted(pairing_permutation(ODDS, EVENS), finite(3, 5))
-    assert (3, 1, 3, 1, 1) in honest(psi, 1000) and (7, 2, 8, 2, 497) in honest(psi, 1000)
-    for wrong, right in (((3, 1, 4, 1, 1), (3, 1, 3, 1, 1)), ((7, 2, 6, 2, 497), (7, 2, 8, 2, 497))):
+    assert (3, 2, 3, 2, 2) in honest(psi, 1000) and (7, 2, 8, 2, 497) in honest(psi, 1000)
+    for wrong, right in (((3, 2, 4, 2, 2), (3, 2, 3, 2, 2)), ((7, 2, 6, 2, 497), (7, 2, 8, 2, 497))):
         monkeypatch.setattr(Restricted, "pieces", lambda self, h, w=wrong, r=right: [
             w if pc == r else pc for pc in honest(self, h)])
         with pytest.raises(AssertionError):
             _checked_pieces(psi, [10, 1000])
+
+
+# infinite F: periodic with a short and a long period, periodic with finite points added or
+# taken away, and with a dexp part, whose segments grow without end
+_INFINITE_F = [
+    periodic(5, [1]),
+    periodic(1000, [1]),
+    union(finite(7, 40, 41), periodic(9, [2])),
+    diff(periodic(4, [1, 2]), finite(5, 6, 9)),
+    inter(blocks_dexp(), periodic(3, [1])),
+]
+
+
+def test_restrictions_by_infinite_sets_match_the_rule_and_the_scans():
+    rng = random.Random(97)
+    headed = pairing_permutation(union(blocks_explicit([(1, 30)]), periodic(3, [1])), periodic(3, [2]))
+    rules = [Restricted(phi, f) for phi in _RESTRICTION_BASES + [headed] for f in _INFINITE_F]
+    built = {}
+    for psi in rules:
+        phi, f = psi.base.apply, psi.exceptional.contains
+        for pi in (psi, Inverse(psi), Compose(QuarterBlockSwap(), psi)):
+            for horizon in (1, 7, 40, 3000):
+                pieces = pi.pieces(horizon)
+                if pieces is None:  # they could number more than the horizon
+                    continue
+                built[pi, horizon] = pieces
+                image = {}
+                for k0, p, d, q, terms in pieces:
+                    assert terms >= 1 and p >= 1 and q >= 1 and (terms > 1 or p == q == 1)
+                    for t in range(terms):
+                        assert k0 + t * p not in image, (pi, horizon)
+                        image[k0 + t * p] = d + t * q
+                assert sorted(image) == list(range(1, horizon + 1)), (pi, horizon)
+                assert all(pi.apply(k) == v for k, v in image.items()), (pi, horizon)
+                if pi is psi:  # E: the k that φ moves with k or φ(k) in F
+                    assert all((v == k) == (phi(k) == k or f(k) or f(phi(k))) for k, v in image.items())
+    # every F of period at most 9 has pieces at 3000; periodic(1000;1) on odds and evens has one
+    # per class of t mod 500 on each of the two moved pieces
+    assert all((psi, 3000) in built for psi in rules if psi.exceptional.to_expr() != "periodic(1000;1)")
+    assert len(built[Restricted(_RESTRICTION_BASES[0], periodic(1000, [1])), 3000]) == 1000
+    assert sum(h < 3000 for _, h in built) >= 50
+
+    targets = [scale(periodic(3, [1, 2]), 2), finite(1, 6, 7, 100, 2999), union(finite(5, 9, 1001), periodic(4, [1]))]
+    taken = 0
+    for psi in rules:
+        if (psi, 3000) not in built:
+            continue
+        for grid in _piece_grids(rng, psi, 3000)[:2]:
+            pts = grid.points()
+            defects = levy_defect_profile(psi, grid).defects
+            assert defects == levy_defect_profile(psi, grid, mode="downward").defects, (psi, grid)
+            assert defects == tuple(Fraction(brute_defect(psi, n), n) for n in pts), (psi, grid)
+            eps = rng.sample([Fraction(1, 7), Fraction(1), Fraction(1, 2), Fraction(1, 3)], 2)
+            got = ratio_stat_report(psi, eps, grid).stat
+            assert got == _stat_table(lambda k: (psi.apply(k), k), 1, eps, grid, got.slack), (psi, grid, eps)
+            a = rng.choice(targets)
+            assert _image_counts(psi, a, pts, 10**7) == [brute_image_count(psi, a, n) for n in pts], (psi, a)
+            assert _moved_up(psi, pts) == _moved_up(Scanned(psi), pts), (psi, grid)
+            taken += 1
+    assert taken >= 100
+
+    # at 2^64: φ moves odd k up to k + 1, and E = {k : k or its partner is 1 mod 5}
+    expr = "restrict(pair(periodic(2;1),periodic(2;0)),periodic(5;1))"
+    witness = _far(["witness", expr])
+    assert witness["first_elements"] == [k for k in range(1, 70, 2) if k % 5 in (2, 3, 4)][:20]
+    for e in witness["ratio_profile"]:
+        n = e["n"]
+        count = 3 * (n // 10) + sum(r <= n % 10 for r in (3, 7, 9))
+        assert Fraction(e["value"]["num"], e["value"]["den"]) == Fraction(count, n)
+    assert all(e["value"]["num"] == 0 for e in _far(["levy", expr])["defects"])
 
 
 def _boundary_grids(rng, pi, top, count):
