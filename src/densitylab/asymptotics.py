@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain
 from math import ceil, lcm
 from operator import itemgetter
@@ -312,9 +313,11 @@ def _ratio_extrema(
     return mn, mx
 
 
-def _stretch_points(a: SymbolicSet, b: SymbolicSet, lo: int, hi: int) -> Optional[Iterator[tuple[int, int]]]:
-    """(D(n), n) for D(n) = A(n) - B(n) at the points of [lo, hi] that can hold an extremum of
-    |D(n)|/n, in increasing n; None when either set has an opaque leaf.
+def _stretch_points(
+    a: SymbolicSet, b: SymbolicSet, lo: int, hi: int, budget: int
+) -> tuple[str, Iterator[tuple[int, int]]]:
+    """(grid, points): (D(n), n) for D(n) = A(n) - B(n) at the points of [lo, hi] that can hold an
+    extremum of |D(n)|/n, in increasing n.
 
     The cuts of both sets' segments (``nset._cut_segments``) cut [1, hi] into stretches, and on
     each stretch each set is a periodic set of its segments' width.  For L the lcm of the two
@@ -322,13 +325,19 @@ def _stretch_points(a: SymbolicSet, b: SymbolicSet, lo: int, hi: int) -> Optiona
     phase n, n + L, n + 2L, ... D(n)/n is monotone (or constant) and |D(n)|/n is greatest at an
     end.  Hence the first L and the last L points of each stretch in the window hold the extrema
     over the stretch, and the first point attaining each of them; a stretch shorter than 2L is
-    read whole.  D is counted at the start of each read and carried by the two sets' ``contains``.
+    read whole.  The grid is then ``window-extrema-via-pieces``.  When either set has an opaque
+    leaf, [lo, hi] is one stretch, read whole, and the grid is ``integer-scan``.  D is counted at
+    the start of each read, an opaque pair's with ``budget``, and carried by the two sets'
+    ``contains``.
     """
     sa, sb = _cut_segments(a, hi), _cut_segments(b, hi)
-    if sa is None or sb is None:
-        return None
-    span = lcm(sa.width, sb.width)
-    starts = [lo, *sorted({c for c in chain(sa.starts, sb.starts) if lo < c <= hi})]
+    if sa is None or sb is None:  # no cuts, and a span that reads the one stretch whole
+        grid, cuts, span = "integer-scan", (), hi
+        count_a, count_b = (partial(s.count, budget=budget) for s in (a, b))
+    else:
+        grid, cuts, span = "window-extrema-via-pieces", chain(sa.starts, sb.starts), lcm(sa.width, sb.width)
+        count_a, count_b = sa.count, sb.count
+    starts = [lo, *sorted({c for c in cuts if lo < c <= hi})]
     ends = [c - 1 for c in starts[1:]] + [hi]
 
     def points() -> Iterator[tuple[int, int]]:
@@ -337,12 +346,12 @@ def _stretch_points(a: SymbolicSet, b: SymbolicSet, lo: int, hi: int) -> Optiona
                 ((first, last),) if last - first < 2 * span else ((first, first + span - 1), (last - span + 1, last))
             )
             for x, z in reads:
-                d = sa.count(x - 1) - sb.count(x - 1) if x > 1 else 0
+                d = count_a(x - 1) - count_b(x - 1)
                 for n in range(x, z + 1):
                     d += a.contains(n) - b.contains(n)
                     yield d, n
 
-    return points()
+    return grid, points()
 
 
 def _extrema_by_scan(

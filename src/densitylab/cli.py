@@ -12,7 +12,6 @@ Exit codes: 0 for any computed report (inconclusive verdicts included),
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .errors import (
     PredicateCapExceeded,
 )
 from .measure import evaluate, equal_measure_test
-from .nset import DEFAULT_ENUMERATION_BUDGET
+from .nset import DEFAULT_ENUMERATION_BUDGET, select
 from .parser import parse_expression
 from .perm import (
     _moved_up,
@@ -222,11 +221,9 @@ def _run_pair(args, config):
     a = parse_expression(args.set_a, "set")
     b = parse_expression(args.set_b, "set")
     phi = parse_expression(f"pair({a.to_expr()},{b.to_expr()})", "perm")
-    # never ask for a pair past the last: a side that is finite by its
-    # eventual period can enumerate forever after its last element
+    # the i-th pair is the i-th member of each side; never ask past the last
     limit = 10 if phi.pair_total is None else min(10, phi.pair_total)
-    pairs = zip(phi.a_only.iter_elements(), phi.b_only.iter_elements())
-    shown = [[x, y] for x, y in itertools.islice(pairs, limit)]
+    shown = [[select(phi.a_only, i), select(phi.b_only, i)] for i in range(1, limit + 1)]
     sample_ok = all(
         phi.apply(phi.apply(n)) == n for n in range(1, min(1000, config.horizon) + 1)
     )

@@ -476,41 +476,6 @@ class EqualMeasureReport:
     grid: str
 
 
-def _tail_sup_by_scan(
-    a: SymbolicSet, b: SymbolicSet, start: int, horizon: int, budget: int
-) -> tuple[int, int]:
-    """(|A(n) - B(n)|, n) at the first n in [start, horizon] attaining the
-    greatest |A(n) - B(n)|/n, or (0, 1) when it is 0 throughout, by a scan
-    of every integer."""
-    if horizon > budget:
-        raise EnumerationBudgetExceeded(horizon, budget, "difference scan")
-    in_a, in_b = a.contains, b.contains
-    ca = a.count(start - 1, budget=budget)
-    cb = b.count(start - 1, budget=budget)
-    best_dev, best_n = 0, 1
-    if start <= horizon:
-        if in_a(start):
-            ca += 1
-        if in_b(start):
-            cb += 1
-        if ca != cb:
-            best_dev, best_n = abs(ca - cb), start
-    # |A(n) - B(n)|/n can rise only where exactly one set contains n
-    for n in range(start + 1, horizon + 1):
-        if in_a(n):
-            if in_b(n):
-                continue
-            ca += 1
-        elif in_b(n):
-            cb += 1
-        else:
-            continue
-        dev = abs(ca - cb)
-        if dev * best_n > best_dev * n:
-            best_dev, best_n = dev, n
-    return best_dev, best_n
-
-
 def equal_measure_test(
     a: SymbolicSet,
     b: SymbolicSet,
@@ -526,8 +491,9 @@ def equal_measure_test(
     [tail_window_start, horizon].  Side two: |mu(A) - mu(B)| for each
     sequence in the corpus.
 
-    The supremum is exact either way, and the report's ``grid`` says how it
-    was found:
+    The supremum is exact either way: it is read at the points of one
+    walk (``asymptotics._stretch_points``), whose number the budget caps,
+    and the report's ``grid`` says which:
 
     * ``window-extrema-via-pieces`` -- when both sets have segments, each
       is a periodic set of its segments' width between the cuts of the two
@@ -535,27 +501,20 @@ def equal_measure_test(
       stretch with no cut, for L the lcm of the two widths, A(n) - B(n)
       changes by a constant per step, so |A(n) - B(n)|/n is greatest at
       the phase's first or last point.  Only the first L and the last L
-      points of each stretch are read (``asymptotics._stretch_points``),
-      and the budget caps their number;
-    * ``integer-scan`` -- otherwise (a set with an opaque leaf), a scan of
-      every integer in the window, refused when the horizon exceeds the
-      budget.
+      points of each stretch are read;
+    * ``integer-scan`` -- otherwise (a set with an opaque leaf), every
+      integer in the window.
     """
     start = tail_window_start if tail_window_start is not None else max(1, horizon // 10)
     budget = checked_budget(budget)
-    walk = _stretch_points(a, b, start, horizon)
-    if walk is not None:
-        grid = "window-extrema-via-pieces"
-        best_dev, best_n = 0, 1
-        for read, (d, n) in enumerate(walk, 1):
-            if read > budget:
-                raise EnumerationBudgetExceeded(horizon, budget, "difference walk")
-            dev = abs(d)
-            if dev * best_n > best_dev * n:
-                best_dev, best_n = dev, n
-    else:
-        grid = "integer-scan"
-        best_dev, best_n = _tail_sup_by_scan(a, b, start, horizon, budget)
+    grid, walk = _stretch_points(a, b, start, horizon, budget)
+    best_dev, best_n = 0, 1
+    for read, (d, n) in enumerate(walk, 1):
+        if read > budget:
+            raise EnumerationBudgetExceeded(horizon, budget, "difference walk")
+        dev = abs(d)
+        if dev * best_n > best_dev * n:
+            best_dev, best_n = dev, n
     tail_sup = Fraction(best_dev, best_n)
 
     rows = []

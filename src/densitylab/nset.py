@@ -14,13 +14,14 @@ part wider than ``_LCM_CAP``).  The algebra nodes count from its segments,
 periodic patterns between the cut points of their finite and block leaves,
 and the eventual period, the points that depart from it and the folds of
 two periodic nodes read the same masks.  Trees with an opaque leaf count
-from their parts, last of all by bounded enumeration, and *fail loudly*
-when the enumeration budget is hit.
+from their parts.  Last of all an intersection tests each member of its
+smaller part with the other part, reading the members from the smaller
+part's member runs (or, for a part with none, by a scan of [1, n]), and
+*fails loudly* when that would pass the enumeration budget.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import operator
@@ -69,22 +70,6 @@ class Infinitude(Enum):
     UNKNOWN = "unknown"
 
 
-class _Budget:
-    """Mutable step counter for enumeration fallbacks."""
-
-    __slots__ = ("remaining", "limit", "horizon")
-
-    def __init__(self, limit: int, horizon: int):
-        self.remaining = limit
-        self.limit = limit
-        self.horizon = horizon
-
-    def spend(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise EnumerationBudgetExceeded(self.horizon, self.limit)
-
-
 # ---------------------------------------------------------------------------
 # block sources
 # ---------------------------------------------------------------------------
@@ -100,15 +85,6 @@ class BlockSource:
     def contains(self, n: int) -> bool:
         """Whether n lies in one of the intervals."""
         raise NotImplementedError
-
-    def intervals_up_to(self, n: int) -> list[tuple[int, int]]:
-        """All intervals whose left endpoint is <= n, in increasing order."""
-        out = []
-        for l, r in self.iter_intervals():
-            if l > n:
-                break
-            out.append((l, r))
-        return out
 
     def intervals_meeting(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """The intervals that hold a point of [lo, hi], in increasing order."""
@@ -205,7 +181,9 @@ class SymbolicSet:
         bisection, a stored prefix count and popcounts of one mask, exact
         at any horizon.  A tree whose pattern is wider than ``_LCM_CAP``,
         or that holds a ``Predicate`` or an ``ImageSet``, counts from its
-        parts instead, down to bounded enumeration.
+        parts instead.  Last of all an intersection tests at most ``budget``
+        members of its smaller part, read from that part's member runs, or
+        scans [1, n], at most ``budget`` integers, when the part has none.
         """
         budget = checked_budget(budget)
         if n < 0:
@@ -249,12 +227,6 @@ class SymbolicSet:
         """
         return None
 
-    def iter_elements(
-        self, upto: Optional[int] = None, budget: Optional[_Budget] = None
-    ) -> Iterator[int]:
-        """Yield members <= upto (all members when upto is None) in order."""
-        raise NotImplementedError
-
     def select(self, k: int, budget: Optional[int] = None) -> int:
         """The k-th smallest element (k >= 1); see the module-level ``select``."""
         return select(self, k, budget=budget)
@@ -286,8 +258,6 @@ class Empty(SymbolicSet):
     def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
         return []
 
-    def iter_elements(self, upto=None, budget=None):
-        return iter(())
 
     def to_expr(self):
         return "empty"
@@ -310,12 +280,6 @@ class Full(SymbolicSet):
     def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
         return _capped([(1, horizon)] if horizon >= 1 else [], cap, within)
 
-    def iter_elements(self, upto=None, budget=None):
-        it = itertools.count(1) if upto is None else range(1, upto + 1)
-        for v in it:
-            if budget is not None:
-                budget.spend()
-            yield v
 
     def to_expr(self):
         return "full"
@@ -359,13 +323,6 @@ class FiniteList(SymbolicSet):
                 runs.append((e, e))
         return _capped(runs, cap, within)
 
-    def iter_elements(self, upto=None, budget=None):
-        for e in self.elements:
-            if upto is not None and e > upto:
-                return
-            if budget is not None:
-                budget.spend()
-            yield e
 
     def to_expr(self):
         return "finite(" + ",".join(str(e) for e in self.elements) + ")"
@@ -448,17 +405,6 @@ class Periodic(SymbolicSet):
                 return None
         return runs
 
-    def iter_elements(self, upto=None, budget=None):
-        m = self.modulus
-        offsets = self._offs
-        for base in itertools.count(0, m):
-            for off in offsets:
-                v = base + off
-                if upto is not None and v > upto:
-                    return
-                if budget is not None:
-                    budget.spend()
-                yield v
 
     def to_expr(self):
         return f"periodic({self.modulus};" + ",".join(map(str, self.residues)) + ")"
@@ -472,7 +418,7 @@ class Blocks(SymbolicSet):
         return self.source.contains(n)
 
     def _count(self, n, budget):
-        return sum(min(r, n + 1) - l for l, r in self.source.intervals_up_to(n))
+        return sum(min(r, n + 1) - l for l, r in self.source.intervals_meeting(1, n))
 
     def infinitude(self):
         return Infinitude.INFINITE if self.source.is_infinite() else Infinitude.FINITE
@@ -490,7 +436,7 @@ class Blocks(SymbolicSet):
 
     def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
         runs: list[tuple[int, int]] = []
-        for l, r in self.source.intervals_up_to(horizon):
+        for l, r in self.source.intervals_meeting(1, horizon):
             hi = min(r - 1, horizon)
             if runs and runs[-1][1] == l - 1:
                 runs[-1] = (runs[-1][0], hi)
@@ -498,15 +444,6 @@ class Blocks(SymbolicSet):
                 runs.append((l, hi))
         return _capped(runs, cap, within)
 
-    def iter_elements(self, upto=None, budget=None):
-        for l, r in self.source.iter_intervals():
-            if upto is not None and l > upto:
-                return
-            stop = r if upto is None else min(r, upto + 1)
-            for v in range(l, stop):
-                if budget is not None:
-                    budget.spend()
-                yield v
 
     def to_expr(self):
         return f"blocks({self.source.to_expr()})"
@@ -566,10 +503,6 @@ class Scaled(SymbolicSet):
             out += zip(members, members)
         return out
 
-    def iter_elements(self, upto=None, budget=None):
-        inner_upto = None if upto is None else upto // self.factor
-        for a in self.inner.iter_elements(inner_upto, budget):
-            yield self.factor * a
 
     def to_expr(self):
         return f"scale({self.factor},{self.inner.to_expr()})"
@@ -606,33 +539,9 @@ class Predicate(SymbolicSet):
     def infinitude(self):
         return Infinitude.UNKNOWN
 
-    def iter_elements(self, upto=None, budget=None):
-        stop = self.enumeration_cap if upto is None else min(upto, self.enumeration_cap)
-        for k in range(1, stop + 1):
-            if budget is not None:
-                budget.spend()
-            if self.rule(k):
-                yield k
-        if upto is None or upto > self.enumeration_cap:
-            raise PredicateCapExceeded(
-                self.enumeration_cap + 1, self.enumeration_cap
-            )
 
     def to_expr(self):
         return f"predicate({self.label};cap={self.enumeration_cap})"
-
-
-def _merged_iter(
-    left: Iterator[int], right: Iterator[int], budget: Optional[_Budget]
-) -> Iterator[int]:
-    """Merge two increasing iterators, dropping duplicates."""
-    prev = None
-    for v in heapq.merge(left, right):
-        if v != prev:
-            if budget is not None:
-                budget.spend()
-            yield v
-        prev = v
 
 
 def _both(node: "Union | Diff") -> SymbolicSet:
@@ -681,14 +590,6 @@ class Union(SymbolicSet):
         right = self.right.member_runs(horizon, cap, within)
         return None if right is None else _union_runs(left, right, cap)
 
-    def iter_elements(self, upto=None, budget=None):
-        if upto is None:
-            upto = self.max_element()
-        return _merged_iter(
-            self.left.iter_elements(upto, None),
-            self.right.iter_elements(upto, None),
-            budget,
-        )
 
     def to_expr(self):
         return f"union({self.left.to_expr()},{self.right.to_expr()})"
@@ -706,8 +607,10 @@ class Intersect(SymbolicSet):
         """From the segments when the tree has them (see ``SymbolicSet.count``).
         Otherwise, when one part has at most 64 member runs (the low cap keeps
         nested intersections from multiplying out), the other part is counted
-        run by run; otherwise by enumeration of the smaller part, which
-        ``budget`` caps."""
+        run by run.  Otherwise each member of the smaller part, at most
+        ``budget`` of them, is tested by the other part: read from the smaller
+        part's member runs, or, when it has none, by a scan of [1, n] that
+        ``budget`` caps too."""
         segments = _segments(self)
         if segments is not None:
             return segments.count(n)
@@ -718,18 +621,17 @@ class Intersect(SymbolicSet):
                     b.count(min(hi, n), budget=budget) - b.count(lo - 1, budget=budget)
                     for lo, hi in runs
                 )
-        return self._count_by_enumeration(n, budget)
-
-    def _count_by_enumeration(self, n, budget):
         cl = self.left.count(n, budget=budget)
         cr = self.right.count(n, budget=budget)
-        small, other = (
-            (self.left, self.right) if cl <= cr else (self.right, self.left)
-        )
+        small, other = (self.left, self.right) if cl <= cr else (self.right, self.left)
         if min(cl, cr) > budget:
             raise EnumerationBudgetExceeded(n, budget)
-        b = _Budget(budget, n)
-        return sum(1 for v in small.iter_elements(n, b) if other.contains(v))
+        runs = small.member_runs(n, cap=budget)
+        if runs is not None:
+            return sum(1 for lo, hi in runs for v in range(lo, hi + 1) if other.contains(v))
+        if n > budget:
+            raise EnumerationBudgetExceeded(n, budget)
+        return sum(1 for v in range(1, n + 1) if self.contains(v))
 
     def infinitude(self):
         a, b = self.left.infinitude(), self.right.infinitude()
@@ -748,12 +650,6 @@ class Intersect(SymbolicSet):
                 return other.member_runs(horizon, cap, runs)
         return None
 
-    def iter_elements(self, upto=None, budget=None):
-        if upto is None:
-            upto = self.max_element()
-        for v in self.left.iter_elements(upto, budget):
-            if self.right.contains(v):
-                yield v
 
     def to_expr(self):
         return f"inter({self.left.to_expr()},{self.right.to_expr()})"
@@ -793,12 +689,6 @@ class Diff(SymbolicSet):
         dropped = self.right.member_runs(horizon, cap + len(kept), kept)
         return None if dropped is None else _gaps(kept, dropped, cap)
 
-    def iter_elements(self, upto=None, budget=None):
-        if upto is None:
-            upto = self.max_element()
-        for v in self.left.iter_elements(upto, budget):
-            if not self.right.contains(v):
-                yield v
 
     def to_expr(self):
         return f"diff({self.left.to_expr()},{self.right.to_expr()})"
@@ -835,15 +725,6 @@ class Complement(SymbolicSet):
         inner = self.inner.member_runs(horizon, cap + len(windows), within)
         return None if inner is None else _gaps(windows, inner, cap)
 
-    def iter_elements(self, upto=None, budget=None):
-        if upto is None:
-            upto = self.max_element()
-        it = itertools.count(1) if upto is None else range(1, upto + 1)
-        for v in it:
-            if budget is not None:
-                budget.spend()
-            if not self.inner.contains(v):
-                yield v
 
     def to_expr(self):
         return f"compl({self.inner.to_expr()})"

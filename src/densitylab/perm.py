@@ -760,14 +760,8 @@ class ImageSet(SymbolicSet):
         bound = self.base.max_element()
         if bound is None:
             return None
-        return max((self.pi.apply(k) for k in self.base.iter_elements(bound)), default=0)
-
-    def iter_elements(self, upto=None, budget=None):
-        for m in range(1, upto + 1) if upto is not None else itertools.count(1):
-            if budget is not None:
-                budget.spend()
-            if self.contains(m):
-                yield m
+        base = self.base
+        return max((self.pi.apply(base.select(i)) for i in range(1, base.count(bound) + 1)), default=0)
 
     def to_expr(self):
         return f"image({self.pi.to_expr()},{self.base.to_expr()})"

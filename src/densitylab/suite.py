@@ -100,7 +100,7 @@ def first_domination_violation(
     def behind(n: int) -> bool:
         return b.count(n, budget=budget) < a.count(n, budget=budget)
 
-    for l, r in a.source.intervals_up_to(horizon):
+    for l, r in a.source.intervals_meeting(1, horizon):
         if behind(min(r - 1, horizon)):
             return _least(l, min(r - 1, horizon), behind)
     return None
@@ -156,7 +156,7 @@ def counterexample_suite(
     # under 20/31 < 3/4, so the periodic set keeps dominating.
     bound = Fraction(20, 31)
     edge_ok = True
-    for l, r in a.source.intervals_up_to(1 << (1 << dexp_terms)):
+    for l, r in a.source.intervals_meeting(1, 1 << (1 << dexp_terms)):
         e = r - 1
         if e >= 31 and Fraction(a.count(e, budget=budget), e) > bound:
             edge_ok = False

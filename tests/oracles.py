@@ -6,6 +6,7 @@ checked against a second, separate path.
 """
 
 from fractions import Fraction
+from itertools import takewhile
 
 from densitylab.nset import (
     Blocks,
@@ -61,7 +62,7 @@ def brute_members(s, n: int) -> set[int]:
         rs = set(s.residues)
         return {k for k in range(1, n + 1) if k % s.modulus in rs}
     if isinstance(s, Blocks):
-        ivs = s.source.intervals_up_to(n)
+        ivs = list(takewhile(lambda iv: iv[0] <= n, s.source.iter_intervals()))
         return {k for k in range(1, n + 1) if any(l <= k < r for l, r in ivs)}
     if isinstance(s, Scaled):
         return {s.factor * a for a in brute_members(s.inner, n // s.factor)}

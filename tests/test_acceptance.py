@@ -111,7 +111,7 @@ def test_criterion_04_monotonicity_failure():
         t0 = time.monotonic()
         a = blocks_dexp()
         b = periodic(4, [1, 2, 3])
-        blocks = a.source.intervals_up_to(10**6)
+        blocks = list(a.source.intervals_meeting(1, 10**6))
         ca = cb = 0
         block_iter = iter(blocks + [(None, None)])
         lo, hi = next(block_iter)

@@ -44,7 +44,7 @@ from densitylab.nset import (
     union,
 )
 
-from oracles import brute_members, dexp_count_enum
+from oracles import brute_members, dexp_count_enum, dexp_elements
 
 # the benchmark's oracle, which parses and counts on its own, without densitylab
 sys.path.append(str(Path(__file__).resolve().parents[1]))
@@ -343,14 +343,74 @@ def test_select_in_an_intersection_with_a_side_finite_by_its_period():
         select(s, 2)
 
 
-def test_iter_elements_ends_on_sets_finite_by_their_period():
+def test_select_ends_on_sets_finite_by_their_period():
     # each set is finite only by its eventual period: past its last member
-    # an unbounded iteration would test every integer forever
+    # there is no k-th member to find
     last_only = diff(union(finite(5), periodic(4, [0])), periodic(4, [0]))
-    assert list(last_only.iter_elements()) == [5]
-    assert list(union(last_only, finite(2)).iter_elements()) == [2, 5]
-    assert list(inter(last_only, compl(finite(7))).iter_elements()) == [5]
-    assert list(compl(union(compl(finite(5, 6)), periodic(4, [0]))).iter_elements()) == [5, 6]
+    cases = [
+        (last_only, [5]),
+        (union(last_only, finite(2)), [2, 5]),
+        (inter(last_only, compl(finite(7))), [5]),
+        (compl(union(compl(finite(5, 6)), periodic(4, [0]))), [5, 6]),
+    ]
+    for s, members in cases:
+        assert [select(s, k) for k in range(1, len(members) + 1)] == members, s
+        with pytest.raises(IndexBeyondSet):
+            select(s, len(members) + 1)
+
+
+def _dexp_multiples(t, n):
+    return {t * e for e in dexp_elements(n // t)}
+
+
+def test_opaque_intersection_counts_the_smaller_parts_members_against_brute_force():
+    # every part has more than 64 runs (a predicate none), so no part is counted run by run: each
+    # member of the smaller part is tested by the other, read from its member runs, or, for a
+    # predicate, by a scan of [1, n]
+    wide = union(periodic(999983, [1]), periodic(999979, [1]))  # wider than the segment cap
+    fifths = Predicate(rule=lambda k: k % 5 == 0, enumeration_cap=10**5, label="fifths")
+    cases = [
+        # a Periodic leaf: 8590 members at 2^33 against 65812 of the scaled blocks
+        (
+            inter(periodic(1000003, [5]), scale(blocks_dexp(), 3)),
+            lambda n: set(range(5, n + 1, 1000003)) & _dexp_multiples(3, n),
+            (10**8, 2**33 - 1, 2**33),
+        ),
+        (
+            inter(wide, scale(blocks_dexp(), 3)),
+            lambda n: {*range(1, n + 1, 999983), *range(1, n + 1, 999979)} & _dexp_multiples(3, n),
+            (10**8, 2**33),
+        ),
+        (
+            inter(wide, periodic(2, [1])),
+            lambda n: {k for k in {*range(1, n + 1, 999983), *range(1, n + 1, 999979)} if k % 2},
+            (10**8, 10**8 + 999983 * 17),
+        ),
+        (
+            inter(fifths, periodic(3, [1, 2])),
+            lambda n: {k for k in range(1, n + 1) if k % 5 == 0 and k % 3},
+            (9999, 10**5),
+        ),
+    ]
+    for s, brute, horizons in cases:
+        assert isinstance(s, Intersect) and _segments(s) is None, s
+        for n in horizons:
+            assert s.left.member_runs(n, cap=64) is None and s.right.member_runs(n, cap=64) is None
+            assert s.count(n) == len(brute(n)), (s, n)
+    # the smaller part has more members than the budget
+    with pytest.raises(EnumerationBudgetExceeded):
+        cases[0][0].count(2**33, budget=8589)
+    assert cases[0][0].count(2**33, budget=8590) == len(cases[0][1](2**33))
+    # a predicate's 20000 members are within the budget, but its scan of [1, n] is not
+    with pytest.raises(EnumerationBudgetExceeded):
+        cases[3][0].count(10**5, budget=50000)
+
+
+def test_f3_counts_past_the_segment_cap_as_the_benchmark_oracle_does():
+    f3 = union(scale(blocks_dexp(), 3), periodic(1000003, [5]))
+    assert f3.to_expr() == "union(scale(3,blocks(dexp)),periodic(1000003;5))"
+    ref = bench_oracle.RefSet(bench_oracle.parse(f3.to_expr(), "set"))
+    assert f3.count(2**33) == ref.count(2**33)
 
 
 def test_periodic_count_matches_brute_force():
@@ -396,7 +456,7 @@ def test_double_exponential_blocks_closed_form():
     for i in range(1, 8):
         lo = 2 ** (2**i)
         assert src.interval(i) == (lo, 2 * lo)
-    assert src.intervals_up_to(2**16) == [(4, 8), (16, 32), (256, 512), (65536, 131072)]
+    assert list(src.intervals_meeting(1, 2**16)) == [(4, 8), (16, 32), (256, 512), (65536, 131072)]
 
 
 def _in_intervals(ivs, n):
@@ -408,7 +468,7 @@ def test_dexp_membership_matches_intervals_at_every_boundary():
 
     src = DoubleExponentialBlocks()
     s = blocks_dexp()
-    ivs = src.intervals_up_to(2**129)
+    ivs = list(src.intervals_meeting(1, 2**129))
     points = {0, 1, 2, 3}
     for i in range(1, 8):  # up to 2^(2^7) = 2^128
         for edge in (2 ** (2**i), 2 ** (2**i + 1)):

@@ -243,13 +243,16 @@ def test_pair_subcommand():
 
 
 def test_pair_subcommand_on_sides_finite_by_their_period():
-    # {5} and {7}; the first side enumerates forever after 5
+    # {5} and {7}: the first side has no member past 5, so its pairs are read by select up to the
+    # pairing's size
     finite_by_period = "diff(union(finite(5),periodic(4;0)),periodic(4;0))"
     rep = run_json(["pair", finite_by_period, "finite(7)", "--horizon", "2000"])
     assert rep["result"]["first_pairs"] == [[5, 7]]
     assert rep["result"]["involution_on_sample"]
     rep = run_json(["pair", finite_by_period, "finite(5)", "--horizon", "2000"])
     assert rep["result"]["first_pairs"] == []
+    rep = run_json(["pair", finite_by_period, "finite(9)"])
+    assert rep["result"]["first_pairs"] == [[5, 9]]
 
 
 @pytest.mark.parametrize("expr, wording", [
