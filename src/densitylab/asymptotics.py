@@ -13,14 +13,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, chain
 from math import ceil, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import EnumerationBudgetExceeded, WitnessTooSparse
-from .nset import FiniteList, SymbolicSet, _cut_segments, checked_budget
+from .errors import WitnessTooSparse
+from .nset import FiniteList, SymbolicSet, _charge, _cut_segments, _metered
 
 # Reports keep at most this many profile points; longer evaluations are
 # decimated for storage (verdicts are still computed over every point).
@@ -220,7 +219,8 @@ def ratio_profile(
     s: SymbolicSet, seq: IndexSequence, budget: Optional[int] = None
 ) -> list[tuple[int, Fraction]]:
     """Exact (n, A(n)/n) at every point of ``seq``."""
-    return [(n, Fraction(s.count(n, budget=budget), n)) for n in seq.points()]
+    with _metered(budget):
+        return [(n, Fraction(s.count(n), n)) for n in seq.points()]
 
 
 def limit_along(
@@ -230,56 +230,57 @@ def limit_along(
     budget: Optional[int] = None,
 ) -> LimitReport:
     """Evaluate A(n)/n along ``seq`` and judge tail oscillation against ``tol``."""
-    pts = seq.points()
-    total = len(pts)
-    if total == 0:
-        raise ValueError("index sequence must be nonempty")
-    tail = _tail_len(total)
-    tail_from = total - tail
+    with _metered(budget):
+        pts = seq.points()
+        total = len(pts)
+        if total == 0:
+            raise ValueError("index sequence must be nonempty")
+        tail = _tail_len(total)
+        tail_from = total - tail
 
-    dense = isinstance(seq, All)
-    if dense and budget is not None and total > budget:
-        raise EnumerationBudgetExceeded(total, budget, "per-integer limit scan")
-    keep_every = 1 if total <= _PROFILE_CAP else ceil(total / _PROFILE_CAP)
-
-    kept_pts: list[int] = []
-    kept_vals: list[Fraction] = []
-    inf_n = inf_d = sup_n = sup_d = None
-    running = 0
-    last: tuple[int, int] = (0, 1)
-    for idx, n in enumerate(pts):
+        dense = isinstance(seq, All)
         if dense:
-            running += 1 if s.contains(n) else 0
-            c = running
-        else:
-            c = s.count(n, budget=budget)
-        last = (c, n)
-        if idx % keep_every == 0 or idx == total - 1:
-            kept_pts.append(n)
-            kept_vals.append(Fraction(c, n))
-        if idx >= tail_from:
-            if inf_n is None or c * inf_d < inf_n * n:
-                inf_n, inf_d = c, n
-            if sup_n is None or c * sup_d > sup_n * n:
-                sup_n, sup_d = c, n
+            _charge(total, total, "per-integer limit scan")
+        keep_every = 1 if total <= _PROFILE_CAP else ceil(total / _PROFILE_CAP)
 
-    tail_inf = Fraction(inf_n, inf_d)
-    tail_sup = Fraction(sup_n, sup_d)
-    osc = tail_sup - tail_inf
-    converged = osc <= tol
-    return LimitReport(
-        sequence=seq.to_expr(),
-        points=tuple(kept_pts),
-        values=tuple(kept_vals),
-        sampled=keep_every > 1,
-        tail_window=tail,
-        tol=tol,
-        converged=converged,
-        value=Fraction(*last) if converged else None,
-        achieved_tol=osc if converged else None,
-        tail_inf=tail_inf,
-        tail_sup=tail_sup,
-    )
+        kept_pts: list[int] = []
+        kept_vals: list[Fraction] = []
+        inf_n = inf_d = sup_n = sup_d = None
+        running = 0
+        last: tuple[int, int] = (0, 1)
+        for idx, n in enumerate(pts):
+            if dense:
+                running += 1 if s.contains(n) else 0
+                c = running
+            else:
+                c = s.count(n)
+            last = (c, n)
+            if idx % keep_every == 0 or idx == total - 1:
+                kept_pts.append(n)
+                kept_vals.append(Fraction(c, n))
+            if idx >= tail_from:
+                if inf_n is None or c * inf_d < inf_n * n:
+                    inf_n, inf_d = c, n
+                if sup_n is None or c * sup_d > sup_n * n:
+                    sup_n, sup_d = c, n
+
+        tail_inf = Fraction(inf_n, inf_d)
+        tail_sup = Fraction(sup_n, sup_d)
+        osc = tail_sup - tail_inf
+        converged = osc <= tol
+        return LimitReport(
+            sequence=seq.to_expr(),
+            points=tuple(kept_pts),
+            values=tuple(kept_vals),
+            sampled=keep_every > 1,
+            tail_window=tail,
+            tol=tol,
+            converged=converged,
+            value=Fraction(*last) if converged else None,
+            achieved_tol=osc if converged else None,
+            tail_inf=tail_inf,
+            tail_sup=tail_sup,
+        )
 
 
 def _checkpoint_ranges(points: Iterable[int], start: int = 1) -> Iterator[range]:
@@ -291,10 +292,11 @@ def _checkpoint_ranges(points: Iterable[int], start: int = 1) -> Iterator[range]
         start = p + 1
 
 
-def _running_sums(term: Callable[[int], int], points: Iterable[int]) -> list[int]:
+def _running_sums(term: Callable[[int], int], points: Sequence[int]) -> list[int]:
     """The sum of ``term(k)`` over 1 <= k <= p at each of the strictly
     increasing ``points`` p: the one scan of every integer that the Lévy
-    diagnostics fall back to, summed block by block."""
+    diagnostics fall back to, summed block by block, and charged first."""
+    _charge(points[-1], points[-1], "integer scan")
     return list(accumulate(sum(map(term, block)) for block in _checkpoint_ranges(points)))
 
 
@@ -314,7 +316,7 @@ def _ratio_extrema(
 
 
 def _stretch_points(
-    a: SymbolicSet, b: SymbolicSet, lo: int, hi: int, budget: int
+    a: SymbolicSet, b: SymbolicSet, lo: int, hi: int
 ) -> tuple[str, Iterator[tuple[int, int]]]:
     """(grid, points): (D(n), n) for D(n) = A(n) - B(n) at the points of [lo, hi] that can hold an
     extremum of |D(n)|/n, in increasing n.
@@ -326,14 +328,14 @@ def _stretch_points(
     end.  Hence the first L and the last L points of each stretch in the window hold the extrema
     over the stretch, and the first point attaining each of them; a stretch shorter than 2L is
     read whole.  The grid is then ``window-extrema-via-pieces``.  When either set has an opaque
-    leaf, [lo, hi] is one stretch, read whole, and the grid is ``integer-scan``.  D is counted at
-    the start of each read, an opaque pair's with ``budget``, and carried by the two sets'
-    ``contains``.
+    leaf, [lo, hi] is one stretch, read whole, and the grid is ``integer-scan``.  Each read is
+    charged to the meter by its number of points, then D is counted at its start and carried
+    by the two sets' ``contains``.
     """
     sa, sb = _cut_segments(a, hi), _cut_segments(b, hi)
     if sa is None or sb is None:  # no cuts, and a span that reads the one stretch whole
         grid, cuts, span = "integer-scan", (), hi
-        count_a, count_b = (partial(s.count, budget=budget) for s in (a, b))
+        count_a, count_b = a.count, b.count
     else:
         grid, cuts, span = "window-extrema-via-pieces", chain(sa.starts, sb.starts), lcm(sa.width, sb.width)
         count_a, count_b = sa.count, sb.count
@@ -346,6 +348,7 @@ def _stretch_points(
                 ((first, last),) if last - first < 2 * span else ((first, first + span - 1), (last - span + 1, last))
             )
             for x, z in reads:
+                _charge(z - x + 1, hi, "difference walk")
                 d = count_a(x - 1) - count_b(x - 1)
                 for n in range(x, z + 1):
                     d += a.contains(n) - b.contains(n)
@@ -354,19 +357,16 @@ def _stretch_points(
     return grid, points()
 
 
-def _extrema_by_scan(
-    s: SymbolicSet, lo: int, hi: int, budget: int
-) -> tuple[tuple[int, int], tuple[int, int]]:
+def _extrema_by_scan(s: SymbolicSet, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The first (A(n), n) attaining the least A(n)/n over [lo, hi] and the
     first attaining the greatest, by a scan of every integer.
 
     A(n)/n cannot fall at a member nor rise at a non-member, so past lo each
     integer is compared with one extremum only.
     """
-    if hi - lo + 1 > budget:
-        raise EnumerationBudgetExceeded(hi, budget, "window scan")
+    _charge(hi - lo + 1, hi, "window scan")
     contains = s.contains
-    c = s.count(lo - 1, budget=budget)
+    c = s.count(lo - 1)
     if contains(lo):
         c += 1
     min_c = max_c = c
@@ -425,39 +425,39 @@ def density(
       inside the kept runs; a union reads both its parts whole
       (``SymbolicSet.member_runs``);
     * ``integer-scan`` -- the same exact inf/sup, by a scan of the window
-      bounded by the budget;
+      charged to the meter;
     * ``geometric-sample`` -- for a set with a closed-form density and no
       cheap run decomposition: the inf/sup over a geometric sample of the
       window, which only brackets the extrema.
 
     ``exact_value`` is filled in whenever the set has a closed-form density.
     """
-    if not 1 <= tail_window_start < horizon:
-        raise ValueError("need 1 <= tail_window_start < horizon")
-    budget = checked_budget(budget)
-    exact = s.exact_density()
-    runs = s.member_runs(horizon)
-    if runs is not None:
-        mn, mx = _extrema_by_runs(runs, tail_window_start, horizon)
-        grid = "window-extrema-via-runs"
-    elif exact is not None:
-        q = horizon // tail_window_start
-        pts = [tail_window_start << j for j in range(q.bit_length())] + [horizon]
-        mn, mx = _ratio_extrema((s.count(n, budget=budget), n) for n in pts)
-        grid = "geometric-sample"
-    else:
-        (mn, mx) = _extrema_by_scan(s, tail_window_start, horizon, budget)
-        grid = "integer-scan"
-    return DensityReport(
-        lower_estimate=Fraction(*mn),
-        upper_estimate=Fraction(*mx),
-        exact_value=exact,
-        horizon=horizon,
-        tail_window_start=tail_window_start,
-        argmin=mn[1],
-        argmax=mx[1],
-        grid=grid,
-    )
+    with _metered(budget):
+        if not 1 <= tail_window_start < horizon:
+            raise ValueError("need 1 <= tail_window_start < horizon")
+        exact = s.exact_density()
+        runs = s.member_runs(horizon)
+        if runs is not None:
+            mn, mx = _extrema_by_runs(runs, tail_window_start, horizon)
+            grid = "window-extrema-via-runs"
+        elif exact is not None:
+            q = horizon // tail_window_start
+            pts = [tail_window_start << j for j in range(q.bit_length())] + [horizon]
+            mn, mx = _ratio_extrema((s.count(n), n) for n in pts)
+            grid = "geometric-sample"
+        else:
+            (mn, mx) = _extrema_by_scan(s, tail_window_start, horizon)
+            grid = "integer-scan"
+        return DensityReport(
+            lower_estimate=Fraction(*mn),
+            upper_estimate=Fraction(*mx),
+            exact_value=exact,
+            horizon=horizon,
+            tail_window_start=tail_window_start,
+            argmin=mn[1],
+            argmax=mx[1],
+            grid=grid,
+        )
 
 
 def _as_ratio(v) -> tuple[int, int]:
@@ -512,10 +512,11 @@ def _stat_table(
 ) -> StatReport:
     """``statistical_limit`` for x_k = p/q given as ``term(k) == (p, q)``, q > 0.
 
-    The scan is integer-only: a ``Fraction`` is built only at checkpoints.
+    The scan is integer-only, and charged first: a ``Fraction`` is built only at checkpoints.
     """
     eps_list = _positive_eps(eps_grid)
     pts = list(checkpoints.points())
+    _charge(pts[-1], pts[-1], "ratio-statistic scan")
     target = Fraction(target)
     tn, td = target.numerator, target.denominator
     eps_pairs = [(e.numerator, e.denominator) for e in eps_list]

@@ -27,7 +27,7 @@ from .errors import (
     PredicateCapExceeded,
 )
 from .measure import evaluate, equal_measure_test
-from .nset import DEFAULT_ENUMERATION_BUDGET, select
+from .nset import DEFAULT_ENUMERATION_BUDGET, _metered, select
 from .parser import parse_expression
 from .perm import (
     _moved_up,
@@ -61,10 +61,6 @@ class ExperimentConfig:
             )
         if self.tol <= 0:
             raise ConfigError("tolerance must be positive")
-        if self.enumeration_budget < self.horizon:
-            raise ConfigError(
-                f"budget {self.enumeration_budget} must be >= horizon {self.horizon}"
-            )
 
     def tail_start(self) -> int:
         if self.tail_window_start is not None:
@@ -113,7 +109,7 @@ def _limit_report_json(rep) -> dict:
 
 def _run_density(args, config):
     s = parse_expression(args.set, "set")
-    rep = density(s, config.horizon, config.tail_start(), budget=config.enumeration_budget)
+    rep = density(s, config.horizon, config.tail_start())
     within = rep.upper_estimate - rep.lower_estimate <= config.tol
     result = {
         "lower_estimate": rat(rep.lower_estimate),
@@ -134,11 +130,7 @@ def _run_density(args, config):
 
 def _run_levy(args, config):
     pi = parse_expression(args.perm, "perm")
-    prof = levy_defect_profile(
-        pi,
-        doubling_checkpoints(config.horizon),
-        budget=config.enumeration_budget,
-    )
+    prof = levy_defect_profile(pi, doubling_checkpoints(config.horizon))
     entries = list(zip(prof.points, prof.defects))
     result = {
         "classification": prof.classification_hint.value,
@@ -181,9 +173,7 @@ def _run_statlim(args, config):
 def _run_displacement(args, config):
     pi = parse_expression(args.perm, "perm")
     s = parse_expression(args.set, "set")
-    entries = displacement_profile(
-        pi, s, doubling_checkpoints(config.horizon), budget=config.enumeration_budget
-    )
+    entries = displacement_profile(pi, s, doubling_checkpoints(config.horizon))
     result = {"profile": profile(entries)}
     return (
         _envelope(
@@ -196,7 +186,7 @@ def _run_displacement(args, config):
 def _run_measure(args, config):
     mu = parse_expression(args.measure, "measure")
     s = parse_expression(args.set, "set")
-    rep = evaluate(mu, s, config.tol, budget=config.enumeration_budget)
+    rep = evaluate(mu, s, config.tol)
     result = {
         "verdict": rep.verdict,
         "value": rat(rep.value),
@@ -227,9 +217,7 @@ def _run_pair(args, config):
     sample_ok = all(
         phi.apply(phi.apply(n)) == n for n in range(1, min(1000, config.horizon) + 1)
     )
-    prof = levy_defect_profile(
-        phi, doubling_checkpoints(min(config.horizon, 2**14)), budget=config.enumeration_budget
-    )
+    prof = levy_defect_profile(phi, doubling_checkpoints(min(config.horizon, 2**14)))
     entries = list(zip(prof.points, prof.defects))
     result = {
         "perm": phi.to_expr(),
@@ -283,7 +271,6 @@ def _run_equal(args, config):
         config.tol,
         horizon=config.horizon,
         tail_window_start=config.tail_start(),
-        budget=config.enumeration_budget,
     )
     result = {
         "tail_sup_diff": rat(rep.tail_sup_diff),
@@ -302,11 +289,7 @@ def _run_equal(args, config):
 
 
 def _run_suite(args, config):
-    rep = counterexample_suite(
-        dexp_terms=config.dexp_terms,
-        tol=config.tol,
-        budget=config.enumeration_budget,
-    )
+    rep = counterexample_suite(dexp_terms=config.dexp_terms, tol=config.tol)
     i1, i2, i3 = rep.combo_vs_upper_density, rep.doubling_failure, rep.monotonicity_failure
     result = {
         "dexp_terms": rep.dexp_terms,
@@ -381,7 +364,7 @@ def _add_config_flags(sp, dexp_default: int):
     sp.add_argument("--tol", type=_fraction, default=ExperimentConfig.tol,
                     help="tolerance as a rational, e.g. 1/1000")
     sp.add_argument("--budget", type=int, default=ExperimentConfig.enumeration_budget,
-                    help="enumeration budget for fallback scans")
+                    help="bound on the total work of the request's fallback scans")
     sp.add_argument("--dexp-terms", type=int, default=dexp_default,
                     help="terms of the double-exponential grid")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -456,7 +439,8 @@ def run_command(argv: list[str]) -> int:
             dexp_terms=args.dexp_terms,
             output_format=args.format,
         )
-        report, sections = args.runner(args, config)
+        with _metered(config.enumeration_budget):
+            report, sections = args.runner(args, config)
     except (EnumerationBudgetExceeded, PredicateCapExceeded) as exc:
         sys.stderr.write(f"budget error: {exc}\n")
         return 3

@@ -23,13 +23,14 @@ from .asymptotics import (
     _tail_len,
     limit_along,
 )
-from .errors import EnumerationBudgetExceeded, NoViolationFound
+from .errors import NoViolationFound
 from .nset import (
     Empty,
     Full,
     Predicate,
     SymbolicSet,
-    checked_budget,
+    _charge,
+    _metered,
     inter,
     union,
 )
@@ -127,13 +128,11 @@ class MeasureReport:
         return "value" if self.converged else "interval"
 
 
-def _combo_partials(
-    a: SymbolicSet, seq: IndexSequence, budget: Optional[int]
-) -> list[tuple[int, Fraction]]:
+def _combo_partials(a: SymbolicSet, seq: IndexSequence) -> list[tuple[int, Fraction]]:
     out = []
     for n in seq.points():
-        c2 = a.count(2 * n, budget=budget)
-        c1 = a.count(n, budget=budget)
+        c2 = a.count(2 * n)
+        c1 = a.count(n)
         out.append((n, Fraction(c2 - c1, n)))
     return out
 
@@ -149,73 +148,74 @@ def evaluate(
     Non-convergent constituents surface as an interval verdict, never as a
     fake value.
     """
-    if isinstance(mu, SubsequenceLimit):
-        rep = limit_along(a, mu.seq, tol, budget=budget)
-        return MeasureReport(
-            rule=mu.to_expr(),
-            set_expr=a.to_expr(),
-            converged=rep.converged,
-            value=rep.value,
-            achieved_tol=rep.achieved_tol,
-            lo=rep.tail_inf,
-            hi=rep.tail_sup,
-            partials=tuple(zip(rep.points, rep.values)),
-            diagnostics=(rep,),
-        )
-    if isinstance(mu, BlumlingerCombo):
-        base = limit_along(a, mu.seq, tol, budget=budget)
-        dbl = limit_along(a, Doubled(mu.seq), tol, budget=budget)
-        if base.sampled or dbl.sampled:
-            partials = _combo_partials(a, mu.seq, budget)
-        else:
-            # A(n) and A(2n) read off the two profiles: a value c/n in lowest terms is c
-            partials = [
-                (n, Fraction(d.numerator * (2 * n // d.denominator) - v.numerator * (n // v.denominator), n))
-                for n, v, d in zip(base.points, base.values, dbl.values)
-            ]
-        tail_vals = [v for _, v in partials[-_tail_len(len(partials)):]]
-        lo, hi = min(tail_vals), max(tail_vals)
-        converged = base.converged and dbl.converged
-        value = 2 * dbl.value - base.value if converged else None
-        achieved = (
-            2 * dbl.achieved_tol + base.achieved_tol if converged else None
-        )
-        return MeasureReport(
-            rule=mu.to_expr(),
-            set_expr=a.to_expr(),
-            converged=converged,
-            value=value,
-            achieved_tol=achieved,
-            lo=lo,
-            hi=hi,
-            partials=tuple(partials),
-            diagnostics=(base, dbl),
-        )
-    if isinstance(mu, Mixture):
-        reports = [evaluate(rule, a, tol, budget=budget) for _, rule in mu.terms]
-        converged = all(r.converged for r in reports)
-        lo = sum(w * r.lo for (w, _), r in zip(mu.terms, reports))
-        hi = sum(w * r.hi for (w, _), r in zip(mu.terms, reports))
-        value = (
-            sum(w * r.value for (w, _), r in zip(mu.terms, reports))
-            if converged
-            else None
-        )
-        achieved = (
-            max(r.achieved_tol for r in reports) if converged else None
-        )
-        return MeasureReport(
-            rule=mu.to_expr(),
-            set_expr=a.to_expr(),
-            converged=converged,
-            value=value,
-            achieved_tol=achieved,
-            lo=lo,
-            hi=hi,
-            partials=None,
-            diagnostics=tuple(d for r in reports for d in r.diagnostics),
-        )
-    raise TypeError(f"unknown measure rule {mu!r}")
+    with _metered(budget):
+        if isinstance(mu, SubsequenceLimit):
+            rep = limit_along(a, mu.seq, tol)
+            return MeasureReport(
+                rule=mu.to_expr(),
+                set_expr=a.to_expr(),
+                converged=rep.converged,
+                value=rep.value,
+                achieved_tol=rep.achieved_tol,
+                lo=rep.tail_inf,
+                hi=rep.tail_sup,
+                partials=tuple(zip(rep.points, rep.values)),
+                diagnostics=(rep,),
+            )
+        if isinstance(mu, BlumlingerCombo):
+            base = limit_along(a, mu.seq, tol)
+            dbl = limit_along(a, Doubled(mu.seq), tol)
+            if base.sampled or dbl.sampled:
+                partials = _combo_partials(a, mu.seq)
+            else:
+                # A(n) and A(2n) read off the two profiles: a value c/n in lowest terms is c
+                partials = [
+                    (n, Fraction(d.numerator * (2 * n // d.denominator) - v.numerator * (n // v.denominator), n))
+                    for n, v, d in zip(base.points, base.values, dbl.values)
+                ]
+            tail_vals = [v for _, v in partials[-_tail_len(len(partials)):]]
+            lo, hi = min(tail_vals), max(tail_vals)
+            converged = base.converged and dbl.converged
+            value = 2 * dbl.value - base.value if converged else None
+            achieved = (
+                2 * dbl.achieved_tol + base.achieved_tol if converged else None
+            )
+            return MeasureReport(
+                rule=mu.to_expr(),
+                set_expr=a.to_expr(),
+                converged=converged,
+                value=value,
+                achieved_tol=achieved,
+                lo=lo,
+                hi=hi,
+                partials=tuple(partials),
+                diagnostics=(base, dbl),
+            )
+        if isinstance(mu, Mixture):
+            reports = [evaluate(rule, a, tol) for _, rule in mu.terms]
+            converged = all(r.converged for r in reports)
+            lo = sum(w * r.lo for (w, _), r in zip(mu.terms, reports))
+            hi = sum(w * r.hi for (w, _), r in zip(mu.terms, reports))
+            value = (
+                sum(w * r.value for (w, _), r in zip(mu.terms, reports))
+                if converged
+                else None
+            )
+            achieved = (
+                max(r.achieved_tol for r in reports) if converged else None
+            )
+            return MeasureReport(
+                rule=mu.to_expr(),
+                set_expr=a.to_expr(),
+                converged=converged,
+                value=value,
+                achieved_tol=achieved,
+                lo=lo,
+                hi=hi,
+                partials=None,
+                diagnostics=tuple(d for r in reports for d in r.diagnostics),
+            )
+        raise TypeError(f"unknown measure rule {mu!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,7 @@ def _verify_disjoint(a: SymbolicSet, b: SymbolicSet):
     both = inter(a, b)
     if both == Empty():
         return "closed-form"
+    _charge(10**4, 10**4, "disjointness sample")
     for k in range(1, 10**4 + 1):
         if a.contains(k) and b.contains(k):
             raise ValueError(f"sets {a} and {b} are not disjoint (share {k})")
@@ -269,58 +270,59 @@ def check_axioms(
     inconclusive, not failed.
     """
 
-    def row(label, dev, note=""):
-        if dev is None:
-            return CheckRow(label, None, "inconclusive", note)
-        return CheckRow(label, dev, "pass" if dev <= tol else "fail", note)
+    with _metered(budget):
+        def row(label, dev, note=""):
+            if dev is None:
+                return CheckRow(label, None, "inconclusive", note)
+            return CheckRow(label, dev, "pass" if dev <= tol else "fail", note)
 
-    full_rep = evaluate(mu, Full(), tol, budget=budget)
-    norm = row(
-        "mu(full) = 1",
-        abs(full_rep.value - 1) if full_rep.converged else None,
-    )
+        full_rep = evaluate(mu, Full(), tol)
+        norm = row(
+            "mu(full) = 1",
+            abs(full_rep.value - 1) if full_rep.converged else None,
+        )
 
-    additivity = []
-    for a, b in disjoint_pairs:
-        note = _verify_disjoint(a, b)
-        ra = evaluate(mu, a, tol, budget=budget)
-        rb = evaluate(mu, b, tol, budget=budget)
-        rab = evaluate(mu, union(a, b), tol, budget=budget)
-        label = f"mu({a} ⊔ {b})"
-        if ra.converged and rb.converged and rab.converged:
-            additivity.append(
-                row(label, abs(rab.value - ra.value - rb.value), note)
-            )
-        else:
-            additivity.append(CheckRow(label, None, "inconclusive", note))
+        additivity = []
+        for a, b in disjoint_pairs:
+            note = _verify_disjoint(a, b)
+            ra = evaluate(mu, a, tol)
+            rb = evaluate(mu, b, tol)
+            rab = evaluate(mu, union(a, b), tol)
+            label = f"mu({a} ⊔ {b})"
+            if ra.converged and rb.converged and rab.converged:
+                additivity.append(
+                    row(label, abs(rab.value - ra.value - rb.value), note)
+                )
+            else:
+                additivity.append(CheckRow(label, None, "inconclusive", note))
 
-    extension = []
-    for a in corpus:
-        d = a.exact_density()
-        label = f"mu({a}) = d"
-        if d is None:
-            extension.append(
-                CheckRow(label, None, "inconclusive", "no closed-form density")
-            )
-            continue
-        r = evaluate(mu, a, tol, budget=budget)
-        if r.converged:
-            extension.append(row(label, abs(r.value - d), f"d={d}"))
-        else:
-            extension.append(
-                CheckRow(label, None, "inconclusive", f"oscillating; d={d}")
-            )
+        extension = []
+        for a in corpus:
+            d = a.exact_density()
+            label = f"mu({a}) = d"
+            if d is None:
+                extension.append(
+                    CheckRow(label, None, "inconclusive", "no closed-form density")
+                )
+                continue
+            r = evaluate(mu, a, tol)
+            if r.converged:
+                extension.append(row(label, abs(r.value - d), f"d={d}"))
+            else:
+                extension.append(
+                    CheckRow(label, None, "inconclusive", f"oscillating; d={d}")
+                )
 
-    all_rows = [norm, *additivity, *extension]
-    passed = all(r.status != "fail" for r in all_rows)
-    return AxiomReport(
-        rule=mu.to_expr(),
-        tol=tol,
-        normalization=norm,
-        additivity=tuple(additivity),
-        extension=tuple(extension),
-        passed=passed,
-    )
+        all_rows = [norm, *additivity, *extension]
+        passed = all(r.status != "fail" for r in all_rows)
+        return AxiomReport(
+            rule=mu.to_expr(),
+            tol=tol,
+            normalization=norm,
+            additivity=tuple(additivity),
+            extension=tuple(extension),
+            passed=passed,
+        )
 
 
 @dataclass(frozen=True)
@@ -344,32 +346,33 @@ def check_invariance(
 
     Image sets are evaluated through counting, never materialized.
     """
-    rows = []
-    devs = []
-    for a in corpus:
-        ra = evaluate(mu, a, tol, budget=budget)
-        rimg = evaluate(mu, ImageSet(pi, a), tol, budget=budget)
-        label = f"|mu(π{a}) - mu({a})|"
-        if ra.converged and rimg.converged:
-            dev = abs(rimg.value - ra.value)
-            devs.append(dev)
-            rows.append(
-                CheckRow(label, dev, "pass" if dev <= tol else "fail")
-            )
-        else:
-            # worst-case distance between the two interval verdicts
-            dev = max(abs(ra.hi - rimg.lo), abs(rimg.hi - ra.lo))
-            rows.append(CheckRow(label, dev, "inconclusive", "oscillating"))
-    max_dev = max(devs) if devs else None
-    passed = all(r.status != "fail" for r in rows)
-    return InvarianceReport(
-        rule=mu.to_expr(),
-        permutation=pi.to_expr(),
-        tol=tol,
-        rows=tuple(rows),
-        max_deviation=max_dev,
-        passed=passed,
-    )
+    with _metered(budget):
+        rows = []
+        devs = []
+        for a in corpus:
+            ra = evaluate(mu, a, tol)
+            rimg = evaluate(mu, ImageSet(pi, a), tol)
+            label = f"|mu(π{a}) - mu({a})|"
+            if ra.converged and rimg.converged:
+                dev = abs(rimg.value - ra.value)
+                devs.append(dev)
+                rows.append(
+                    CheckRow(label, dev, "pass" if dev <= tol else "fail")
+                )
+            else:
+                # worst-case distance between the two interval verdicts
+                dev = max(abs(ra.hi - rimg.lo), abs(rimg.hi - ra.lo))
+                rows.append(CheckRow(label, dev, "inconclusive", "oscillating"))
+        max_dev = max(devs) if devs else None
+        passed = all(r.status != "fail" for r in rows)
+        return InvarianceReport(
+            rule=mu.to_expr(),
+            permutation=pi.to_expr(),
+            tol=tol,
+            rows=tuple(rows),
+            max_deviation=max_dev,
+            passed=passed,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -421,42 +424,41 @@ def find_invariance_violation(
     recur for non-Lévy-like permutations).  Raises NoViolationFound when the
     tail defect, over the last ceil(horizon/2) points, stays at or below 1/10.
     """
-    threshold = Fraction(1, 10)
-    budget = checked_budget(budget)
-    if horizon > budget:
-        raise EnumerationBudgetExceeded(horizon, budget, "violation scan")
-    points = range(1, horizon + 1)
-    defects = list(map(Fraction, _defect_counts(pi, points), points))
-    tail_max = max(defects[-_tail_len(horizon):])
-    if tail_max <= threshold:
-        raise NoViolationFound(
-            f"tail defect {tail_max} <= {threshold} at horizon {horizon}; "
-            "the permutation looks Lévy-like"
+    with _metered(budget):
+        threshold = Fraction(1, 10)
+        _charge(horizon, horizon, "violation scan")
+        points = range(1, horizon + 1)
+        defects = list(map(Fraction, _defect_counts(pi, points), points))
+        tail_max = max(defects[-_tail_len(horizon):])
+        if tail_max <= threshold:
+            raise NoViolationFound(
+                f"tail defect {tail_max} <= {threshold} at horizon {horizon}; "
+                "the permutation looks Lévy-like"
+            )
+        peaks = [
+            n
+            for n in range(2, horizon)
+            if defects[n - 2] < defects[n - 1] >= defects[n]
+            and defects[n - 1] >= threshold
+        ]
+        if len(peaks) < 3:
+            raise NoViolationFound(
+                f"defect exceeds {threshold} but does not recur at 3 local maxima "
+                f"within horizon {horizon}"
+            )
+        chosen = peaks[-3:]
+        witness = levy_witness_set(pi, cap=4 * horizon)
+        profile = tuple((n, defects[n - 1]) for n in chosen)
+        cert = ViolationCertificate(
+            permutation=pi,
+            witness_set=witness,
+            subsequence=Explicit(tuple(chosen)),
+            gap_estimate=min(v for _, v in profile),
+            profile=profile,
         )
-    peaks = [
-        n
-        for n in range(2, horizon)
-        if defects[n - 2] < defects[n - 1] >= defects[n]
-        and defects[n - 1] >= threshold
-    ]
-    if len(peaks) < 3:
-        raise NoViolationFound(
-            f"defect exceeds {threshold} but does not recur at 3 local maxima "
-            f"within horizon {horizon}"
-        )
-    chosen = peaks[-3:]
-    witness = levy_witness_set(pi, cap=4 * horizon)
-    profile = tuple((n, defects[n - 1]) for n in chosen)
-    cert = ViolationCertificate(
-        permutation=pi,
-        witness_set=witness,
-        subsequence=Explicit(tuple(chosen)),
-        gap_estimate=min(v for _, v in profile),
-        profile=profile,
-    )
-    if not cert.verify():
-        raise AssertionError("witness identity failed to re-verify")
-    return cert
+        if not cert.verify():
+            raise AssertionError("witness identity failed to re-verify")
+        return cert
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +494,8 @@ def equal_measure_test(
     sequence in the corpus.
 
     The supremum is exact either way: it is read at the points of one
-    walk (``asymptotics._stretch_points``), whose number the budget caps,
-    and the report's ``grid`` says which:
+    walk (``asymptotics._stretch_points``), whose points are charged to the
+    meter, and the report's ``grid`` says which:
 
     * ``window-extrema-via-pieces`` -- when both sets have segments, each
       is a periodic set of its segments' width between the cuts of the two
@@ -505,59 +507,57 @@ def equal_measure_test(
     * ``integer-scan`` -- otherwise (a set with an opaque leaf), every
       integer in the window.
     """
-    start = tail_window_start if tail_window_start is not None else max(1, horizon // 10)
-    budget = checked_budget(budget)
-    grid, walk = _stretch_points(a, b, start, horizon, budget)
-    best_dev, best_n = 0, 1
-    for read, (d, n) in enumerate(walk, 1):
-        if read > budget:
-            raise EnumerationBudgetExceeded(horizon, budget, "difference walk")
-        dev = abs(d)
-        if dev * best_n > best_dev * n:
-            best_dev, best_n = dev, n
-    tail_sup = Fraction(best_dev, best_n)
+    with _metered(budget):
+        start = tail_window_start if tail_window_start is not None else max(1, horizon // 10)
+        grid, walk = _stretch_points(a, b, start, horizon)
+        best_dev, best_n = 0, 1
+        for d, n in walk:
+            dev = abs(d)
+            if dev * best_n > best_dev * n:
+                best_dev, best_n = dev, n
+        tail_sup = Fraction(best_dev, best_n)
 
-    rows = []
-    ok = tail_sup <= tol
-    for seq in seq_corpus:
-        # both profiles share the sequence's points, so the honest distance
-        # statistic is the per-point difference of the two ratio profiles
-        # over the tail window (identical sets give exactly zero even when
-        # each profile oscillates on its own)
-        mu = SubsequenceLimit(seq)
-        ra = evaluate(mu, a, tol, budget=budget)
-        rb = evaluate(mu, b, tol, budget=budget)
-        (la,), (lb,) = ra.diagnostics, rb.diagnostics
-        if la.sampled or lb.sampled:
-            pts = list(seq.points())
-            tail = [
-                (Fraction(a.count(n, budget=budget), n), Fraction(b.count(n, budget=budget), n))
-                for n in pts[len(pts) - _tail_len(len(pts)) :]
-            ]
-        else:
-            tail = list(zip(la.values, lb.values))[len(la.values) - _tail_len(len(la.values)) :]
-        dev = max(abs(va - vb) for va, vb in tail)
-        converged = True
-        if ra.converged and rb.converged:
-            dev = max(dev, abs(ra.value - rb.value))
-        else:
-            converged = False
-        label = f"|mu_{seq.to_expr()}(A) - mu_{seq.to_expr()}(B)|"
-        status = (
-            ("pass" if dev <= tol else "fail")
-            if converged
-            else "inconclusive"
+        rows = []
+        ok = tail_sup <= tol
+        for seq in seq_corpus:
+            # both profiles share the sequence's points, so the honest distance
+            # statistic is the per-point difference of the two ratio profiles
+            # over the tail window (identical sets give exactly zero even when
+            # each profile oscillates on its own)
+            mu = SubsequenceLimit(seq)
+            ra = evaluate(mu, a, tol)
+            rb = evaluate(mu, b, tol)
+            (la,), (lb,) = ra.diagnostics, rb.diagnostics
+            if la.sampled or lb.sampled:
+                pts = list(seq.points())
+                tail = [
+                    (Fraction(a.count(n), n), Fraction(b.count(n), n))
+                    for n in pts[len(pts) - _tail_len(len(pts)) :]
+                ]
+            else:
+                tail = list(zip(la.values, lb.values))[len(la.values) - _tail_len(len(la.values)) :]
+            dev = max(abs(va - vb) for va, vb in tail)
+            converged = True
+            if ra.converged and rb.converged:
+                dev = max(dev, abs(ra.value - rb.value))
+            else:
+                converged = False
+            label = f"|mu_{seq.to_expr()}(A) - mu_{seq.to_expr()}(B)|"
+            status = (
+                ("pass" if dev <= tol else "fail")
+                if converged
+                else "inconclusive"
+            )
+            note = "" if converged else "per-point tail difference; profiles oscillate"
+            rows.append(CheckRow(label, dev, status, note))
+            ok = ok and dev <= tol
+        return EqualMeasureReport(
+            set_a=a.to_expr(),
+            set_b=b.to_expr(),
+            horizon=horizon,
+            tail_window_start=start,
+            tail_sup_diff=tail_sup,
+            seq_rows=tuple(rows),
+            equivalent_likely=ok,
+            grid=grid,
         )
-        note = "" if converged else "per-point tail difference; profiles oscillate"
-        rows.append(CheckRow(label, dev, status, note))
-        ok = ok and dev <= tol
-    return EqualMeasureReport(
-        set_a=a.to_expr(),
-        set_b=b.to_expr(),
-        horizon=horizon,
-        tail_window_start=start,
-        tail_sup_diff=tail_sup,
-        seq_rows=tuple(rows),
-        equivalent_likely=ok,
-        grid=grid,
-    )

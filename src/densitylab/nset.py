@@ -16,8 +16,9 @@ and the eventual period, the points that depart from it and the folds of
 two periodic nodes read the same masks.  Trees with an opaque leaf count
 from their parts.  Last of all an intersection tests each member of its
 smaller part with the other part, reading the members from the smaller
-part's member runs (or, for a part with none, by a scan of [1, n]), and
-*fails loudly* when that would pass the enumeration budget.
+part's member runs (or, for a part with none, by a scan of [1, n]).  Such
+work is charged first to the one meter of the call (``_charge``), which
+nested calls share, and *fails loudly* past its budget.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import operator
 import threading
 from bisect import bisect_left, bisect_right
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -54,14 +56,41 @@ _RUNS_CAP = 200_000
 _UNKNOWN_PROBE_LIMIT = 1 << 62
 
 
-def checked_budget(budget: Optional[int]) -> int:
-    """``budget``, or the default budget when it is None; budgets below 1 are
-    rejected rather than silently replaced."""
-    if budget is None:
-        return DEFAULT_ENUMERATION_BUDGET
-    if budget < 1:
-        raise ValueError(f"enumeration budget must be >= 1, got {budget}")
-    return budget
+# The work meter of the running call, [budget, work left], or None when no meter is open.
+_METER: ContextVar[Optional[list[int]]] = ContextVar("densitylab_meter", default=None)
+
+
+class _metered:
+    """``with _metered(budget):`` spends the work of its body from a new meter of ``budget``
+    units; with ``budget`` None, from the open meter, or from a new one of the default budget
+    when none is open.  Budgets below 1 are rejected rather than silently replaced."""
+
+    def __init__(self, budget: Optional[int]):
+        if budget is None and _METER.get() is None:
+            budget = DEFAULT_ENUMERATION_BUDGET
+        if budget is not None and budget < 1:
+            raise ValueError(f"enumeration budget must be >= 1, got {budget}")
+        self.meter = None if budget is None else [budget, budget]
+
+    def __enter__(self):
+        self.token = None if self.meter is None else _METER.set(self.meter)
+
+    def __exit__(self, *exc):
+        if self.token is not None:
+            _METER.reset(self.token)
+
+
+def _charge(work: int, horizon: int, what: str = "enumeration") -> int:
+    """Spend ``work`` units (integers scanned, members tested, walk points read) from the open
+    meter before the work is done, or from a fresh meter of the default budget when none is
+    open; return what it had left before, or raise ``EnumerationBudgetExceeded`` past that."""
+    meter = _METER.get()
+    budget, left = meter or (DEFAULT_ENUMERATION_BUDGET, DEFAULT_ENUMERATION_BUDGET)
+    if work > left:
+        raise EnumerationBudgetExceeded(horizon, budget, what)
+    if meter is not None:
+        meter[1] = left - work
+    return left
 
 
 class Infinitude(Enum):
@@ -172,7 +201,8 @@ class SymbolicSet:
         raise NotImplementedError
 
     def count(self, n: int, budget: Optional[int] = None) -> int:
-        """Exact |S ∩ [1, n]|.  ``budget`` caps enumeration fallbacks.
+        """Exact |S ∩ [1, n]|.  Enumeration fallbacks spend from a meter of ``budget`` units, or,
+        with ``budget`` None, as ``_charge`` says.
 
         Leaves count in closed form and a scaled set through its inner set.
         A union, intersection, difference or complement counts from its
@@ -181,18 +211,20 @@ class SymbolicSet:
         bisection, a stored prefix count and popcounts of one mask, exact
         at any horizon.  A tree whose pattern is wider than ``_LCM_CAP``,
         or that holds a ``Predicate`` or an ``ImageSet``, counts from its
-        parts instead.  Last of all an intersection tests at most ``budget``
-        members of its smaller part, read from that part's member runs, or
-        scans [1, n], at most ``budget`` integers, when the part has none.
+        parts instead.  Last of all an intersection tests the members of its
+        smaller part, read from that part's member runs, or scans [1, n] when
+        the part has none, and charges the meter for each member or integer.
         """
-        budget = checked_budget(budget)
+        if budget is not None:
+            with _metered(budget):
+                return self.count(n)
         if n < 0:
             raise ValueError("count horizon must be >= 0")
         if n == 0:
             return 0
-        return self._count(n, budget)
+        return self._count(n)
 
-    def _count(self, n: int, budget: int) -> int:
+    def _count(self, n: int) -> int:
         raise NotImplementedError
 
     def infinitude(self) -> Infinitude:
@@ -243,7 +275,7 @@ class Empty(SymbolicSet):
     def contains(self, n):
         return False
 
-    def _count(self, n, budget):
+    def _count(self, n):
         return 0
 
     def infinitude(self):
@@ -268,7 +300,7 @@ class Full(SymbolicSet):
     def contains(self, n):
         return n >= 1
 
-    def _count(self, n, budget):
+    def _count(self, n):
         return n
 
     def infinitude(self):
@@ -300,7 +332,7 @@ class FiniteList(SymbolicSet):
     def contains(self, n):
         return n in self._members
 
-    def _count(self, n, budget):
+    def _count(self, n):
         return bisect_right(self.elements, n)
 
     def infinitude(self):
@@ -354,7 +386,7 @@ class Periodic(SymbolicSet):
     def contains(self, n):
         return n >= 1 and (n % self.modulus) in self._rset
 
-    def _count(self, n, budget):
+    def _count(self, n):
         q, s = divmod(n, self.modulus)
         # residue 0 is hit at m, 2m, ..., qm; residue r >= 1 gets one extra
         # hit in the trailing partial period when r <= s, so residue 0 is
@@ -417,7 +449,7 @@ class Blocks(SymbolicSet):
     def contains(self, n):
         return self.source.contains(n)
 
-    def _count(self, n, budget):
+    def _count(self, n):
         return sum(min(r, n + 1) - l for l, r in self.source.intervals_meeting(1, n))
 
     def infinitude(self):
@@ -463,8 +495,8 @@ class Scaled(SymbolicSet):
     def contains(self, n):
         return n >= 1 and n % self.factor == 0 and self.inner.contains(n // self.factor)
 
-    def _count(self, n, budget):
-        return self.inner.count(n // self.factor, budget=budget)
+    def _count(self, n):
+        return self.inner.count(n // self.factor)
 
     def infinitude(self):
         return self.inner.infinitude()
@@ -530,9 +562,10 @@ class Predicate(SymbolicSet):
             raise PredicateCapExceeded(n, self.enumeration_cap)
         return bool(self.rule(n))
 
-    def _count(self, n, budget):
+    def _count(self, n):
         if n > self.enumeration_cap:
             raise PredicateCapExceeded(n, self.enumeration_cap)
+        _charge(n, n, "predicate scan")
         rule = self.rule
         return sum(1 for k in range(1, n + 1) if rule(k))
 
@@ -561,15 +594,11 @@ class Union(SymbolicSet):
     def contains(self, n):
         return self.left.contains(n) or self.right.contains(n)
 
-    def _count(self, n, budget):
+    def _count(self, n):
         segments = _segments(self)
         if segments is not None:
             return segments.count(n)
-        return (
-            self.left.count(n, budget=budget)
-            + self.right.count(n, budget=budget)
-            - _both(self).count(n, budget=budget)
-        )
+        return self.left.count(n) + self.right.count(n) - _both(self).count(n)
 
     def infinitude(self):
         a, b = self.left.infinitude(), self.right.infinitude()
@@ -603,34 +632,29 @@ class Intersect(SymbolicSet):
     def contains(self, n):
         return self.left.contains(n) and self.right.contains(n)
 
-    def _count(self, n, budget):
+    def _count(self, n):
         """From the segments when the tree has them (see ``SymbolicSet.count``).
         Otherwise, when one part has at most 64 member runs (the low cap keeps
         nested intersections from multiplying out), the other part is counted
-        run by run.  Otherwise each member of the smaller part, at most
-        ``budget`` of them, is tested by the other part: read from the smaller
-        part's member runs, or, when it has none, by a scan of [1, n] that
-        ``budget`` caps too."""
+        run by run.  Otherwise each member of the smaller part is tested by
+        the other part: read from the smaller part's member runs, or, when it
+        has none, by a scan of [1, n].  Each member or integer tested is
+        charged to the meter first."""
         segments = _segments(self)
         if segments is not None:
             return segments.count(n)
         for a, b in ((self.left, self.right), (self.right, self.left)):
             runs = a.member_runs(n, cap=64)
             if runs is not None:
-                return sum(
-                    b.count(min(hi, n), budget=budget) - b.count(lo - 1, budget=budget)
-                    for lo, hi in runs
-                )
-        cl = self.left.count(n, budget=budget)
-        cr = self.right.count(n, budget=budget)
+                return sum(b.count(min(hi, n)) - b.count(lo - 1) for lo, hi in runs)
+        cl = self.left.count(n)
+        cr = self.right.count(n)
         small, other = (self.left, self.right) if cl <= cr else (self.right, self.left)
-        if min(cl, cr) > budget:
-            raise EnumerationBudgetExceeded(n, budget)
-        runs = small.member_runs(n, cap=budget)
+        tested = min(cl, cr)
+        runs = small.member_runs(n, cap=_charge(tested, n))
         if runs is not None:
             return sum(1 for lo, hi in runs for v in range(lo, hi + 1) if other.contains(v))
-        if n > budget:
-            raise EnumerationBudgetExceeded(n, budget)
+        _charge(n - tested, n)  # the scan tests every integer, not only the members charged
         return sum(1 for v in range(1, n + 1) if self.contains(v))
 
     def infinitude(self):
@@ -663,11 +687,11 @@ class Diff(SymbolicSet):
     def contains(self, n):
         return self.left.contains(n) and not self.right.contains(n)
 
-    def _count(self, n, budget):
+    def _count(self, n):
         segments = _segments(self)
         if segments is not None:
             return segments.count(n)
-        return self.left.count(n, budget=budget) - _both(self).count(n, budget=budget)
+        return self.left.count(n) - _both(self).count(n)
 
     def infinitude(self):
         a, b = self.left.infinitude(), self.right.infinitude()
@@ -701,11 +725,11 @@ class Complement(SymbolicSet):
     def contains(self, n):
         return n >= 1 and not self.inner.contains(n)
 
-    def _count(self, n, budget):
+    def _count(self, n):
         segments = _segments(self)
         if segments is not None:
             return segments.count(n)
-        return n - self.inner.count(n, budget=budget)
+        return n - self.inner.count(n)
 
     def infinitude(self):
         if self.inner.infinitude() == Infinitude.FINITE:
@@ -1300,8 +1324,11 @@ def select(s: SymbolicSet, k: int, budget: Optional[int] = None) -> int:
 
     Finite lists, periodic sets and blocks are indexed directly; every other
     set selects from its segments or bisects ``count`` below an n with k members.  Satisfies
-    ``count(select(s, k)) == k`` and ``contains(select(s, k))``.
+    ``count(select(s, k)) == k`` and ``contains(select(s, k))``.  ``budget`` is as in ``count``.
     """
+    if budget is not None:
+        with _metered(budget):
+            return select(s, k)
     if k < 1:
         raise ValueError("selection index must be >= 1")
     if isinstance(s, FiniteList):
@@ -1325,12 +1352,12 @@ def select(s: SymbolicSet, k: int, budget: Optional[int] = None) -> int:
     flag = s.infinitude()
     if flag == Infinitude.FINITE:
         bound = s.max_element()
-        if bound is None or s.count(bound, budget=budget) < k:
+        if bound is None or s.count(bound) < k:
             raise IndexBeyondSet(f"finite set has fewer than {k} elements")
         hi = bound
     else:
         hi = max(2, k)
-        while s.count(hi, budget=budget) < k:
+        while s.count(hi) < k:
             hi *= 2
             if flag == Infinitude.UNKNOWN and hi > _UNKNOWN_PROBE_LIMIT:
                 raise UnknownInfinitude(
@@ -1338,4 +1365,4 @@ def select(s: SymbolicSet, k: int, budget: Optional[int] = None) -> int:
                 )
     if segments is not None:
         return segments.select(k, hi)
-    return _least(1, hi, lambda n: s.count(n, budget=budget) >= k)
+    return _least(1, hi, lambda n: s.count(n) >= k)

@@ -35,7 +35,6 @@ from .asymptotics import (
 )
 from .errors import (
     CardinalityMismatch,
-    EnumerationBudgetExceeded,
     UnknownInfinitude,
 )
 from .nset import (
@@ -47,7 +46,8 @@ from .nset import (
     _residues,
     _segment_runs,
     _tile,
-    checked_budget,
+    _charge,
+    _metered,
     diff,
     inter,
     periodic,
@@ -658,9 +658,7 @@ def _moved_up(pi: PermutationRule, points: Sequence[int]) -> tuple[list[int], li
     return sorted(itertools.chain.from_iterable(heads))[:20], _prefix_counts(up, points)
 
 
-def _image_counts(
-    pi: PermutationRule, a: SymbolicSet, points: Sequence[int], budget: int
-) -> Optional[list[int]]:
+def _image_counts(pi: PermutationRule, a: SymbolicSet, points: Sequence[int]) -> Optional[list[int]]:
     """(πA)(n) = |{m <= n : π⁻¹(m) ∈ A}| at each of the increasing
     ``points``: for a pairing from its two sides (``_pairing_image_counts``),
     otherwise from the pieces of π⁻¹; None when there are none.
@@ -677,7 +675,7 @@ def _image_counts(
     between read a prefix; the whole count is read once and added at the rest.
     """
     if isinstance(pi, InterlacedPairing):
-        return _pairing_image_counts(pi, a, points, budget)
+        return _pairing_image_counts(pi, a, points)
     pieces = _checked_pieces(Inverse(pi), points)
     if pieces is None:
         return None
@@ -690,10 +688,10 @@ def _image_counts(
         lane = lanes[key]
         first = bisect_left(points, k0)
         done = bisect_left(points, k0 + (terms - 1) * p, first)
-        before = lane.count(d - 1, budget=budget)
+        before = lane.count(d - 1)
 
         def members(seen):
-            return lane.count(d + (seen - 1) * q, budget=budget) - before
+            return lane.count(d + (seen - 1) * q) - before
 
         for i in range(first, done):
             totals[i] += members(_prefix(k0, p, terms, points[i]))
@@ -704,9 +702,7 @@ def _image_counts(
     return totals
 
 
-def _pairing_image_counts(
-    pi: InterlacedPairing, x: SymbolicSet, points: Sequence[int], budget: int
-) -> list[int]:
+def _pairing_image_counts(pi: InterlacedPairing, x: SymbolicSet, points: Sequence[int]) -> list[int]:
     """(πX)(n) at each of the ``points`` for a pairing of A' = {a_1 < ...}
     and B' = {b_1 < ...}: π fixes every k outside A' ∪ B', and maps a_i
     to b_i, which is at most n iff i <= B'(n), and b_i to a_i, at most n iff
@@ -720,11 +716,11 @@ def _pairing_image_counts(
     out = []
     for n in points:
         ranks_a, ranks_b = a.count(n), b.count(n)
-        total = fixed.count(n, budget=budget)
+        total = fixed.count(n)
         if ranks_b:
-            total += from_a.count(a.select(ranks_b), budget=budget)
+            total += from_a.count(a.select(ranks_b))
         if ranks_a:
-            total += from_b.count(b.select(ranks_a), budget=budget)
+            total += from_b.count(b.select(ranks_a))
         out.append(total)
     return out
 
@@ -734,8 +730,8 @@ class ImageSet(SymbolicSet):
     """π(base) described through the inverse: m ∈ πA iff π⁻¹(m) ∈ A.
 
     Counting reads a pairing's sides or the affine pieces of π⁻¹ where it
-    has them (see ``_image_counts``); otherwise it scans m <= n within the
-    budget.
+    has them (see ``_image_counts``); otherwise it scans m <= n, charged to
+    the meter first.
     """
 
     pi: PermutationRule
@@ -744,13 +740,12 @@ class ImageSet(SymbolicSet):
     def contains(self, n):
         return n >= 1 and self.base.contains(self.pi.invert(n))
 
-    def _count(self, n, budget):
+    def _count(self, n):
         pi, base = self.pi, self.base
-        counted = _image_counts(pi, base, (n,), budget)
+        counted = _image_counts(pi, base, (n,))
         if counted is not None:
             return counted[0]
-        if n > budget:
-            raise EnumerationBudgetExceeded(n, budget, "image-count scan")
+        _charge(n, n, "image-count scan")
         return sum(1 for m in range(1, n + 1) if base.contains(pi.invert(m)))
 
     def infinitude(self):
@@ -818,25 +813,22 @@ def levy_defect_profile(
     agree for every bijection and every n, so the downward mode exists as an
     independently computed cross-check, always in the one scan, ``_running_sums``.
     """
-    pts = list(seq.points())
-    maxn = pts[-1]
-    budget = checked_budget(budget)
-    if maxn > budget:
-        raise EnumerationBudgetExceeded(maxn, budget, "defect scan")
-    if mode not in ("upward", "downward"):
-        raise ValueError("mode must be 'upward' or 'downward'")
-    if mode == "upward":
-        defects = tuple(map(Fraction, _defect_counts(pi, pts), pts))
-    else:
-        stay = _running_sums(lambda n: (pi.apply(n) <= n) + (pi.invert(n) < n), pts)
-        defects = tuple(Fraction(n - s, n) for n, s in zip(pts, stay))
-    return DefectProfile(
-        points=tuple(pts),
-        defects=defects,
-        classification_hint=classify_tail(pts, defects),
-        mode=mode,
-        tail_window=_tail_len(len(pts)),
-    )
+    with _metered(budget):
+        pts = list(seq.points())
+        if mode not in ("upward", "downward"):
+            raise ValueError("mode must be 'upward' or 'downward'")
+        if mode == "upward":
+            defects = tuple(map(Fraction, _defect_counts(pi, pts), pts))
+        else:
+            stay = _running_sums(lambda n: (pi.apply(n) <= n) + (pi.invert(n) < n), pts)
+            defects = tuple(Fraction(n - s, n) for n, s in zip(pts, stay))
+        return DefectProfile(
+            points=tuple(pts),
+            defects=defects,
+            classification_hint=classify_tail(pts, defects),
+            mode=mode,
+            tail_window=_tail_len(len(pts)),
+        )
 
 
 def displacement_profile(
@@ -854,16 +846,13 @@ def displacement_profile(
     otherwise in the one scan, ``_running_sums``, of every m up to the last
     point.
     """
-    pts = list(seq.points())
-    maxn = pts[-1]
-    budget = checked_budget(budget)
-    if maxn > budget:
-        raise EnumerationBudgetExceeded(maxn, budget, "displacement scan")
-    image = _image_counts(pi, a, pts, budget)
-    if image is not None:
-        return [(n, Fraction(a.count(n, budget=budget) - c, n)) for n, c in zip(pts, image)]
-    gaps = _running_sums(lambda n: a.contains(n) - a.contains(pi.invert(n)), pts)
-    return [(n, Fraction(g, n)) for n, g in zip(pts, gaps)]
+    with _metered(budget):
+        pts = list(seq.points())
+        image = _image_counts(pi, a, pts)
+        if image is not None:
+            return [(n, Fraction(a.count(n) - c, n)) for n, c in zip(pts, image)]
+        gaps = _running_sums(lambda n: a.contains(n) - a.contains(pi.invert(n)), pts)
+        return [(n, Fraction(g, n)) for n, g in zip(pts, gaps)]
 
 
 def displacement_classification(
@@ -877,12 +866,13 @@ def displacement_classification(
     Evidence only: the displacement criterion quantifies over every subset
     of ℕ, which no finite corpus can certify.
     """
-    profiles = [displacement_profile(pi, s, seq, budget=budget) for s in sets]
-    points = [n for n, _ in profiles[0]]
-    worst = [
-        max(abs(prof[i][1]) for prof in profiles) for i in range(len(points))
-    ]
-    return classify_tail(points, worst)
+    with _metered(budget):
+        profiles = [displacement_profile(pi, s, seq) for s in sets]
+        points = [n for n, _ in profiles[0]]
+        worst = [
+            max(abs(prof[i][1]) for prof in profiles) for i in range(len(points))
+        ]
+        return classify_tail(points, worst)
 
 
 @dataclass(frozen=True)
@@ -960,31 +950,30 @@ def exceptional_sets(
     budget: Optional[int] = None,
 ) -> ExceptionalSets:
     """Exact finite materializations of the relative-displacement exceptions."""
-    budget = checked_budget(budget)
-    if horizon > budget:
-        raise EnumerationBudgetExceeded(horizon, budget, "exceptional-set scan")
-    eps = Fraction(eps)
-    if checkpoints is None:
-        checkpoints = doubling_checkpoints(horizon, levels=6)
-    pts = [p for p in checkpoints.points() if p <= horizon]
-    above: list[int] = []
-    below: list[int] = []
-    for k in range(1, horizon + 1):
-        d = pi.apply(k) - k
-        if d * eps.denominator > eps.numerator * k:
-            above.append(k)
-        elif -d * eps.denominator > eps.numerator * k:
-            below.append(k)
-    ratios = [
-        (p, Fraction(bisect_right(above, p) + bisect_right(below, p), p)) for p in pts
-    ]
-    return ExceptionalSets(
-        eps=eps,
-        horizon=horizon,
-        above=FiniteList(tuple(above)),
-        below=FiniteList(tuple(below)),
-        union_ratios=tuple(ratios),
-    )
+    with _metered(budget):
+        _charge(horizon, horizon, "exceptional-set scan")
+        eps = Fraction(eps)
+        if checkpoints is None:
+            checkpoints = doubling_checkpoints(horizon, levels=6)
+        pts = [p for p in checkpoints.points() if p <= horizon]
+        above: list[int] = []
+        below: list[int] = []
+        for k in range(1, horizon + 1):
+            d = pi.apply(k) - k
+            if d * eps.denominator > eps.numerator * k:
+                above.append(k)
+            elif -d * eps.denominator > eps.numerator * k:
+                below.append(k)
+        ratios = [
+            (p, Fraction(bisect_right(above, p) + bisect_right(below, p), p)) for p in pts
+        ]
+        return ExceptionalSets(
+            eps=eps,
+            horizon=horizon,
+            above=FiniteList(tuple(above)),
+            below=FiniteList(tuple(below)),
+            union_ratios=tuple(ratios),
+        )
 
 
 @dataclass(frozen=True)
@@ -1007,23 +996,22 @@ def van_douwen_ratio_report(
 ) -> VanDouwenReport:
     """Check lim π(n)/n = 1 at desk scale: sup over the tail window
     [max(1, horizon/10), horizon]."""
-    budget = checked_budget(budget)
-    if horizon > budget:
-        raise EnumerationBudgetExceeded(horizon, budget, "ratio scan")
-    start = max(1, horizon // 10)
-    best: tuple[int, int] = (0, 1)
-    best_at = start
-    for n in range(start, horizon + 1):
-        dev = abs(pi.apply(n) - n)
-        if dev * best[1] > best[0] * n:
-            best = (dev, n)
-            best_at = n
-    sup = Fraction(*best)
-    return VanDouwenReport(
-        horizon=horizon,
-        tail_window_start=start,
-        sup_deviation=sup,
-        at=best_at,
-        tol=Fraction(tol),
-        holds=sup <= tol,
-    )
+    with _metered(budget):
+        start = max(1, horizon // 10)
+        _charge(horizon - start + 1, horizon, "ratio scan")
+        best: tuple[int, int] = (0, 1)
+        best_at = start
+        for n in range(start, horizon + 1):
+            dev = abs(pi.apply(n) - n)
+            if dev * best[1] > best[0] * n:
+                best = (dev, n)
+                best_at = n
+        sup = Fraction(*best)
+        return VanDouwenReport(
+            horizon=horizon,
+            tail_window_start=start,
+            sup_deviation=sup,
+            at=best_at,
+            tol=Fraction(tol),
+            holds=sup <= tol,
+        )

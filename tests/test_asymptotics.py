@@ -125,6 +125,17 @@ def test_limit_along_refuses_an_all_sequence_past_the_budget():
     assert limit_along(s, All(2000), tol, budget=2000).points[-1] == 2000
 
 
+def test_limit_along_without_a_budget_is_refused_before_it_scans():
+    # no meter is open, so the scan is charged to a fresh meter of the default budget
+    from densitylab.nset import DEFAULT_ENUMERATION_BUDGET, Predicate
+
+    seen = []
+    s = Predicate(rule=seen.append, enumeration_cap=2 * DEFAULT_ENUMERATION_BUDGET, label="seen")
+    with pytest.raises(EnumerationBudgetExceeded):
+        limit_along(s, All(DEFAULT_ENUMERATION_BUDGET + 1), Fraction(1, 1000))
+    assert seen == []
+
+
 def test_limit_along_streams_dense_sequences():
     rep = limit_along(periodic(3, [0]), All(50000), Fraction(1, 1000))
     assert rep.sampled
@@ -211,7 +222,7 @@ def test_density_run_path_matches_integer_scan_on_deep_trees(s, horizon, data):
     r = density(s, horizon, start)
     if r.grid != "window-extrema-via-runs":
         return
-    mn, mx = _extrema_by_scan(s, start, horizon, 10**7)
+    mn, mx = _extrema_by_scan(s, start, horizon)
     assert (r.lower_estimate, r.argmin) == (Fraction(*mn), mn[1])
     assert (r.upper_estimate, r.argmax) == (Fraction(*mx), mx[1])
 
@@ -229,7 +240,7 @@ def _window_start(data, horizon: int, pick) -> int:
 def test_window_scan_matches_two_comparison_reference(s, horizon, at_member, data):
     members = brute_members(s, horizon)
     start = _window_start(data, horizon, lambda n: (n in members) == at_member)
-    assert _extrema_by_scan(s, start, horizon, 10**7) == scan_extrema(s, start, horizon)
+    assert _extrema_by_scan(s, start, horizon) == scan_extrema(s, start, horizon)
 
 
 # scaled periodic leaves give moduli up to 60, and two sides an lcm past both
@@ -303,7 +314,7 @@ def test_equal_tail_sup_matches_two_comparison_reference(a, b, horizon, where, p
     ],
 )
 def test_window_scan_keeps_first_point_and_first_tie(s, lo, hi):
-    assert _extrema_by_scan(s, lo, hi, 10**7) == scan_extrema(s, lo, hi)
+    assert _extrema_by_scan(s, lo, hi) == scan_extrema(s, lo, hi)
 
 
 def test_equal_tail_sup_at_the_first_window_point():
@@ -318,7 +329,7 @@ def test_density_at_a_million_reads_runs_where_a_part_has_too_many():
     s = inter(blocks_dexp(), periodic(7, [1, 3]))
     r = density(s, 10**6, 10**5)
     assert r.grid == "window-extrema-via-runs"
-    mn, mx = _extrema_by_scan(s, 10**5, 10**6, 10**7)
+    mn, mx = _extrema_by_scan(s, 10**5, 10**6)
     assert (r.lower_estimate, r.argmin) == (Fraction(*mn), mn[1])
     assert (r.upper_estimate, r.argmax) == (Fraction(*mx), mx[1])
     # a union of a sparse part and a dense one keeps every run of each
