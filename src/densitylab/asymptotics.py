@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import WitnessTooSparse
-from .nset import FiniteList, SymbolicSet, _charge, _cut_segments, _metered
+from .nset import FiniteList, SymbolicSet, _charge, _metered, _segments
 
 # Reports keep at most this many profile points; longer evaluations are
 # decimated for storage (verdicts are still computed over every point).
@@ -321,7 +321,7 @@ def _stretch_points(
     """(grid, points): (D(n), n) for D(n) = A(n) - B(n) at the points of [lo, hi] that can hold an
     extremum of |D(n)|/n, in increasing n.
 
-    The cuts of both sets' segments (``nset._cut_segments``) cut [1, hi] into stretches, and on
+    The cuts of both sets' segments (``nset._segments``) cut [1, hi] into stretches, and on
     each stretch each set is a periodic set of its segments' width.  For L the lcm of the two
     widths, D(n + L) - D(n) is then constant while n and n + L lie in one stretch, so along each
     phase n, n + L, n + 2L, ... D(n)/n is monotone (or constant) and |D(n)|/n is greatest at an
@@ -332,11 +332,12 @@ def _stretch_points(
     charged to the meter by its number of points, then D is counted at its start and carried
     by the two sets' ``contains``.
     """
-    sa, sb = _cut_segments(a, hi), _cut_segments(b, hi)
+    sa, sb = _segments(a), _segments(b)
     if sa is None or sb is None:  # no cuts, and a span that reads the one stretch whole
         grid, cuts, span = "integer-scan", (), hi
         count_a, count_b = a.count, b.count
     else:
+        sa.count(hi), sb.count(hi)  # extends the segments to hi
         grid, cuts, span = "window-extrema-via-pieces", chain(sa.starts, sb.starts), lcm(sa.width, sb.width)
         count_a, count_b = sa.count, sb.count
     starts = [lo, *sorted({c for c in cuts if lo < c <= hi})]
@@ -571,7 +572,8 @@ def full_density_witness(
     within stage j the indices with |x_k - target| >= eps_j are discarded.
     Raises WitnessTooSparse when the witness ratio falls below 9/10 (the
     sequence is then not statistically convergent to ``target`` at this
-    profile).
+    profile).  The scan of [1, horizon] is charged to the meter before x is
+    read.
     """
     if horizon < 10:
         raise ValueError("horizon must be >= 10")
@@ -597,6 +599,7 @@ def full_density_witness(
         stages.append((lo, hi, eps))
         lo = hi + 1
 
+    _charge(horizon, horizon, "witness scan")
     kept: list[int] = []
     tail_max = (0, 1)  # largest kept deviation in the last stage
     last_lo = stages[-1][0]

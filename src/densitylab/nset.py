@@ -954,15 +954,17 @@ def _eventual_period(s: SymbolicSet) -> Optional[tuple[int, Periodic]]:
     """(b, tail): past b, ``s`` has the members of the periodic node ``tail``; None where the
     segment program of ``s`` cannot tell.
 
-    Past b, the largest scaled point of its ``_departures`` leaves, every one of them is out,
-    while a ``dexp`` block or an opaque leaf may be in or out.  Where the program's two masks for
-    those states agree, every choice gives the same residues: they are the tail.  Memoized on ``s``.
+    Past b, the largest scaled point of its finite and explicit-block leaves, every one of them is
+    out, while a ``dexp`` block or an opaque leaf may be in or out.  Where the program's two masks
+    for those states agree, every choice gives the same residues: they are the tail.  Memoized on
+    ``s``.
     """
     memo = getattr(s, "_period_memo", None)
     if memo is None:
         width, program, leaves = _compiled(s)
-        lo, hi = _run_program(program, tuple(False if _departs(leaf, t) else None for leaf, t in leaves))
-        b = max((t * leaf.max_element() for leaf, t in _departures(s)), default=0)
+        departs = [t is not None and leaf.infinitude() is Infinitude.FINITE for leaf, t in leaves]
+        lo, hi = _run_program(program, tuple(False if d else None for d in departs))
+        b = max((t * leaf.max_element() for (leaf, t), d in zip(leaves, departs) if d), default=0)
         memo = (None if lo != hi else (b, Periodic(width, _residues(lo))),)
         object.__setattr__(s, "_period_memo", memo)
     return memo[0]
@@ -978,27 +980,6 @@ def _bound_by_period(s: SymbolicSet) -> Optional[int]:
     """The b of ``_eventual_period``, which bounds the members, when the tail is empty; else None."""
     period = _eventual_period(s)
     return None if period is None or period[1].residues else period[0]
-
-
-def _departs(leaf: SymbolicSet, t: Optional[int]) -> bool:
-    """Whether a leaf of a segment program is a finite or explicit-block leaf, one with a last point."""
-    return t is not None and leaf.infinitude() is Infinitude.FINITE
-
-
-def _departures(s: SymbolicSet) -> list[tuple[FiniteList | Blocks, int]]:
-    """The finite and explicit-block leaves of the segment program of ``s``, each with the factor it
-    is scaled by: the points where ``s`` departs from its eventual tail are among theirs."""
-    return [(leaf, t) for leaf, t in _compiled(s)[2] if _departs(leaf, t)]
-
-
-def _last_departure(s: SymbolicSet) -> Optional[tuple[int, Periodic]]:
-    """(c, tail): ``s`` departs from ``tail``, its eventual tail, last at c (0: never); None where
-    ``_eventual_period`` cannot tell.  c is read from the segments up to b, else is b (exact for leaves)."""
-    period = _eventual_period(s)
-    segments = None if period is None or period[0] == 0 else _segments(s)
-    if segments is None:
-        return period
-    return segments.last_departure(_periodic_mask(period[1], 1, segments.width), period[0]), period[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1136,8 +1117,9 @@ def _run_program(program: int | tuple, states: tuple[Optional[bool], ...]) -> tu
 def _compiled(s: SymbolicSet) -> tuple[int, int | tuple, list]:
     """(width, program, leaves): the segment program of ``s``, compiled on first use and memoized
     on it; every question about the tree's patterns reads this one program.  A program whose leaf
-    is ``s`` itself is one leaf, cheap to compile again, and is not kept: on ``s`` it would make
-    a reference cycle, which only the cyclic collector frees."""
+    is ``s`` itself is one leaf, cheap to compile again, and is not kept, nor are the segments built
+    from it (``_segments``): on ``s`` either would make a reference cycle, which only the cyclic
+    collector frees."""
     memo = getattr(s, "_program_memo", None)
     if memo is None and isinstance(s, Periodic) and s.modulus <= _LCM_CAP:  # the program is its mask
         memo = s.modulus, _periodic_mask(s, 1, s.modulus), []
@@ -1233,22 +1215,6 @@ class _Segments:
         c = bisect_right(before, j) - 1
         return q * self.width + 8 * self._step * c + _residues(chunks[c])[j - before[c]]
 
-    def last_departure(self, tail: int, b: int) -> int:
-        """The last n <= b where the mask of n's segment and ``tail``, a residue mask mod ``width``,
-        differ, or 0; read from b's segment backwards, each only on the residues it reaches."""
-        self.count(b)  # extends the segments to b
-        end = b
-        for i in range(bisect_right(self.starts, b) - 1, -1, -1):
-            differ = tail ^ self.patterns[i][2]
-            # the last differing residue at or below end's, else the last one a period before
-            r = end % self.width
-            low = differ & ((2 << r) - 1)
-            n = end - r + low.bit_length() - 1 if low else end - r - self.width + differ.bit_length() - 1
-            if differ and n >= self.starts[i]:
-                return n
-            end = self.starts[i] - 1
-        return 0
-
     def _extend(self, n: int) -> None:
         top, cuts = self.top, set()
         for leaf, t in self._leaves:
@@ -1266,27 +1232,17 @@ class _Segments:
 
 
 def _segments(s: SymbolicSet) -> Optional[_Segments]:
-    """The segments of ``s``, built on first use and memoized on it; None when its program has an
-    opaque leaf, or when ``s`` is a leaf of its own program, which counts and selects on its own."""
+    """The segments of ``s``, built on first use; None when its program has an opaque leaf.  They
+    are memoized on ``s``, unless ``s`` is a finite or block leaf of its own program: its segments
+    hold it, so on it they would make a reference cycle, and they are built afresh on every call.
+    A caller that reads the cuts up to some top extends them first, by ``count(top)``."""
     memo = getattr(s, "_segment_memo", None)
     if memo is None:
         width, program, leaves = _compiled(s)
-        memo = (None if any(t is None or leaf is s for leaf, t in leaves) else _Segments(width, program, leaves),)
-        object.__setattr__(s, "_segment_memo", memo)
+        memo = (None if any(t is None for _, t in leaves) else _Segments(width, program, leaves),)
+        if memo[0] is None or all(leaf is not s for leaf, _ in leaves):
+            object.__setattr__(s, "_segment_memo", memo)
     return memo[0]
-
-
-def _cut_segments(s: SymbolicSet, top: int) -> Optional[_Segments]:
-    """The segments of ``s`` extended to ``top``; None when its program has an opaque leaf.  A
-    finite or block leaf, whose segments ``_segments`` does not keep, has its own built afresh."""
-    segments = _segments(s)
-    if segments is None:
-        width, program, leaves = _compiled(s)
-        if any(t is None for _, t in leaves):
-            return None
-        segments = _Segments(width, program, leaves)
-    segments.count(top)
-    return segments
 
 
 def _segment_runs(s: SymbolicSet, top: int) -> Optional[tuple[int, list[int], list[int], list[int]]]:
@@ -1297,9 +1253,10 @@ def _segment_runs(s: SymbolicSet, top: int) -> Optional[tuple[int, list[int], li
     width, program, leaves = _compiled(s)
     if not leaves:
         return width, [1], [0], [program]
-    segments = _cut_segments(s, top)
+    segments = _segments(s)
     if segments is None:
         return None
+    segments.count(top)
     return width, segments.starts, segments.below, [pattern[2] for pattern in segments.patterns]
 
 

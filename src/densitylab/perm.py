@@ -42,7 +42,7 @@ from .nset import (
     Infinitude,
     Predicate,
     SymbolicSet,
-    _last_departure,
+    _compiled,
     _residues,
     _segment_runs,
     _tile,
@@ -173,9 +173,8 @@ class InterlacedPairing(PermutationRule):
     equal cardinality.
 
     ``apply`` maps a_i <-> b_i with i = A'(n) or B'(n), one ``count`` and
-    one ``select``.  A side that never departs from its periodic tail is
-    that tail and answers them in closed form; any other side answers
-    through its set tree, from its segments where it has them.
+    one ``select`` on the sides' set trees: in closed form for a side that
+    folds to a periodic set, else from its segments where it has them.
 
     Since the i-th pair is a_i <-> b_i, the defect and the image counts of
     a pairing are read from the same two sides' counts and selects, with no
@@ -206,11 +205,9 @@ class InterlacedPairing(PermutationRule):
         object.__setattr__(self, "a_only", a_only)
         object.__setattr__(self, "b_only", b_only)
         object.__setattr__(self, "pair_total", size)
-        late = [(side, _last_departure(side)) for side in (a_only, b_only)]
-        object.__setattr__(self, "_sides", tuple(p[1] if p and p[0] == 0 else side for side, p in late))
 
     def apply(self, n):
-        a, b = self._sides
+        a, b = self.a_only, self.b_only
         if a.contains(n):
             return b.select(a.count(n))
         if b.contains(n):
@@ -232,15 +229,12 @@ class InterlacedPairing(PermutationRule):
         and maximal run of stretches that hold it (a stretch shorter than lcm(w, v) holds the
         residues it does not reach).  lcm(w, v) is within ``_LCM_CAP``: both sides' programs
         hold A and B, unless one side is finite (width 1) or both fold to periodic sets."""
-        a, b = self._sides
-        sides = [_segment_runs(s, horizon) for s in (a, b)]
-        if None in sides:
+        a, b = self.a_only, self.b_only
+        if any(t is None for side in (a, b) for _, t in _compiled(side)[2]):  # an opaque leaf, before any count
             return None
         ranks = max(a.count(horizon), b.count(horizon))
         top = max(horizon, a.select(ranks), b.select(ranks)) if ranks else horizon
-        if top > horizon:  # a side's R-th member lies past the horizon
-            sides = [_segment_runs(s, top) for s in (a, b)]
-        (w, starts_a, below_a, masks_a), (v, starts_b, below_b, masks_b) = sides
+        (w, starts_a, below_a, masks_a), (v, starts_b, below_b, masks_b) = (_segment_runs(s, top) for s in (a, b))
         residues, out = {}, []
 
         def members(width, starts, below, masks, i, rank, count):
@@ -710,9 +704,9 @@ def _pairing_image_counts(pi: InterlacedPairing, x: SymbolicSet, points: Sequenc
     (πX)(n) = (X \\ (A' ∪ B'))(n) + (A' ∩ X)(a_B'(n)) + (B' ∩ X)(b_A'(n)),
     where a term whose rank is 0 is 0.  The three sets are built once and
     count from their segments; the ranks and a_i, b_i come from the sides."""
-    a, b = pi._sides
-    fixed = diff(x, union(pi.a_only, pi.b_only))
-    from_a, from_b = inter(pi.a_only, x), inter(pi.b_only, x)
+    a, b = pi.a_only, pi.b_only
+    fixed = diff(x, union(a, b))
+    from_a, from_b = inter(a, x), inter(b, x)
     out = []
     for n in points:
         ranks_a, ranks_b = a.count(n), b.count(n)
@@ -731,7 +725,8 @@ class ImageSet(SymbolicSet):
 
     Counting reads a pairing's sides or the affine pieces of π⁻¹ where it
     has them (see ``_image_counts``); otherwise it scans m <= n, charged to
-    the meter first.
+    the meter first.  ``max_element`` of a finite base maps each of its
+    members, also charged first.
     """
 
     pi: PermutationRule
@@ -755,8 +750,9 @@ class ImageSet(SymbolicSet):
         bound = self.base.max_element()
         if bound is None:
             return None
-        base = self.base
-        return max((self.pi.apply(base.select(i)) for i in range(1, base.count(bound) + 1)), default=0)
+        base, size = self.base, self.base.count(bound)
+        _charge(size, bound, "image max scan")
+        return max((self.pi.apply(base.select(i)) for i in range(1, size + 1)), default=0)
 
     def to_expr(self):
         return f"image({self.pi.to_expr()},{self.base.to_expr()})"
@@ -788,7 +784,7 @@ def _defect_counts(pi: PermutationRule, points: Sequence[int]) -> list[int]:
     ``_running_sums``: n joins the set when π(n) > n, and π⁻¹(n) leaves it
     when π⁻¹(n) < n."""
     if isinstance(pi, InterlacedPairing):
-        a, b = pi._sides
+        a, b = pi.a_only, pi.b_only
         return [abs(a.count(n) - b.count(n)) for n in points]
     pieces = _checked_pieces(pi, points)
     if pieces is not None:

@@ -23,7 +23,8 @@ from densitylab.measure import equal_measure_test
 from densitylab.nset import (
     Empty,
     Full,
-    _cut_segments,
+    _metered,
+    _segments,
     blocks_dexp,
     blocks_explicit,
     compl,
@@ -286,9 +287,11 @@ def test_equal_tail_sup_matches_two_comparison_reference(a, b, horizon, where, p
     """The window starts at the first point from ``pick`` on where exactly one
     set is a member, or both or neither, or where neither set starts a
     segment, so that the window cuts a stretch."""
-    sides = _cut_segments(a, horizon), _cut_segments(b, horizon)
+    sides = _segments(a), _segments(b)
     if where == "mid-stretch":
         assume(None not in sides)
+        for side in sides:
+            side.count(horizon)  # extends the segments to the horizon
         cuts = {c for side in sides for c in side.starts}
         pool = [n for n in range(2, horizon) if n not in cuts]
     else:
@@ -421,6 +424,22 @@ def test_witness_alternating_sequence_too_sparse():
         full_density_witness(
             lambda n: Fraction(1 if n % 2 == 0 else -1), Fraction(1), 10**4, [Fraction(1, 10)]
         )
+
+
+def test_witness_scan_is_charged_to_the_meter_before_x_is_read():
+    seen = []
+
+    def x(n):
+        seen.append(n)
+        return Fraction(0)
+
+    with _metered(1000):
+        with pytest.raises(EnumerationBudgetExceeded):
+            full_density_witness(x, Fraction(0), 1001, [Fraction(1, 10)])
+    assert seen == []
+    with _metered(1000):
+        assert full_density_witness(x, Fraction(0), 1000, [Fraction(1, 10)]).ratio == 1
+    assert seen == list(range(1, 1001))
 
 
 def test_witness_validation():

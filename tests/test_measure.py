@@ -27,6 +27,7 @@ from densitylab.nset import (
     union,
     Full,
     Predicate,
+    _metered,
     blocks_dexp,
     blocks_explicit,
     finite,
@@ -159,6 +160,15 @@ def test_image_set_closed_forms_and_scans():
         assert imgq.count(n) == brute_image_count(q, lower, n)
     # the quarter-swap image count stays closed-form at huge horizons
     assert ImageSet(q, EVENS).count(2**30) == EVENS.count(2**30)
+
+
+def test_image_max_element_charges_its_members_to_the_meter_first():
+    q, base = QuarterBlockSwap(), finite(*range(1, 2001))
+    with _metered(1000):
+        with pytest.raises(EnumerationBudgetExceeded):
+            ImageSet(q, base).max_element()
+    with _metered(2000):
+        assert ImageSet(q, base).max_element() == max(map(q.apply, range(1, 2001)))
 
 
 def test_select_on_an_image_of_a_finite_base():

@@ -27,9 +27,7 @@ from densitylab.nset import (
     Scaled,
     Union,
     _eventual_period,
-    _last_departure,
     _periodic_mask,
-    _cut_segments,
     _residues,
     _segments,
     blocks_dexp,
@@ -584,17 +582,14 @@ def _headed_trees(seed, count):
 
 
 def test_segment_readers_match_brute_force_past_b_and_b_plus_l():
-    """count, contains, select and the last departure c from the tail, read from the segments,
-    against brute force up to 3(b + l) + 20, and select near 2^64 against the benchmark's oracle."""
+    """count, contains and select, read from the segments, against brute force up to 3(b + l) + 20,
+    and select near 2^64 against the benchmark's oracle."""
     # an opaque part that cannot change the tail is read through; one that can gives no answer,
     # and a scaled one may hold any multiple of its factor
     assert _eventual_period(inter(blocks_explicit([(1, 100)]), _OPAQUE_LEAVES[2])) == (99, Periodic(1, ()))
     assert _eventual_period(union(periodic(2, [1]), inter(blocks_dexp(), periodic(2, [1])))) == (0, periodic(2, [1]))
     assert _eventual_period(inter(blocks_dexp(), periodic(3, [1]))) is None
     assert _eventual_period(union(scale(_OPAQUE_LEAVES[1], 2), periodic(3, [0, 2]))) is None
-    # the last segment starts at 2000002 and its last cut is 2000001, but the point is in the tail
-    assert _last_departure(union(periodic(4, [1]), finite(2000001))) == (0, periodic(4, [1]))
-    assert _last_departure(finite(3, 8)) == (8, Periodic(1, ()))
     plain = _deep_periodic_trees(101, 80)
     assert all(_eventual_period(s) is not None for s in plain)
     opaque = [s for s in _deep_periodic_trees(103, 80, opaque=True) if any(x in _OPAQUE_LEAVES for x in _subtrees(s))]
@@ -618,13 +613,7 @@ def test_segment_readers_match_brute_force_past_b_and_b_plus_l():
         bound = s.max_element()
         assert (bound is None) if infinite else (bound is not None and all(n <= bound for n in members)), s
         departures = [n for n in range(1, b + 1) if (n in inside) != tail.contains(n)]
-        c, late_tail = _last_departure(s)
-        assert late_tail is tail, s
         segments = _segments(s)
-        if segments is None:  # an opaque leaf: c is b, past every departure
-            assert c == b, s
-        else:
-            assert c == (departures[-1] if departures else 0), s
         assert [s.contains(n) for n in range(1, top + 1)] == [n in inside for n in range(1, top + 1)], s
         prefix = [0]
         for n in range(1, top + 1):
@@ -651,7 +640,7 @@ def test_segment_readers_match_brute_force_past_b_and_b_plus_l():
                 assert ref.contains(n) and ref.count(n) == k, (s, k)
         finite_seen += not infinite
         infinite_seen += infinite
-        departing += c > 0
+        departing += bool(departures)
         if segments is not None:
             # a segment up to b whose mask differs from the tail's only on residues it never reaches
             mask = _periodic_mask(tail, 1, segments.width)
@@ -893,7 +882,8 @@ def test_segments_fall_back_past_the_width_cap_and_at_a_predicate():
 
 def test_segments_count_nothing_below_one():
     # the last segment, past 100, counts 5 at its start; no n < 1 may be read in it
-    segments = _cut_segments(union(blocks_explicit([(5, 9)]), finite(100)), 1000)
+    segments = _segments(union(blocks_explicit([(5, 9)]), finite(100)))
+    segments.count(1000)  # extends the segments to 1000 first
     assert [segments.count(n) for n in (-1, 0, 1, 5, 8, 100, 1000)] == [0, 0, 0, 1, 4, 5, 5]
 
 

@@ -24,7 +24,6 @@ from densitylab.nset import (
     Periodic,
     SymbolicSet,
     _eventual_period,
-    _last_departure,
     blocks_dexp,
     blocks_explicit,
     compl,
@@ -241,11 +240,16 @@ def test_closed_form_pairing_near_two_to_the_64():
                 assert m == n
 
 
-def _side_kind(side, tree):
-    """The kind of a pairing side, by its tree and the last point c where the tree departs from its
-    tail; a side with c = 0 is its tail."""
-    c, tail = _last_departure(tree)
-    assert side is (tail if c == 0 else tree), side
+def _departs_last(tree):
+    """The last point c <= b, ``_eventual_period``'s b, where ``tree`` departs from its tail, or 0,
+    by brute force from b down."""
+    b, tail = _eventual_period(tree)
+    return next((n for n in range(b, 0, -1) if tree.contains(n) != tail.contains(n)), 0)
+
+
+def _side_kind(tree):
+    """The kind of a pairing side, by its tail and the last point c where it departs from it."""
+    tail, c = _eventual_period(tree)[1], _departs_last(tree)
     if not tail.residues:
         return "finite"
     if c:
@@ -298,16 +302,16 @@ def _rank_form_pairings(seed, count):
 def test_rank_form_pairings_match_rank_matching_past_b_and_b_plus_l():
     kinds, with_pieces = set(), 0
     for phi in _rank_form_pairings(83, 60):
-        sides, trees = phi._sides, (phi.a_only, phi.b_only)
-        kinds |= {_side_kind(side, tree) for side, tree in zip(sides, trees)}
+        trees = phi.a_only, phi.b_only
+        kinds |= {_side_kind(tree) for tree in trees}
         b = max(_eventual_period(tree)[0] for tree in trees)
-        l = max(_last_departure(tree)[1].modulus for tree in trees)
+        l = max(_eventual_period(tree)[1].modulus for tree in trees)
         top = 3 * (b + l) + 20
         need = max(phi.a_only.count(top), phi.b_only.count(top))
         members = [_brute_members(tree, need, top) for tree in (phi.a_only, phi.b_only)]
         oracle = _rank_matching(*members)
         assert [phi.apply(n) for n in range(1, top + 1)] == [oracle(n) for n in range(1, top + 1)], phi
-        for side, elems in zip(sides, members):
+        for side, elems in zip(trees, members):
             assert [side.count(n) for n in range(top + 1)] == [bisect_right(elems, n) for n in range(top + 1)], phi
         pieces = phi.pieces(top)
         if pieces is not None:
@@ -1023,7 +1027,7 @@ def test_restricted_pieces_partition_the_horizon_and_fix_the_orbit():
             assert all(psi.apply(k) == v for k, v in image.items()), (psi, horizon)
             moved = {k for k in range(1, horizon + 1) if psi.base.apply(k) != k}
             # the orbit of the class docstring: F' = A' ∩ (F ∪ φF) and E = F' ∪ φF', φ an involution
-            phi, f, a = psi.base.apply, psi.exceptional.contains, psi.base._sides[0].contains
+            phi, f, a = psi.base.apply, psi.exceptional.contains, psi.base.a_only.contains
 
             def in_f1(k):
                 return a(k) and (f(k) or f(phi(k)))
@@ -1211,7 +1215,7 @@ def test_pairing_readers_match_the_scans_at_the_ends_of_every_piece():
     rng = random.Random(89)
     kinds = set()
     for phi in _SIDE_PAIRINGS:
-        kinds |= {_side_kind(side, tree) for side, tree in zip(phi._sides, (phi.a_only, phi.b_only))}
+        kinds |= {_side_kind(tree) for tree in (phi.a_only, phi.b_only)}
         grid = Explicit(tuple(sorted({n for pts in _boundary_grids(rng, phi, 3000, 3) for n in pts})))
         up = levy_defect_profile(phi, grid).defects
         assert up == levy_defect_profile(phi, grid, mode="downward").defects, (phi, grid)
@@ -1297,7 +1301,7 @@ def test_rank_run_pieces_match_the_rank_matching_and_the_rule():
         a, b = phi.a_only, phi.b_only
         need = max(a.count(top), b.count(top))
         # a side that departs from its tail last at c, with more members up to c than the horizon
-        long_heads += any(side.count(_last_departure(side)[0]) > top for side in (a, b))
+        long_heads += any(side.count(_departs_last(side)) > top for side in (a, b))
         oracle = _rank_matching(*(_brute_members(side, need, top) for side in (a, b)))
         image = [(k0 + t * p, d + t * q) for k0, p, d, q, terms in phi.pieces(top) for t in range(terms)]
         assert sorted(image) == [(k, oracle(k)) for k in range(1, top + 1)], phi
@@ -1401,6 +1405,32 @@ def _far(argv):
         code = run_command(argv + _FAR)
     assert code == 0
     return json.loads(out.getvalue())["result"]
+
+
+# tree sides that never depart from their periodic tails, each with the pairing of those tails
+_TAIL_TWINS = [
+    ("pair(scale(2,periodic(3;1)),periodic(6;1))", "pair(periodic(6;2),periodic(6;1))"),
+    ("pair(union(periodic(2;1),inter(blocks(dexp),periodic(2;1))),periodic(2;0))", "pair(periodic(2;1),periodic(2;0))"),
+]
+
+
+def test_tree_sides_that_never_depart_pair_as_their_tails():
+    """``apply`` and ``invert`` at every k <= 3000, and the results of levy, statlim, witness and
+    displacement at 4096 and 2^64, against the pairing of the two tails."""
+    for expr, tails in _TAIL_TWINS:
+        phi, twin = parse_expression(expr, "perm"), parse_expression(tails, "perm")
+        ks = range(1, 3001)
+        assert [phi.apply(k) for k in ks] == [twin.apply(k) for k in ks], expr
+        assert [phi.invert(k) for k in ks] == [twin.invert(k) for k in ks], expr
+        for horizon in (4096, 2**64):
+            for command, *rest in (["levy"], ["statlim"], ["witness"], ["displacement", "periodic(4;1)"]):
+                results = []
+                for rule in (expr, tails):
+                    with redirect_stdout(out := io.StringIO()):
+                        assert run_command([command, rule, *rest, "--horizon", str(horizon), *_FAR[2:]]) == 0
+                    # the witness names its rule
+                    results.append(json.loads(out.getvalue().replace(rule, "π"))["result"])
+                assert results[0] == results[1], (expr, command, horizon)
 
 
 def test_qswap_defect_at_two_to_the_64():
