@@ -327,8 +327,8 @@ def _stretch_points(
     phase n, n + L, n + 2L, ... D(n)/n is monotone (or constant) and |D(n)|/n is greatest at an
     end.  Hence the first L and the last L points of each stretch in the window hold the extrema
     over the stretch, and the first point attaining each of them; a stretch shorter than 2L is
-    read whole.  The grid is then ``window-extrema-via-pieces``.  When either set has an opaque
-    leaf, [lo, hi] is one stretch, read whole, and the grid is ``integer-scan``.  Each read is
+    read whole.  The grid is then ``window-extrema-via-pieces``.  When either set has no
+    segments, [lo, hi] is one stretch, read whole, and the grid is ``integer-scan``.  Each read is
     charged to the meter by its number of points, then D is counted at its start and carried
     by the two sets' ``contains``.
     """

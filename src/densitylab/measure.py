@@ -504,7 +504,7 @@ def equal_measure_test(
       changes by a constant per step, so |A(n) - B(n)|/n is greatest at
       the phase's first or last point.  Only the first L and the last L
       points of each stretch are read;
-    * ``integer-scan`` -- otherwise (a set with an opaque leaf), every
+    * ``integer-scan`` -- otherwise (a set with no segments), every
       integer in the window.
     """
     with _metered(budget):

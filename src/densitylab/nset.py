@@ -12,9 +12,9 @@ masks over the states of its finite, block and opaque leaves (an opaque leaf
 is a part with no pattern of its own: a ``Predicate``, an ``ImageSet`` or a
 part wider than ``_LCM_CAP``).  The algebra nodes count from its segments,
 periodic patterns between the cut points of their finite and block leaves,
-and the eventual period, the points that depart from it and the folds of
-two periodic nodes read the same masks.  Trees with an opaque leaf count
-from their parts.  Last of all an intersection tests each member of its
+and the eventual period and the folds of two periodic nodes read the same
+masks.  A tree with an opaque leaf counts from its tail's segments where
+no leaf changes it (``_segments``), else from its parts.  Last of all an intersection tests each member of its
 smaller part with the other part, reading the members from the smaller
 part's member runs (or, for a part with none, by a scan of [1, n]).  Such
 work is charged first to the one meter of the call (``_charge``), which
@@ -946,7 +946,7 @@ def _gaps(windows, runs, cap):
 
 
 # ---------------------------------------------------------------------------
-# eventual periodicity: a periodic tail and the points that depart from it
+# eventual periodicity: a periodic tail
 # ---------------------------------------------------------------------------
 
 
@@ -1232,14 +1232,20 @@ class _Segments:
 
 
 def _segments(s: SymbolicSet) -> Optional[_Segments]:
-    """The segments of ``s``, built on first use; None when its program has an opaque leaf.  They
-    are memoized on ``s``, unless ``s`` is a finite or block leaf of its own program: its segments
-    hold it, so on it they would make a reference cycle, and they are built afresh on every call.
-    A caller that reads the cuts up to some top extends them first, by ``count(top)``."""
+    """The segments of ``s``, built on first use.  When its program has an opaque leaf they are
+    its tail's where ``_eventual_period`` gives b = 0, for then no leaf changes ``s`` anywhere,
+    and else None.  They are memoized on ``s``, unless ``s`` is a finite or block leaf of its own
+    program: its segments hold it, so on it they would make a reference cycle, and they are built
+    afresh on every call.  A caller that reads the cuts up to some top extends them first, by
+    ``count(top)``."""
     memo = getattr(s, "_segment_memo", None)
     if memo is None:
         width, program, leaves = _compiled(s)
-        memo = (None if any(t is None for _, t in leaves) else _Segments(width, program, leaves),)
+        if all(t is not None for _, t in leaves):
+            memo = (_Segments(width, program, leaves),)
+        else:  # a periodic set wider than the cap is its own tail, and has none
+            b, tail = _eventual_period(s) or (None, s)
+            memo = (_segments(tail) if b == 0 and tail is not s else None,)
         if memo[0] is None or all(leaf is not s for leaf, _ in leaves):
             object.__setattr__(s, "_segment_memo", memo)
     return memo[0]
@@ -1248,8 +1254,8 @@ def _segments(s: SymbolicSet) -> Optional[_Segments]:
 def _segment_runs(s: SymbolicSet, top: int) -> Optional[tuple[int, list[int], list[int], list[int]]]:
     """(width, starts, below, masks): segment i of ``s`` starts at ``starts[i]``, has ``below[i]``
     members before it and the residue mask ``masks[i]`` mod ``width``, for the segments up to
-    ``top`` at least; None when its program has an opaque leaf.  A program with no leaves is one
-    segment, read without building ``_Segments``."""
+    ``top`` at least; None where ``_segments`` is.  A program with no leaves is one segment, read
+    without building ``_Segments``."""
     width, program, leaves = _compiled(s)
     if not leaves:
         return width, [1], [0], [program]
@@ -1257,7 +1263,7 @@ def _segment_runs(s: SymbolicSet, top: int) -> Optional[tuple[int, list[int], li
     if segments is None:
         return None
     segments.count(top)
-    return width, segments.starts, segments.below, [pattern[2] for pattern in segments.patterns]
+    return segments.width, segments.starts, segments.below, [pattern[2] for pattern in segments.patterns]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .nset import (
     Infinitude,
     Predicate,
     SymbolicSet,
-    _compiled,
     _residues,
     _segment_runs,
     _tile,
@@ -174,7 +173,8 @@ class InterlacedPairing(PermutationRule):
 
     ``apply`` maps a_i <-> b_i with i = A'(n) or B'(n), one ``count`` and
     one ``select`` on the sides' set trees: in closed form for a side that
-    folds to a periodic set, else from its segments where it has them.
+    folds to a periodic set, else from its segments where it has them, else
+    from its parts.
 
     Since the i-th pair is a_i <-> b_i, the defect and the image counts of
     a pairing are read from the same two sides' counts and selects, with no
@@ -230,7 +230,7 @@ class InterlacedPairing(PermutationRule):
         residues it does not reach).  lcm(w, v) is within ``_LCM_CAP``: both sides' programs
         hold A and B, unless one side is finite (width 1) or both fold to periodic sets."""
         a, b = self.a_only, self.b_only
-        if any(t is None for side in (a, b) for _, t in _compiled(side)[2]):  # an opaque leaf, before any count
+        if any(_segment_runs(s, 0) is None for s in (a, b)):  # an opaque side, before any count
             return None
         ranks = max(a.count(horizon), b.count(horizon))
         top = max(horizon, a.select(ranks), b.select(ranks)) if ranks else horizon
@@ -341,7 +341,7 @@ class Restricted(PermutationRule):
         cut the t into runs on which k and its image each stay in one segment of width m, so on a
         run the state repeats with period P = lcm(m/gcd(p, m), m/gcd(q, m)); each class of t mod P
         is one fixed or moved sub-progression, joined across cuts while its state holds.  None
-        when F has an opaque leaf, or when the pieces could number more than ``horizon``, counted
+        when F has no segments, or when the pieces could number more than ``horizon``, counted
         as P per run before any is built: a piece of fewer than P terms splits into single points,
         which cost no less than a scan."""
         pieces = self.base.pieces(horizon)

@@ -1411,6 +1411,11 @@ def _far(argv):
 _TAIL_TWINS = [
     ("pair(scale(2,periodic(3;1)),periodic(6;1))", "pair(periodic(6;2),periodic(6;1))"),
     ("pair(union(periodic(2;1),inter(blocks(dexp),periodic(2;1))),periodic(2;0))", "pair(periodic(2;1),periodic(2;0))"),
+    # a part wider than the segment width cap is an opaque leaf that cannot change the side
+    (
+        "pair(union(periodic(2;1),inter(periodic(2;1),union(periodic(999983;1),periodic(999979;1)))),periodic(2;0))",
+        "pair(periodic(2;1),periodic(2;0))",
+    ),
 ]
 
 
