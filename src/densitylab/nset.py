@@ -44,8 +44,8 @@ from .errors import (
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
-# Periodic/Periodic algebra is collapsed via the lcm only below this modulus (beyond it the raw
-# node is kept); it also caps a segment program's width.
+# Periodic/Periodic algebra of two moduli is collapsed via the lcm only below this modulus (beyond
+# it the raw node is kept; equal moduli fold at any width); it also caps a segment program's width.
 _LCM_CAP = 10**6
 
 # member_runs gives up (returns None) rather than build more runs than this.
@@ -792,10 +792,13 @@ def scale(s: SymbolicSet, t: int) -> SymbolicSet:
     return Scaled(t, s)
 
 
-def _lcm_periodic(a: Periodic, b: Periodic, node: type) -> Optional[tuple[int, tuple[int, ...]]]:
+def _lcm_periodic(a: Periodic, b: Periodic, node: type) -> Optional[tuple[int, Iterable[int]]]:
     """The modulus and residues of ``node(a, b)``, for ``node`` a union, intersection or difference,
     over the lcm of the moduli: the parts' residue masks in the segment program joined by its
-    ``_MASK_OP``; None past ``_LCM_CAP``."""
+    ``_MASK_OP``; None past ``_LCM_CAP``.  Equal moduli need no mask, at any width: their residue
+    sets are joined by ``_SET_OP``."""
+    if a.modulus == b.modulus:
+        return a.modulus, _SET_OP[node](a._rset, b._rset)
     m = math.lcm(a.modulus, b.modulus)
     if m > _LCM_CAP:
         return None
@@ -993,6 +996,8 @@ def _and_not(a: int, b: int) -> int:
 
 # a segment's residue mask from the masks of a node's parts
 _MASK_OP = {Union: operator.or_, Intersect: operator.and_, Diff: _and_not}
+# the same join of two residue sets of one modulus
+_SET_OP = {Union: operator.or_, Intersect: operator.and_, Diff: operator.sub}
 
 # held while segments are extended; one for all of them, so that a counted set still pickles
 _EXTEND_LOCK = threading.Lock()

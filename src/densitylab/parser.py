@@ -12,37 +12,44 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
+from itertools import islice, repeat
+from operator import itemgetter
 
 from . import asymptotics, measure, nset, perm
 from .errors import ParseError
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([a-z]+)|([()\[\],;:/]))")
+_TOKEN = re.compile(r"\s*(\d+|[a-z]+|[()\[\],;:/])")
+# a token's kind by its first character; any other first character is a digit
+_KIND = dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "name") | dict.fromkeys("()[],;:/", "punct")
 
 
 class _Tokens:
+    """The (kind, value) tokens of ``text``, read in one ``findall``.  Where a token starts is
+    found again only when an error names it (``position``)."""
+
     def __init__(self, text: str):
         self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
+        values = _TOKEN.findall(text)
+        # findall skips what starts no token, so the tokens must spell the text without its spaces
+        if "".join(values) != "".join(text.split()):
+            end = 0
+            for m in _TOKEN.finditer(text):
+                if m.start() != end:
                     break
-                at = len(text) - len(stripped)
-                raise ParseError(f"unexpected character {stripped[0]!r}", at)
-            if m.group(1):
-                self.items.append(("int", m.group(1), m.start(1)))
-            elif m.group(2):
-                self.items.append(("name", m.group(2), m.start(2)))
-            else:
-                self.items.append(("punct", m.group(3), m.start(3)))
-            pos = m.end()
+                end = m.end()
+            at = len(text) - len(text[end:].lstrip())
+            raise ParseError(f"unexpected character {text[at]!r}", at)
+        self.items = list(zip(map(_KIND.get, map(itemgetter(0), values), repeat("int")), values))
         self.i = 0
 
+    def position(self, i: int) -> int:
+        """Where the i-th token starts; the length of the text past the last token."""
+        m = next(islice(_TOKEN.finditer(self.text), i, None), None)
+        return len(self.text) if m is None else m.start(1)
+
     def peek(self):
-        return self.items[self.i] if self.i < len(self.items) else ("eof", "", len(self.text))
+        return self.items[self.i] if self.i < len(self.items) else ("eof", "")
 
     def next(self):
         tok = self.peek()
@@ -53,7 +60,7 @@ class _Tokens:
         tok = self.next()
         if tok[0] != kind or (value is not None and tok[1] != value):
             want = value if value is not None else kind
-            raise ParseError(f"got {tok[1]!r}", tok[2], expected=repr(want))
+            raise ParseError(f"got {tok[1]!r}", self.position(self.i - 1), expected=repr(want))
         return tok
 
     def expect_int(self) -> int:
@@ -92,9 +99,9 @@ def _read(t: _Tokens, readers) -> list:
         grammar = _FORMS.get(r)
         if grammar is not None:
             noun, expected, forms = grammar
-            _, name, pos = t.expect("name")
+            _, name = t.expect("name")
             if name not in forms:
-                raise ParseError(f"unknown {noun} form {name!r}", pos, expected=expected)
+                raise ParseError(f"unknown {noun} form {name!r}", t.position(t.i - 1), expected=expected)
             args, build = forms[name]
             values.append(build(*_read(t, args)))
         elif r == "int":
@@ -113,7 +120,7 @@ def _read(t: _Tokens, readers) -> list:
 # readers of the parts with their own syntax
 def _blocks(t: _Tokens):
     """dexp, or [lo,hi) intervals separated by commas."""
-    if t.peek()[:2] == ("name", "dexp"):
+    if t.peek() == ("name", "dexp"):
         t.next()
         return "dexp"
     return _sequence(t, lambda t: tuple(_read(t, ("[", "int", ",", "int", ")"))))
@@ -122,7 +129,7 @@ def _blocks(t: _Tokens):
 def _cycles(t: _Tokens) -> tuple:
     """(a b ...) cycles, as the pairs of the table they make."""
     pairs: list[tuple[int, int]] = []
-    while t.peek()[:2] == ("punct", "("):
+    while t.peek() == ("punct", "("):
         t.next()
         cycle = [t.expect_int()]
         while t.peek()[0] == "int":
@@ -139,18 +146,18 @@ def _mix_term(t: _Tokens) -> tuple:
         t.i += 1
         den = t.expect_int()
         if den == 0:
-            raise ParseError("zero denominator", t.peek()[2])
+            raise ParseError("zero denominator", t.position(t.i))
     return (Fraction(num, den), *_read(t, (":", "measure")))
 
 
-def _name_position(t: _Tokens) -> int:
-    """The position of the form's name, the token read last."""
-    return t.items[t.i - 1][2]
+def _name_position(t: _Tokens):
+    """The position of the form's name, the token read last, found when called."""
+    return partial(t.position, t.i - 1)
 
 
-def _restricted(pos: int, base, exceptional) -> perm.PermutationRule:
+def _restricted(position, base, exceptional) -> perm.PermutationRule:
     if not isinstance(base, perm.InterlacedPairing):
-        raise ParseError("restrict needs a pairing base", pos, expected="pair(...)")
+        raise ParseError("restrict needs a pairing base", position(), expected="pair(...)")
     return perm.Restricted(base, exceptional)
 
 
@@ -203,8 +210,8 @@ def parse_expression(text: str, kind: str):
         [result] = _read(tokens, (kind,))
     except ValueError as exc:
         # semantic validation inside constructors (bad residues, weights, ...)
-        raise ParseError(str(exc), tokens.peek()[2]) from exc
+        raise ParseError(str(exc), tokens.position(tokens.i)) from exc
     trailing = tokens.peek()
     if trailing[0] != "eof":
-        raise ParseError(f"trailing input {trailing[1]!r}", trailing[2], expected="end of input")
+        raise ParseError(f"trailing input {trailing[1]!r}", tokens.position(tokens.i), expected="end of input")
     return result

@@ -104,8 +104,7 @@ class Identity(PermutationRule):
     def apply(self, n):
         return n
 
-    def invert(self, m):
-        return m
+    invert = apply
 
     def pieces(self, horizon):
         return _progression(1, 1, 1, 1, horizon)
@@ -177,8 +176,10 @@ class InterlacedPairing(PermutationRule):
     from its parts.
 
     Since the i-th pair is a_i <-> b_i, the defect and the image counts of
-    a pairing are read from the same two sides' counts and selects, with no
-    pieces (see ``_defect_counts`` and ``_pairing_image_counts``).
+    a pairing, and the moved-up count W(n) = max(A'(n), B'(n)) of its
+    witness, are read from the same two sides' counts and selects, with no
+    pieces (see ``_defect_counts``, ``_pairing_image_counts`` and
+    ``_moved_up``).  Its pieces are still read by ``statlim``.
     """
 
     set_a: SymbolicSet
@@ -214,8 +215,7 @@ class InterlacedPairing(PermutationRule):
             return a.select(b.count(n))
         return n
 
-    def invert(self, m):
-        return self.apply(m)
+    invert = apply
 
     def pieces(self, horizon):
         """Per run of ranks, from the two sides' segments (``nset._segment_runs``).
@@ -300,8 +300,7 @@ class QuarterBlockSwap(PermutationRule):
             return n - base
         return n
 
-    def invert(self, m):
-        return self.apply(m)
+    invert = apply
 
     def pieces(self, horizon):
         out = _progression(1, 1, 1, 1, min(3, horizon))
@@ -396,8 +395,7 @@ class Restricted(PermutationRule):
         f = self.exceptional
         return n if m == n or f.contains(n) or f.contains(m) else m
 
-    def invert(self, m):
-        return self.apply(m)
+    invert = apply
 
     def to_expr(self):
         return f"restrict({self.base.to_expr()},{self.exceptional.to_expr()})"
@@ -573,17 +571,27 @@ def _checked_pieces(pi: PermutationRule, points: Sequence[int]) -> Optional[list
 
     Each piece is checked at t = 0 and t = 1 against ``apply`` and
     ``invert``, so a wrong piece fails loudly instead of giving a wrong
-    exact answer.
+    exact answer.  The check of a point k -> v reads two facts, π(k) = v and
+    π⁻¹(v) = k; for an involution those are also the facts of v -> k, so
+    each fact is read once: a point whose mirror has passed is skipped.  A
+    passed point is kept only until its mirror comes.
     """
     horizon = points[-1]
     pieces = pi.pieces(horizon)
     if pieces is None or len(pieces) * len(points) > horizon:
         return None
+    involution = _inverse_of(pi) is pi
+    awaiting: dict[int, int] = {}  # v -> k for each passed k -> v whose mirror has not come
     for piece in pieces:
         k0, p, d, q, terms = piece
         for k, v in ((k0, d), (k0 + p, d + q))[:terms]:
+            if awaiting.get(k) == v:
+                del awaiting[k]
+                continue
             if pi.apply(k) != v or pi.invert(v) != k:
                 raise AssertionError(f"piece {piece} of {pi.to_expr()} disagrees with the rule at {k}")
+            if involution and k != v:
+                awaiting[v] = k
     return pieces
 
 
@@ -629,13 +637,23 @@ def _moved_up(pi: PermutationRule, points: Sequence[int]) -> tuple[list[int], li
     """The 20 smallest k <= points[-1] with π(k) > k, and
     |{k <= n : π(k) > k}| at each of the increasing ``points``.
 
-    From π's pieces, where π(k) - k = (d - k0) + t*(q - p), so π(k) > k iff
-    (q - p)*t >= 1 - (d - k0): an inequality that does not depend on n, so
-    each piece gives one sub-progression of moved-up k, solved once, and
-    the count at n is the sum of their prefix counts.  The sub-progressions
-    are disjoint, so the 20 smallest lie in the 20 that start first.
+    For a pairing, from its two sides: π maps a_i <-> b_i, so k is moved up
+    iff k = min(a_i, b_i) for some i, which is at most n iff a_i or b_i is.
+    So the count at n is max(A'(n), B'(n)), and the i-th smallest moved-up
+    k is min(a_i, b_i), increasing in i.
+
+    From π's pieces otherwise, where π(k) - k = (d - k0) + t*(q - p), so
+    π(k) > k iff (q - p)*t >= 1 - (d - k0): an inequality that does not
+    depend on n, so each piece gives one sub-progression of moved-up k,
+    solved once, and the count at n is the sum of their prefix counts.  The
+    sub-progressions are disjoint, so the 20 smallest lie in the 20 that
+    start first.
     Otherwise in the one scan, ``_running_sums``, whose term also keeps
     the first 20 moved-up k."""
+    if isinstance(pi, InterlacedPairing):
+        a, b = pi.a_only, pi.b_only
+        counts = [max(a.count(n), b.count(n)) for n in points]
+        return [min(a.select(i), b.select(i)) for i in range(1, min(20, counts[-1]) + 1)], counts
     pieces = _checked_pieces(pi, points)
     if pieces is None:
         smallest: list[int] = []

@@ -227,6 +227,23 @@ def test_periodic_masks_match_a_bit_by_bit_reference():
                 assert _residues(want) == _bits(want)
 
 
+def test_periodic_sets_of_one_modulus_fold_at_any_width():
+    """Two periodic sets of one modulus fold to one by their residue sets, past the width cap
+    too; two moduli fold only when their lcm is within it."""
+    rng = random.Random(97)
+    for m in (6, 1000, 1000003):
+        for _ in range(4):
+            x, y = (set(rng.sample(range(m), rng.randrange(1, 6))) for _ in range(2))
+            a, b = periodic(m, x), periodic(m, y)
+            for build, members in ((union, x | y), (inter, x & y), (diff, x - y)):
+                assert build(a, b) == periodic(m, members), (m, build.__name__, x, y)
+    wide = periodic(1000003, [1])
+    assert inter(wide, periodic(1000003, [2])).to_expr() == "empty"
+    assert diff(periodic(1000003, [1, 2]), periodic(1000003, [2])) == wide
+    assert union(wide, periodic(1000003, set(range(2, 1000003)) | {0})).to_expr() == "full"
+    assert inter(wide, periodic(999983, [1])).to_expr() == "inter(periodic(1000003;1),periodic(999983;1))"
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------

@@ -164,6 +164,52 @@ def test_parse_error_messages(kind, text, message, at):
     assert exc.value.position == at
 
 
+_ONE_TOKEN = re.compile(r"\s*(?:(\d+)|([a-z]+)|([()\[\],;:/]))")
+
+
+def _tokens_one_match_at_a_time(text):
+    """(kind, value, position) of each token, one regex match per token, or the ParseError of
+    the first character that starts no token."""
+    items, pos = [], 0
+    while pos < len(text):
+        m = _ONE_TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
+        group = m.lastindex
+        items.append((("int", "name", "punct")[group - 1], m.group(group), m.start(group)))
+        pos = m.end()
+    return items
+
+
+def test_tokens_match_a_match_per_token_reference():
+    """Kinds, values and positions of every token, and the message and position of every
+    unexpected character, against one regex match per token; on random text over the token
+    characters, spaces of several kinds, non-ASCII digits and characters that start no token."""
+    rng = random.Random(101)
+    alphabet = "0123456789" * 2 + "abcxyz" * 2 + "()[],;:/" * 2 + " \t\n  " + "٣" + "#+-.A_é"
+    texts = ["", " ", "  \t", "pair ( 3 ; 4 ) ", "12ab34", "a$b", "a $", " $", "x y", "٣٤(5"]
+    texts += ["".join(rng.choices(alphabet, k=rng.randrange(0, 30))) for _ in range(3000)]
+    texts += ["".join(rng.choices(alphabet[:-7], k=rng.randrange(0, 30))) for _ in range(1000)]
+    valid = 0
+    for text in texts:
+        try:
+            want = _tokens_one_match_at_a_time(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parser._Tokens(text)
+            assert (str(got.value), got.value.position) == (str(exc), exc.position), text
+            continue
+        valid += 1
+        t = parser._Tokens(text)
+        got = [(kind, value, t.position(i)) for i, (kind, value) in enumerate(t.items)]
+        assert got == want, text
+        assert t.position(len(t.items)) == len(text), text
+    assert valid >= 1000
+
+
 def test_readme_grammar_table_names_the_parser_forms():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Expression grammars", 1)[1].split("\n#", 1)[0]

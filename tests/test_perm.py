@@ -47,6 +47,7 @@ from densitylab.perm import (
     _checked_pieces,
     _defect_counts,
     _image_counts,
+    _inverse_of,
     _moved_up,
     classify_tail,
     displacement_classification,
@@ -1067,6 +1068,64 @@ def test_a_tampered_restricted_piece_fails_its_check(monkeypatch):
             _checked_pieces(psi, [10, 1000])
 
 
+def test_a_pairing_piece_wrong_only_in_its_mirror_direction_fails_its_check(monkeypatch):
+    """A pairing's check skips the point v -> k of a piece once k -> v has passed, since for an
+    involution the two points read the same two facts; a mirror piece that claims anything else
+    is still read, and fails."""
+    honest = InterlacedPairing.pieces
+    phi = pairing_permutation(ODDS, EVENS)
+    grid = doubling_checkpoints(1000)
+    # the odds map up and the evens map back: the second piece is the mirror of the first
+    assert honest(phi, 1000) == [(1, 2, 2, 2, 500), (2, 2, 1, 2, 500)]
+    for wrong in ((2, 2, 1, 3, 500), (2, 2, 3, 2, 500)):  # wrong from t = 1, and at t = 0
+        monkeypatch.setattr(InterlacedPairing, "pieces", lambda self, h, w=wrong: [honest(self, h)[0], w])
+        with pytest.raises(AssertionError):
+            _checked_pieces(phi, grid.points())
+        with pytest.raises(AssertionError):
+            ratio_stat_report(phi, [Fraction(1, 10)], grid)
+        with pytest.raises(AssertionError):
+            _moved_up(Inverse(phi), grid.points())
+    # a rule that is not an involution reads 2 -> 1 although 1 -> 2 has passed: π(2) is 3
+    cycle = FiniteTable(((1, 2), (2, 3), (3, 1)))
+    assert FiniteTable.pieces(cycle, 1000)[:2] == [(1, 1, 2, 1, 1), (2, 1, 3, 1, 1)]
+    claimed = [(1, 1, 2, 1, 1), (2, 1, 1, 1, 1), (3, 1, 1, 1, 1)]
+    monkeypatch.setattr(FiniteTable, "pieces", lambda self, h: claimed + [(4, 1, 4, 1, h - 3)])
+    with pytest.raises(AssertionError):
+        _checked_pieces(cycle, grid.points())
+
+
+def test_an_involution_check_reads_each_fact_once(monkeypatch):
+    """On an involution, π(x) is read once for each x that the points of the pieces at t = 0 and
+    t = 1 name, as a k or as a v; a fixed point is read twice, by ``apply`` and by ``invert``,
+    so that both stay checked.  A rule that is not an involution reads every point both ways."""
+    wide = pairing_permutation(
+        periodic(32, [1, 2, 4, 9, 15, 21, 29]), periodic(32, [5, 8, 11, 14, 16, 19, 26, 27, 28]))
+    rules = [Identity(), QuarterBlockSwap(), wide, Restricted(pairing_permutation(ODDS, EVENS), finite(3, 5))]
+    rules += [FiniteTable(((1, 2), (2, 3), (3, 1)))]
+    pts = doubling_checkpoints(16384).points()
+    for pi in rules:
+        points = [pt for k0, p, d, q, terms in pi.pieces(pts[-1]) for pt in ((k0, d), (k0 + p, d + q))[:terms]]
+        named = {x for pt in points for x in pt}
+        fixed = {k for k, v in points if k == v}
+        reads = []
+        cls = type(pi)
+        for name in ("apply", "invert"):
+            honest = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, x, f=honest, name=name: reads.append((name, x)) or f(self, x))
+        assert _checked_pieces(pi, pts) is not None
+        monkeypatch.undo()
+        by_method = {name: [x for n, x in reads if n == name] for name in ("apply", "invert")}
+        assert by_method["apply"] and by_method["invert"], pi  # the traced counters of both stay above 0
+        if _inverse_of(pi) is not pi:
+            assert sorted(by_method["apply"]) == sorted(k for k, _ in points), pi
+            assert sorted(by_method["invert"]) == sorted(v for _, v in points), pi
+            continue
+        assert sorted(x for _, x in reads if x not in fixed) == sorted(named - fixed), pi
+        assert sorted(x for _, x in reads if x in fixed) == sorted(2 * list(fixed)), pi
+        if named - fixed:  # fewer reads than two per point, where points have mirrors
+            assert len(reads) < 2 * len(points), pi
+
+
 # infinite F: periodic with a short and a long period, periodic with finite points added or
 # taken away, and with a dexp part, whose segments grow without end
 _INFINITE_F = [
@@ -1438,6 +1497,41 @@ def test_tree_sides_that_never_depart_pair_as_their_tails():
                 assert results[0] == results[1], (expr, command, horizon)
 
 
+# pairings whose witness reads its two sides: unequal densities, headed, finite and random
+# sides, seeded periodic pairs, finite sides of equal size, a side with a 60-point head, the
+# tail twins, and two equal moduli past the segment width cap (no segments and no pieces)
+_WITNESS_PAIRINGS = (
+    _SIDE_PAIRINGS
+    + [pairing_permutation(a, b) for a, b in disjoint_periodic_pairs(8, seed=97)]
+    + [
+        pairing_permutation(finite(2, 9, 40), finite(3, 4, 100)),
+        pairing_permutation(union(blocks_explicit([(1, 60)]), periodic(3, [1])), periodic(3, [2])),
+        pairing_permutation(periodic(1000003, [1]), periodic(1000003, [2])),
+    ]
+    + [parse_expression(expr, "perm") for expr, _ in _TAIL_TWINS]
+)
+
+
+def test_pairing_witness_reads_its_sides(monkeypatch):
+    """The moved-up points of a pairing, min(a_i, b_i), and their count max(A'(n), B'(n)),
+    against the scan of the same bijection at every n <= 3000, and against its pieces (read as
+    those of its inverse, the same bijection) at 2^64; the sides' path calls neither ``pieces``
+    nor ``apply``."""
+    every = list(range(1, 3001))
+    far = sorted(set(doubling_checkpoints(2**64).points()) | {2**64 - 1, 3**40, 10**19 + 7})
+    want = []
+    for phi in _WITNESS_PAIRINGS:
+        by_pieces = _moved_up(Inverse(phi), far) if _checked_pieces(Inverse(phi), far) is not None else None
+        want.append((_moved_up(Scanned(phi), every), by_pieces))
+    assert sum(by_pieces is None for _, by_pieces in want) == 1  # the pairing past the cap
+    for name in ("pieces", "apply", "invert"):
+        monkeypatch.setattr(InterlacedPairing, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+    for phi, (scanned, by_pieces) in zip(_WITNESS_PAIRINGS, want):
+        assert _moved_up(phi, every) == scanned, phi
+        if by_pieces is not None:
+            assert _moved_up(phi, far) == by_pieces, phi
+
+
 def test_qswap_defect_at_two_to_the_64():
     assert QuarterBlockSwap().pieces(2**64) is not None
     defects = {e["n"]: Fraction(e["value"]["num"], e["value"]["den"]) for e in _far(["levy", "qswap"])["defects"]}
@@ -1458,6 +1552,20 @@ def test_far_horizon_diagnostics_exit_zero():
     assert profile[-1]["n"] == 2**64
     witness = _far(["witness", "qswap"])
     assert witness["first_elements"] == [4, 5, 6, 7] + list(range(16, 32))
+
+
+def test_a_pairing_of_one_modulus_past_the_cap_answers_at_two_to_the_64():
+    """Its sides fold to periodic sets, so levy and witness read their closed forms; the sides
+    have no segments, so there are no pieces to read instead."""
+    expr = "pair(periodic(1000003;1),periodic(1000003;2))"
+    phi = parse_expression(expr, "perm")
+    assert (phi.a_only, phi.b_only) == (periodic(1000003, [1]), periodic(1000003, [2]))
+    assert phi.pieces(2**64) is None
+    witness = _far(["witness", expr])
+    assert witness["first_elements"] == [1 + i * 1000003 for i in range(20)]
+    assert witness["ratio_profile"][-1]["n"] == 2**64
+    defects = _far(["levy", expr])["defects"]
+    assert all(d["value"]["num"] in (0, 1) for d in defects) and defects[-1]["n"] == 2**64
 
 
 def test_restricted_pairings_at_two_to_the_64():
