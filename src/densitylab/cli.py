@@ -56,9 +56,7 @@ class ExperimentConfig:
     def __post_init__(self):
         tail = self.tail_start()
         if not 1 <= tail < self.horizon:
-            raise ConfigError(
-                f"tail window start {tail} must lie in [1, horizon)"
-            )
+            raise ConfigError(f"tail window start {tail} must lie in [1, horizon) for horizon {self.horizon}")
         if self.tol <= 0:
             raise ConfigError("tolerance must be positive")
 

@@ -61,9 +61,10 @@ _METER: ContextVar[Optional[list[int]]] = ContextVar("densitylab_meter", default
 
 
 class _metered:
-    """``with _metered(budget):`` spends the work of its body from a new meter of ``budget``
-    units; with ``budget`` None, from the open meter, or from a new one of the default budget
-    when none is open.  Budgets below 1 are rejected rather than silently replaced."""
+    """``with _metered(budget) as meter:`` spends the work of its body from a new meter of
+    ``budget`` units; with ``budget`` None, from the open meter, or from a new one of the default
+    budget when none is open.  ``meter`` is the [budget, work left] it spends from.  Budgets below
+    1 are rejected rather than silently replaced."""
 
     def __init__(self, budget: Optional[int]):
         if budget is None and _METER.get() is None:
@@ -72,8 +73,9 @@ class _metered:
             raise ValueError(f"enumeration budget must be >= 1, got {budget}")
         self.meter = None if budget is None else [budget, budget]
 
-    def __enter__(self):
+    def __enter__(self) -> list[int]:
         self.token = None if self.meter is None else _METER.set(self.meter)
+        return _METER.get()
 
     def __exit__(self, *exc):
         if self.token is not None:

@@ -6,13 +6,24 @@ grammar is one table (``_FORMS``) of its forms, read by ``_read``.  Parsed
 expressions are built through the canonicalizing constructors, so
 pretty-printing a parsed rule and re-parsing yields a semantically
 identical rule (possibly in simplified form).
+
+``parse_expression`` keeps its last 128 results (``functools.lru_cache``'s
+default size), keyed by (text, kind), so a repeat of a text returns the same
+immutable object, with the compiled program, segments and eventual period
+that earlier requests built on it.  It keeps objects only, never an answer.
+A parse that charged the work meter is not kept, so that every parse of its
+text charges alike.  An entry holds its text, the object and the memos built
+on it: for ``union(periodic(199999;0,2,...,199998),finite(5))`` (100,000
+residues) 0.6 MB of text, 8.6 MB of object, and 10 MB more once a
+``density`` at 10^6 has built its memos (most of it the periodic part's
+100,000 runs of one period), about 19 MB in all.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice, repeat
 from operator import itemgetter
 
@@ -201,17 +212,43 @@ _FORMS = {
 }
 
 
-def parse_expression(text: str, kind: str):
-    """Parse ``text`` as one of the four grammars: set, seq, perm, measure."""
+class _Charged(Exception):
+    """Carries out of the cache a result whose parse charged the work meter."""
+
+    def __init__(self, result):
+        self.result = result
+
+
+@lru_cache
+def _parsed(text: str, kind: str):
+    """The result of ``text``, kept by ``lru_cache``, which is thread-safe: two threads that
+    miss on one text may both parse it, and one result is kept.  A parse that charges raises
+    ``_Charged``, and a raised parse is not kept."""
     if kind not in _FORMS:
         raise ValueError(f"unknown expression kind {kind!r}")
-    tokens = _Tokens(text)
-    try:
-        [result] = _read(tokens, (kind,))
-    except ValueError as exc:
-        # semantic validation inside constructors (bad residues, weights, ...)
-        raise ParseError(str(exc), tokens.position(tokens.i)) from exc
-    trailing = tokens.peek()
-    if trailing[0] != "eof":
-        raise ParseError(f"trailing input {trailing[1]!r}", tokens.position(tokens.i), expected="end of input")
+    with nset._metered(None) as meter:
+        left = meter[1]
+        tokens = _Tokens(text)
+        try:
+            [result] = _read(tokens, (kind,))
+        except ValueError as exc:
+            # semantic validation inside constructors (bad residues, weights, ...)
+            raise ParseError(str(exc), tokens.position(tokens.i)) from exc
+        trailing = tokens.peek()
+        if trailing[0] != "eof":
+            raise ParseError(f"trailing input {trailing[1]!r}", tokens.position(tokens.i), expected="end of input")
+        if meter[1] != left:
+            raise _Charged(result)
     return result
+
+
+def parse_expression(text: str, kind: str):
+    """Parse ``text`` as one of the four grammars: set, seq, perm, measure.
+
+    A repeat of one of the last 128 (text, kind) pairs returns the object parsed before, with
+    every memo built on it.  A parse that charged the open work meter (a pairing that counts an
+    opaque finite side, say) is not kept, so each repeat charges it again."""
+    try:
+        return _parsed(text, kind)
+    except _Charged as charged:
+        return charged.result
