@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ConfigError(f"tail window start {tail} must lie in [1, horizon) for horizon {self.horizon}")
         if self.tol <= 0:
             raise ConfigError("tolerance must be positive")
+        if self.dexp_terms < 1:
+            raise ConfigError(f"dexp terms must be >= 1, got {self.dexp_terms}")
 
     def tail_start(self) -> int:
         if self.tail_window_start is not None:
@@ -415,16 +417,38 @@ def _build_parser() -> argparse.ArgumentParser:
 _parser: Optional[argparse.ArgumentParser] = None
 
 
+def _parse_args(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``ap.parse_args(argv)``, with a request's arguments read by its command's own parser.
+
+    The top-level parser would only hand ``argv[1:]`` to that parser and copy back what it
+    read, at about twice the cost.  What the direct call cannot answer alone goes to
+    ``ap.parse_args(argv)``, so usage and error text stay argparse's own: an argv that names no
+    command (empty, ``-h``, ``--version``, an unknown command), one that leaves arguments over,
+    and one with an argument that starts with ``--=``, which the top-level parser rejects as
+    ambiguous between its own ``--help`` and ``--version`` before any command reads it.  The
+    namespace lacks only ``command``, which no runner reads.
+    """
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices.get(argv[0]) if argv else None
+    if command is not None and not any(a.startswith("--=") for a in argv):
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return ap.parse_args(argv)
+
+
 def run_command(argv: list[str]) -> int:
     """Parse argv, run one subcommand, print its report; return exit status.
 
-    The argument parser is built on the first call and reused by later ones.
+    The argument parser is built on the first call and reused by later ones.  A request's
+    arguments are read by its command's own parser; `_parse_args` says when the top-level
+    parser reads them instead.
     """
     global _parser
     if _parser is None:
         _parser = _build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parse_args(_parser, argv)
     except SystemExit as exc:
         # argparse already printed usage/help
         return 0 if exc.code in (0, None) else 2

@@ -407,33 +407,35 @@ class Periodic(SymbolicSet):
         return Fraction(len(self.residues), self.modulus)
 
     @cached_property
-    def _cycle(self) -> list[tuple[int, int]]:
-        """The maximal runs of one period as (first residue, last residue + 1), increasing, read
-        around the circle: a run through residue m - 1 that goes on at residue 0 ends past m."""
-        groups: list[tuple[int, int]] = []
-        for r in self.residues:
-            if groups and groups[-1][1] == r:
-                groups[-1] = (groups[-1][0], r + 1)
-            else:
-                groups.append((r, r + 1))
-        if len(groups) > 1 and groups[0][0] == 0 and groups[-1][1] == self.modulus:
-            first = groups.pop(0)
-            groups[-1] = (groups[-1][0], self.modulus + first[1])
-        return groups
+    def _cycle(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The maximal runs of one period, increasing and read around the circle, as two tuples:
+        their first residues and their last.  A run through residue m - 1 that goes on at
+        residue 0 ends past m; every other entry is the residue's own int object."""
+        res, m = self.residues, self.modulus
+        # a run ends where the next residue is not one more, and the next run starts there
+        cuts = [i for i in range(1, len(res)) if res[i - 1] + 1 != res[i]]
+        firsts = [res[0]] + [res[i] for i in cuts]
+        lasts = [res[i - 1] for i in cuts] + [res[-1]]
+        if len(firsts) > 1 and firsts[0] == 0 and lasts[-1] == m - 1:
+            del firsts[0]
+            lasts[-1] = m + lasts.pop(0)
+        return tuple(firsts), tuple(lasts)
 
     def member_runs(self, horizon, cap=_RUNS_CAP, within=None):
         if not self.residues or horizon < 1:
             return []
-        m, cycle = self.modulus, self._cycle
+        m = self.modulus
         if len(self.residues) == m:
             return _capped([(1, horizon)], cap, within)
+        # the memo keeps two flat tuples; the pairs live for this call only
+        cycle = list(zip(*self._cycle))
         runs: list[tuple[int, int]] = []
         for lo, hi in ((1, horizon),) if within is None else within:
             # [lo, hi] holds at least (hi - lo + 1) // m - 1 whole copies of each run of the cycle
             if len(runs) + ((hi - lo + 1) // m - 1) * len(cycle) > cap:
                 return None
             # the runs of the periods from the one before lo's to hi's, cut to [lo, hi]
-            block = [(base + a, base + b - 1) for base in range(lo - lo % m - m, hi + 1, m) for a, b in cycle]
+            block = [(base + a, base + b) for base in range(lo - lo % m - m, hi + 1, m) for a, b in cycle]
             runs += _clip(block, ((lo, hi),))
             if len(runs) > cap:
                 return None

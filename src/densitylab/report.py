@@ -12,9 +12,13 @@ otherwise fall back to ``json.encoder._make_iterencode``, one Python
 generator per container, which cost a fifth of a typical request; there
 `_write` makes the same walk in one pass: strings go through the C
 ``encode_basestring``, exact ints through ``int.__repr__``, the dicts `rat`
-builds through one template, and every other scalar through
-``json.dumps`` itself, which raises `TypeError` for an unsupported type as
-the stdlib does.  A value that contains itself raises `RecursionError`
+builds and the rows `profile` builds each through one template, and every
+other scalar through ``json.dumps`` itself, which raises `TypeError` for an
+unsupported type as the stdlib does.  A template takes only a dict of the
+exact type, keys, key order and member types its builder gives: a bool or
+int-subclass member, another key order, an extra key or a row whose value is
+not a rat dict falls through to the general walk, which writes the same
+bytes.  A value that contains itself raises `RecursionError`
 here, where the stdlib raises `ValueError`.
 """
 
@@ -31,7 +35,8 @@ from typing import Iterable, Optional
 def rat(q: Optional[Fraction]) -> Optional[dict]:
     if q is None:
         return None
-    if not isinstance(q, Rational):
+    # the exact type first: the ABC check costs more than the rest of the call
+    if type(q) is not Fraction and not isinstance(q, Rational):
         q = Fraction(q)
     n, d = q.numerator, q.denominator
     # n / d is the float that Fraction.__float__ returns
@@ -47,6 +52,30 @@ def profile_csv_rows(entries: Iterable[tuple[int, Fraction]]) -> list[tuple]:
 
 
 _RAT_KEYS = ["num", "den", "dec"]
+_ROW_KEYS = ["n", "value"]
+
+
+def _rat_text(o, nl: str) -> Optional[str]:
+    """The text of ``o`` if it is a dict as `rat` builds it: exact dict, keys in rat's order,
+    members of exact types int, int and str.  None for anything else."""
+    if type(o) is dict and len(o) == 3 and list(o) == _RAT_KEYS:
+        n, d, dec = o.values()
+        if type(n) is int and type(d) is int and type(dec) is str:
+            inner = nl + "  "
+            return f'{{{inner}"num": {n},{inner}"den": {d},{inner}"dec": {_quote(dec)}{nl}}}'
+    return None
+
+
+def _row_text(o, nl: str) -> Optional[str]:
+    """The text of ``o`` if it is a row as `profile` builds it: exact dict {"n": exact int,
+    "value": rat dict}, keys in that order.  None for anything else."""
+    if type(o) is dict and len(o) == 2 and list(o) == _ROW_KEYS:
+        n, v = o.values()
+        inner = nl + "  "
+        value = _rat_text(v, inner) if type(n) is int else None
+        if value is not None:
+            return f'{{{inner}"n": {n},{inner}"value": {value}{nl}}}'
+    return None
 
 
 def _write(o, put, nl: str) -> None:
@@ -55,7 +84,7 @@ def _write(o, put, nl: str) -> None:
     ``nl`` is a newline followed by the indent of the line ``o`` starts on.
     The checks mirror ``json.encoder._make_iterencode``: strings and
     containers by ``isinstance``, so subclasses keep the layout; ints and the
-    members of the `rat` template by exact type, so a bool or an int subclass
+    members of the templates by exact type, so a bool or an int subclass
     reaches ``json.dumps``.
     """
     if isinstance(o, str):
@@ -64,12 +93,12 @@ def _write(o, put, nl: str) -> None:
         if not o:
             put("{}")
             return
+        # the dicts `rat` and `profile` build, each in one piece
+        text = _rat_text(o, nl) or _row_text(o, nl)
+        if text is not None:
+            put(text)
+            return
         inner = nl + "  "
-        if type(o) is dict and len(o) == 3 and list(o) == _RAT_KEYS:
-            n, d, dec = o.values()
-            if type(n) is int and type(d) is int and type(dec) is str:
-                put(f'{{{inner}"num": {n},{inner}"den": {d},{inner}"dec": {_quote(dec)}{nl}}}')
-                return
         sep = "{" + inner
         for k, v in o.items():
             # json.dumps turns a non-str key into a string, or raises

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 import sys
@@ -765,6 +766,24 @@ def test_member_runs_match_brute_force_under_small_caps(s, horizon, cap, window)
             fits = kept.member_runs(horizon, cap) is not None and len(_runs_of(members)) <= cap
             if fits and _reads_windows_exactly(other):
                 assert runs is not None, node
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_periodic_member_runs_match_brute_force_over_three_periods(m):
+    """Every residue set of modulus m, those with a run through m - 1 that goes on at 0 among
+    them, gives the brute-force runs up to each horizon and inside each window of 3m."""
+    wraps = 0
+    for k in range(m + 1):
+        for residues in itertools.combinations(range(m), k):
+            s = Periodic(m, residues)
+            wraps += 0 < k < m and residues[0] == 0 and residues[-1] == m - 1
+            members = [n for n in range(1, 3 * m + 1) if n % m in residues]
+            for horizon in range(1, 3 * m + 1):
+                assert s.member_runs(horizon) == _runs_of(n for n in members if n <= horizon), (s, horizon)
+                for lo in range(1, horizon + 1):
+                    inside = [n for n in members if lo <= n <= horizon]
+                    assert s.member_runs(horizon, within=[(lo, horizon)]) == _runs_of(inside), (s, lo, horizon)
+    assert (wraps > 0) == (m > 2)
 
 
 def test_an_intersection_reads_its_other_part_only_inside_the_part_it_keeps():

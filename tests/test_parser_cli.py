@@ -236,6 +236,8 @@ def test_config_invariants():
         ExperimentConfig(horizon=100, tail_window_start=100)
     with pytest.raises(ConfigError):
         ExperimentConfig(tol=Fraction(0))
+    with pytest.raises(ConfigError):
+        ExperimentConfig(dexp_terms=0)
     # the budget bounds the work of a request, not its horizon
     assert ExperimentConfig(horizon=10**6, enumeration_budget=10**5).enumeration_budget == 10**5
     cfg = ExperimentConfig()
@@ -470,6 +472,13 @@ def test_zero_denominator_in_a_flag_exits_2(argv):
     assert code == 2 and out == "" and "zero denominator in '1/0'" in err
 
 
+@pytest.mark.parametrize("terms", ["0", "-1"])
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+def test_dexp_terms_below_1_exit_2(argv, terms):
+    code, out, err = run(argv + ["--dexp-terms", terms])
+    assert (code, out, err) == (2, "", f"input error: dexp terms must be >= 1, got {terms}\n")
+
+
 def test_all_sequence_past_the_budget_exits_3():
     argv = ["measure", "sublim(all(2000000))", "periodic(3;1)", "--horizon", "1000", "--budget", "1000"]
     code, out, err = run(argv)
@@ -561,6 +570,56 @@ def test_parser_reused_after_an_exit_gives_the_same_bytes(monkeypatch, first, co
     alone = run(good)
     assert run(first)[0] == code
     assert run(good) == alone
+
+
+def _parse_outcome(parse, argv):
+    """The exit code (None when parsing returned), stdout, stderr and namespace of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    args, code = None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), None if args is None else vars(args)
+
+
+_X = "periodic(2;1)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    README_COMMANDS
+    + [
+        [],
+        ["nosuch"],
+        ["density"],
+        ["density", _X, "--horizon", "q"],
+        ["density", _X, "--bogus"],
+        ["density", _X, "extra"],
+        ["density", _X, "--version"],
+        ["density", _X, "--ver"],
+        ["density", _X, "--hor", "100"],
+        ["density", _X, "--horizon=100"],
+        ["density", _X, "--=100"],
+        ["density", "--", _X],
+        ["statlim", "--eps"],
+        ["--version"],
+        ["-h"],
+        ["witness", "-h"],
+    ],
+)
+def test_a_command_parser_reads_argv_as_the_top_level_parser_does(argv):
+    # the top-level parser also records the command's name, which no runner reads
+    direct = _parse_outcome(lambda a: cli._parse_args(cli._build_parser(), a), argv)
+    top = _parse_outcome(cli._build_parser().parse_args, argv)
+    assert direct[:3] == top[:3]
+    if top[3] is None:
+        assert direct[3] is None
+    else:
+        # every argv that parses is read by its command's own parser alone
+        assert "command" not in direct[3]
+        assert direct[3] == {k: v for k, v in top[3].items() if k != "command"}
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,17 @@ rat_shaped = st.one_of(
         st.tuples(members, members, members),
     ),
 )
+# profile's row shape, as profile builds it and with an int-like n, a value that is not a rat
+# dict, the keys in the other order or an extra key
+row_shaped = st.one_of(
+    st.builds(lambda n, q: profile([(n, q)])[0], ints, st.fractions()),
+    st.builds(lambda n, v: {"n": n, "value": v}, int_like, st.one_of(rat_shaped, scalars)),
+    st.builds(lambda n, v: {"value": v, "n": n}, int_like, rat_shaped),
+    st.builds(lambda n, v, x: {"n": n, "value": v, "x": x}, int_like, rat_shaped, scalars),
+)
 keys = st.one_of(texts, st.sampled_from(["num", "den", "dec"]), ints, floats, st.booleans(), st.none())
 values = st.recursive(
-    st.one_of(scalars, rat_shaped),
+    st.one_of(scalars, rat_shaped, row_shaped),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -79,6 +87,18 @@ def test_rat_shaped_dicts_write_the_stdlib_bytes():
             obj = dict(zip(order, vals))
             for x in (obj, [obj], {"value": obj}):
                 assert emit_json(x) == stdlib(x), x
+    # and rows: only an exact dict {"n": exact int, "value": rat dict} may take the row template
+    good = rat(Fraction(-3, 7))
+    values = [good, {"den": 7, "num": -3, "dec": "x"}, {"num": True, "den": 7, "dec": "x"},
+              OrderedDict(good), {**good, "x": 1}, {"n": 1, "value": good}, None, 0.5, [good]]
+    rows = [dict(zip(order, (n, v)))
+            for order in (("n", "value"), ("value", "n"))
+            for n in (3, -(2**70), True, LoudInt(3), "3", 0.5, None)
+            for v in values]
+    rows += [{"n": 3, "value": good, "x": 1}, {"x": 1, "n": 3, "value": good}, OrderedDict(n=3, value=good)]
+    for obj in rows:
+        for x in (obj, [obj], (obj,), {"value": obj}, {"rows": [obj, obj]}):
+            assert emit_json(x) == stdlib(x), x
 
 
 @pytest.mark.parametrize(
@@ -125,6 +145,10 @@ def test_emission_leaves_no_garbage_cycle():
         gc.enable()
 
 
+class Fraction2(Fraction):
+    """A Fraction subclass, which rat reads through the Rational check."""
+
+
 def old_rat(q):
     q = Fraction(q)
     return {"num": q.numerator, "den": q.denominator, "dec": format(float(q), ".12g")}
@@ -143,6 +167,14 @@ def old_rat(q):
         Fraction(-(3**800), 10**400 + 7),
         Fraction(1, 10**300),
         Fraction(2**1000 - 1, 2**1000),
+        # not exactly a Fraction: the ABC check or the Fraction call takes them
+        True,
+        False,
+        LoudInt(-5),
+        Fraction2(-3, 7),
+        0.1,
+        -2.5,
+        1e300,
     ],
 )
 def test_rat_matches_the_fraction_formula(q):
