@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from math import ceil, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -223,6 +223,17 @@ def ratio_profile(
         return [(n, Fraction(s.count(n), n)) for n in seq.points()]
 
 
+def _counts_along(s: SymbolicSet, seq: IndexSequence, first: int = 0) -> Iterator[int]:
+    """A(n) at the points of ``seq`` from its ``first``-th on.  For ``All``, the running sum of
+    ``contains`` over every integer from 1, charged to the meter first; otherwise ``count(n)`` at
+    those points alone."""
+    pts = seq.points()
+    if isinstance(seq, All):
+        _charge(len(pts), len(pts), "per-integer limit scan")
+        return islice(accumulate(map(s.contains, pts), initial=0), first + 1, None)
+    return map(s.count, pts[first:])
+
+
 def limit_along(
     s: SymbolicSet,
     seq: IndexSequence,
@@ -237,23 +248,13 @@ def limit_along(
             raise ValueError("index sequence must be nonempty")
         tail = _tail_len(total)
         tail_from = total - tail
-
-        dense = isinstance(seq, All)
-        if dense:
-            _charge(total, total, "per-integer limit scan")
         keep_every = 1 if total <= _PROFILE_CAP else ceil(total / _PROFILE_CAP)
 
         kept_pts: list[int] = []
         kept_vals: list[Fraction] = []
         inf_n = inf_d = sup_n = sup_d = None
-        running = 0
         last: tuple[int, int] = (0, 1)
-        for idx, n in enumerate(pts):
-            if dense:
-                running += 1 if s.contains(n) else 0
-                c = running
-            else:
-                c = s.count(n)
+        for idx, (n, c) in enumerate(zip(pts, _counts_along(s, seq))):
             last = (c, n)
             if idx % keep_every == 0 or idx == total - 1:
                 kept_pts.append(n)

@@ -18,6 +18,8 @@ from .asymptotics import (
     Explicit,
     IndexSequence,
     LimitReport,
+    _counts_along,
+    _ratio_extrema,
     _running_sums,
     _stretch_points,
     _tail_len,
@@ -478,6 +480,13 @@ class EqualMeasureReport:
     grid: str
 
 
+def _settles(pairs, tol: Fraction) -> bool:
+    """Whether the ratios c/n of the (c, n) ``pairs`` spread by at most ``tol``, by
+    cross-multiplication."""
+    (lc, ln), (hc, hn) = _ratio_extrema(pairs)
+    return (hc * ln - lc * hn) * tol.denominator <= tol.numerator * hn * ln
+
+
 def equal_measure_test(
     a: SymbolicSet,
     b: SymbolicSet,
@@ -490,8 +499,13 @@ def equal_measure_test(
     """Two-sided evidence for mu(A) = mu(B) under every surrogate.
 
     Side one: the tail supremum of |A(n) - B(n)| / n over the window
-    [tail_window_start, horizon].  Side two: |mu(A) - mu(B)| for each
-    sequence in the corpus.
+    [tail_window_start, horizon].  Side two: one row per sequence in the
+    corpus, read from A(n) and B(n) at the sequence's tail points, its last
+    ceil(k/2) of k (``asymptotics._counts_along``).  The row's deviation is
+    the greatest |A(n) - B(n)| / n there, and the row passes or fails by
+    ``tol`` only when A(n)/n and B(n)/n each spread by at most ``tol`` over
+    those points; otherwise it is inconclusive.  Every comparison is by
+    cross-multiplication, and the deviation is the row's one ``Fraction``.
 
     The supremum is exact either way: it is read at the points of one
     walk (``asymptotics._stretch_points``), whose points are charged to the
@@ -520,34 +534,17 @@ def equal_measure_test(
         rows = []
         ok = tail_sup <= tol
         for seq in seq_corpus:
-            # both profiles share the sequence's points, so the honest distance
-            # statistic is the per-point difference of the two ratio profiles
-            # over the tail window (identical sets give exactly zero even when
-            # each profile oscillates on its own)
-            mu = SubsequenceLimit(seq)
-            ra = evaluate(mu, a, tol)
-            rb = evaluate(mu, b, tol)
-            (la,), (lb,) = ra.diagnostics, rb.diagnostics
-            if la.sampled or lb.sampled:
-                pts = list(seq.points())
-                tail = [
-                    (Fraction(a.count(n), n), Fraction(b.count(n), n))
-                    for n in pts[len(pts) - _tail_len(len(pts)) :]
-                ]
-            else:
-                tail = list(zip(la.values, lb.values))[len(la.values) - _tail_len(len(la.values)) :]
-            dev = max(abs(va - vb) for va, vb in tail)
-            converged = True
-            if ra.converged and rb.converged:
-                dev = max(dev, abs(ra.value - rb.value))
-            else:
-                converged = False
+            # the honest distance statistic is the per-point difference of the two ratio profiles
+            # over the tail (identical sets give exactly zero even when each profile oscillates)
+            pts = seq.points()
+            first = len(pts) - _tail_len(len(pts))
+            tail = pts[first:]
+            counts = [list(_counts_along(x, seq, first)) for x in (a, b)]
+            _, (gap, n) = _ratio_extrema((abs(ca - cb), n) for ca, cb, n in zip(*counts, tail))
+            dev = Fraction(gap, n)
+            converged = all(_settles(zip(c, tail), tol) for c in counts)
             label = f"|mu_{seq.to_expr()}(A) - mu_{seq.to_expr()}(B)|"
-            status = (
-                ("pass" if dev <= tol else "fail")
-                if converged
-                else "inconclusive"
-            )
+            status = ("pass" if dev <= tol else "fail") if converged else "inconclusive"
             note = "" if converged else "per-point tail difference; profiles oscillate"
             rows.append(CheckRow(label, dev, status, note))
             ok = ok and dev <= tol

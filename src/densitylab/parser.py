@@ -12,11 +12,15 @@ default size), keyed by (text, kind), so a repeat of a text returns the same
 immutable object, with the compiled program, segments and eventual period
 that earlier requests built on it.  It keeps objects only, never an answer.
 A parse that charged the work meter is not kept, so that every parse of its
-text charges alike.  An entry holds its text, the object and the memos built
-on it: for ``union(periodic(199999;0,2,...,199998),finite(5))`` (100,000
-residues) 0.6 MB of text, 8.6 MB of object, and 10 MB more once a
-``density`` at 10^6 has built its memos (most of it the periodic part's
-100,000 runs of one period), about 19 MB in all.
+text charges alike, and neither is a text longer than ``_KEPT_TEXT``
+characters, which is parsed afresh on every call.  An entry holds its text,
+the object and the memos built on it, and a wide text holds most: for
+``union(periodic(199999;0,2,...,199998),finite(5))`` (100,000 residues)
+0.6 MB of text and 10.6 MB of object and memos once a ``density`` at 10^6
+has run (tracemalloc), so 128 such texts would hold about 1.4 GB.  None of
+them is kept now.  What a kept entry's memos hold still grows with its
+set's period, not with its text: a short text can name a period up to
+``nset._LCM_CAP``.
 """
 
 from __future__ import annotations
@@ -212,6 +216,11 @@ _FORMS = {
 }
 
 
+# the longest text whose parse is kept: far longer than any hand-written expression, and the
+# texts of 128 kept entries come to at most 0.5 MB
+_KEPT_TEXT = 4096
+
+
 class _Charged(Exception):
     """Carries out of the cache a result whose parse charged the work meter."""
 
@@ -247,8 +256,9 @@ def parse_expression(text: str, kind: str):
 
     A repeat of one of the last 128 (text, kind) pairs returns the object parsed before, with
     every memo built on it.  A parse that charged the open work meter (a pairing that counts an
-    opaque finite side, say) is not kept, so each repeat charges it again."""
+    opaque finite side, say) is not kept, so each repeat charges it again, and neither is a text
+    longer than ``_KEPT_TEXT``."""
     try:
-        return _parsed(text, kind)
+        return (_parsed if len(text) <= _KEPT_TEXT else _parsed.__wrapped__)(text, kind)
     except _Charged as charged:
         return charged.result

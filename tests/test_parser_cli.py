@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densitylab import cli, nset, parser
+from densitylab.asymptotics import _PROFILE_CAP, All, DoubleExponential, Doubled, Explicit, Geometric
 from densitylab.cli import ExperimentConfig, run_command
 from densitylab.corpus import disjoint_periodic_pairs
 from densitylab.errors import ConfigError, ParseError
+from densitylab.measure import equal_measure_test
 from densitylab.parser import parse_expression
+from densitylab.report import rat
 
 from oracles import dexp_count_closed
 
@@ -724,6 +727,49 @@ def test_drawn_set_and_measure_requests_match_the_benchmark_oracle(a, b, horizon
         assert bench_oracle.matches(want, got), argv
 
 
+@given(
+    a=_trees(3),
+    b=_trees(3),
+    horizon=st.integers(64, 2**14),
+    terms=st.integers(1, 6),
+    h=st.integers(1, 3000),
+    explicit=st.tuples(st.integers(1, 100), st.integers(1, 5), st.integers(1, 400)),
+    tol=st.sampled_from(["1/1000", "1/20", "1/2"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_equal_rows_match_counts_at_the_tail_points(a, b, horizon, terms, h, explicit, tol):
+    """Each row of ``equal`` against ``Fraction``s of ``count`` at the last ceil(k/2) of its
+    sequence's k points, on the CLI's three sequences, all(h) and an explicit sequence longer
+    than a profile keeps: the deviation is the greatest |A(n)/n - B(n)/n| there, and the row is
+    inconclusive unless A(n)/n and B(n)/n each spread by at most tol there."""
+    sa, sb, q = parse_expression(a, "set"), parse_expression(b, "set"), Fraction(tol)
+    start, step, extra = explicit
+    seqs = [
+        DoubleExponential(terms),
+        Doubled(DoubleExponential(terms)),
+        Geometric(1, 10, max(2, len(str(horizon)) - 1)),
+        All(h),
+        Explicit(tuple(range(start, start + step * (_PROFILE_CAP + extra), step))),
+    ]
+    rep = equal_measure_test(sa, sb, seqs, q, horizon=horizon)
+    within = [rep.tail_sup_diff <= q]
+    for seq, row in zip(seqs, rep.seq_rows, strict=True):
+        pts = seq.points()
+        tail = pts[len(pts) // 2 :]
+        ra, rb = ([Fraction(x.count(n), n) for n in tail] for x in (sa, sb))
+        dev = max(abs(x - y) for x, y in zip(ra, rb))
+        settled = max(ra) - min(ra) <= q and max(rb) - min(rb) <= q
+        assert row.deviation == dev, (a, b, seq)
+        assert row.status == (("pass" if dev <= q else "fail") if settled else "inconclusive"), (a, b, seq)
+        within.append(dev <= q)
+    assert rep.equivalent_likely == all(within)
+    got = run_json(["equal", a, b, "--horizon", str(horizon), "--dexp-terms", str(terms), "--tol", tol])["result"]
+    assert got["rows"] == [
+        {"label": r.label, "deviation": rat(r.deviation), "status": r.status} for r in rep.seq_rows[:3]
+    ]
+    assert got["verdict"] == ("equivalent-likely" if all(within[:4]) else "distinct-likely")
+
+
 def test_perm_requests_match_the_benchmark_oracle():
     """Seeded levy, statlim, displacement and witness requests on periodic pairings and their
     restrictions by finite, periodic and headed F, each result against the oracle's."""
@@ -756,6 +802,16 @@ def test_a_repeated_text_is_parsed_once():
     assert parse_expression(text, "set") is first
     spaced = parse_expression(text.replace(",", " , "), "set")  # another text, parsed on its own
     assert spaced == first and spaced is not first
+
+
+def test_a_text_past_the_kept_length_is_parsed_afresh():
+    wide = "union(periodic(199999;" + ",".join(map(str, range(0, 199999, 2))) + "),finite(5))"
+    assert len(wide) > parser._KEPT_TEXT
+    first = parse_expression(wide, "set")
+    again = parse_expression(wide, "set")
+    assert again == first and again is not first
+    short = "union(periodic(199999;0,2,4),finite(5))"
+    assert parse_expression(short, "set") is parse_expression(short, "set")
 
 
 # S: 300 residues 3i + 1 of 999983 and the residue 2 of 999979, too wide for segments, inside 80

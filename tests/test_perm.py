@@ -1293,6 +1293,32 @@ def test_pairing_readers_match_the_piece_readers_at_two_to_the_64():
             assert _image_counts(phi, x, pts) == _image_counts(Inverse(phi), x, pts), (phi, x)
 
 
+def test_exact_defect_laws_at_the_doubling_checkpoints_to_two_to_the_64():
+    """D(π) = D(π⁻¹) for every bijection, since as many k pass n upward as pass it downward, and
+    D(π∘σ) <= D(π) + D(σ), since k <= n < π(σ(k)) needs σ(k) > n or σ(k) <= n < π(σ(k)): both
+    read from pieces at every doubling checkpoint up to 2^64, on seeded compositions of rules."""
+    pts = doubling_checkpoints(2**64).points()
+    rng = random.Random(97)
+    rules = _PIECE_RULES + _SIDE_PAIRINGS
+
+    def operand():  # a rule or its inverse
+        pi = rng.choice(rules)
+        return Inverse(pi) if rng.random() < 0.3 else pi
+
+    pairs = [(operand(), operand()) for _ in range(60)]
+    pairs.append((QuarterBlockSwap(), pairing_permutation(periodic(4, [1]), periodic(4, [0, 2, 3]))))
+    non_involutions = 0
+    for pi, sigma in pairs:
+        composite = Compose(pi, sigma)
+        assert _checked_pieces(composite, pts) is not None, composite
+        d = _defect_counts(composite, pts)
+        assert all(x <= y + z for x, y, z in zip(d, _defect_counts(pi, pts), _defect_counts(sigma, pts))), composite
+        if any(composite.apply(composite.apply(k)) != k for k in range(1, 200)):
+            non_involutions += 1
+            assert d == _defect_counts(Inverse(composite), pts), composite
+    assert non_involutions >= 40
+
+
 def test_every_piece_agrees_with_the_rule_at_its_ends():
     """Each piece against ``apply`` and ``invert`` at t = 0, 1 and terms - 1, up to 3000 and up to
     2^64; ``_checked_pieces`` reads only t = 0 and 1.  The terms also lie in [1, horizon] and
