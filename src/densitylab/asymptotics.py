@@ -391,22 +391,23 @@ def _extrema_by_runs(
     A(n)/n cannot fall at a member nor rise at a non-member, so past lo the
     first point attaining the least ratio lies just before a run or is hi,
     and the first attaining the greatest ends a run: the scan's answer, read
-    at two points per run.
+    in one pass over the runs past lo, with the run through lo cut at lo.
     """
-    # A(n) just before each run, and at the end of the last
-    before = list(accumulate([b - a + 1 for a, b in runs], initial=0))
-    k = bisect_right(runs, lo, key=itemgetter(0))  # the runs that start at or before lo
-    lc, ln = hc, hn = (before[k] - max(0, runs[k - 1][1] - lo) if k else 0), lo
-    j = bisect_right(runs, lo + 1, key=itemgetter(0))  # the runs that start past lo + 1
-    for c, (a, _) in zip(before[j:], runs[j:]):
+    i = bisect_right(runs, lo, key=itemgetter(1))  # the runs that end at or before lo
+    c = sum(map(itemgetter(1), islice(runs, i))) - sum(map(itemgetter(0), islice(runs, i))) + i
+    later = islice(runs, i, None)
+    if i < len(runs) and runs[i][0] <= lo:  # the run through lo, cut at lo
+        c += lo - runs[i][0] + 1
+        later = chain(((lo + 1, runs[i][1]),), islice(runs, i + 1, None))
+    lc, ln = hc, hn = c, lo
+    for a, b in later:  # c is A(a - 1)
         if c * ln < lc * (a - 1):
             lc, ln = c, a - 1
-    if before[-1] * ln < lc * hi:
-        lc, ln = before[-1], hi
-    i = bisect_right(runs, lo, key=itemgetter(1))  # the runs that end past lo
-    for c, (_, b) in zip(before[i + 1 :], runs[i:]):
+        c += b - a + 1
         if c * hn > hc * b:
             hc, hn = c, b
+    if c * ln < lc * hi:
+        lc, ln = c, hi
     return (lc, ln), (hc, hn)
 
 
@@ -421,11 +422,11 @@ def density(
     The ``grid`` of the report says how the estimates were found:
 
     * ``window-extrema-via-runs`` -- the exact inf/sup of A(n)/n over every
-      integer in the window, read from the set's member runs at two points
-      per run.  The runs cost per run of the result and of the part each
-      intersection or difference keeps, whose other part is read only
-      inside the kept runs; a union reads both its parts whole
-      (``SymbolicSet.member_runs``);
+      integer in the window, read from the set's member runs in one pass
+      over the runs past the window start.  The runs cost per run of the
+      result and of the part each intersection or difference keeps, whose
+      other part is read only inside the kept runs; a union reads both its
+      parts whole (``SymbolicSet.member_runs``);
     * ``integer-scan`` -- the same exact inf/sup, by a scan of the window
       charged to the meter;
     * ``geometric-sample`` -- for a set with a closed-form density and no

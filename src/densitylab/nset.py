@@ -533,11 +533,8 @@ class Scaled(SymbolicSet):
         # each member t * a of the inner set's runs is a run of its own
         if runs is None or sum(hi - lo + 1 for lo, hi in runs) > cap:
             return None
-        out: list[tuple[int, int]] = []
-        for lo, hi in runs:
-            members = range(t * lo, t * hi + 1, t)
-            out += zip(members, members)
-        return out
+        members = itertools.chain.from_iterable(range(t * lo, t * hi + 1, t) for lo, hi in runs)
+        return [(m, m) for m in members]
 
 
     def to_expr(self):

@@ -11,6 +11,7 @@ from densitylab.asymptotics import (
     DoubleExponential,
     Explicit,
     Geometric,
+    _extrema_by_runs,
     _extrema_by_scan,
     density,
     full_density_witness,
@@ -36,7 +37,7 @@ from densitylab.nset import (
     union,
 )
 
-from oracles import brute_members, dexp_count_enum, dexp_elements, scan_extrema, scan_tail_sup
+from oracles import brute_members, dexp_count_closed, dexp_count_enum, dexp_elements, scan_extrema, scan_tail_sup
 
 
 def spike(n):
@@ -320,6 +321,47 @@ def test_window_scan_keeps_first_point_and_first_tie(s, lo, hi):
     assert _extrema_by_scan(s, lo, hi) == scan_extrema(s, lo, hi)
 
 
+@st.composite
+def _runs_and_window(draw):
+    """(runs, lo, hi): a run list on [1, hi] with a gap between any two runs, and a window start.
+
+    The runs have random widths and gaps, or are a train of equal runs whose ratio A(n)/n ties at
+    every run end or at every point just before a run.  lo is often a point where the one-pass
+    reader changes course: inside a run, at a run's first or last point or one before it, before
+    all runs or past them."""
+    if draw(st.booleans()):
+        runs, n = [], draw(st.integers(1, 6))
+        for _ in range(draw(st.integers(0, 6))):
+            w = draw(st.integers(0, 4))
+            runs.append((n, n + w))
+            n += w + draw(st.integers(2, 5))
+    else:
+        # A(kp)/kp = w/p for every k: kp ends a run at offset p - w and lies just before one at 0
+        p = draw(st.integers(2, 6))
+        w = draw(st.integers(1, p - 1))
+        offset = draw(st.sampled_from([0, p - w]))
+        runs = [(k * p + offset + 1, k * p + offset + w) for k in range(draw(st.integers(1, 6)))]
+    last = runs[-1][1] if runs else 1
+    hi = draw(st.integers(max(last, 2), last + 4))
+    turns = {1, last + 1} | {x for a, b in runs for x in (a - 1, a, (a + b + 1) // 2, b)}
+    pool = sorted(x for x in turns if 1 <= x < hi)
+    lo = draw(st.one_of(st.sampled_from(pool), st.integers(1, hi - 1)))
+    return runs, lo, hi
+
+
+@given(case=_runs_and_window())
+@example(case=([], 3, 9))  # no runs at all
+@example(case=([(1, 1), (3, 3), (5, 5)], 2, 7))  # the least ratio 1/2 at 2, 4 and 6
+@example(case=([(2, 2), (4, 4), (6, 6)], 1, 8))  # the greatest ratio 1/2 at 2, 4, 6 and 8
+@example(case=([(2, 6), (9, 9)], 4, 12))  # lo inside a run
+@example(case=([(3, 4), (8, 10)], 7, 10))  # lo just before a run that ends at hi
+@settings(max_examples=300, deadline=None)
+def test_one_pass_run_reader_matches_two_comparison_reference(case):
+    runs, lo, hi = case
+    members = [n for a, b in runs for n in range(a, b + 1)]
+    assert _extrema_by_runs(runs, lo, hi) == scan_extrema(finite(*members), lo, hi)
+
+
 def test_equal_tail_sup_at_the_first_window_point():
     # |A(n) - B(n)| stays 3 past the window start, so only n = 10 holds the sup
     rep = equal_measure_test(finite(1, 2, 3), Empty(), [], horizon=40, tail_window_start=10)
@@ -338,6 +380,19 @@ def test_density_at_a_million_reads_runs_where_a_part_has_too_many():
     # a union of a sparse part and a dense one keeps every run of each
     u = union(scale(blocks_dexp(), 3), periodic(1000003, [5]))
     assert u.member_runs(10**6) == [(5, 5)] + [(3 * a, 3 * a) for a in dexp_elements(10**6 // 3)]
+    # its 65813 runs, read in one pass, against its counting function in closed form
+    r = density(u, 10**6, 10**5)
+    assert r.grid == "window-extrema-via-runs"
+    assert (r.lower_estimate, r.argmin) == (Fraction(277, 196607), 196607)
+    assert (r.upper_estimate, r.argmax) == (Fraction(65813, 393213), 393213)
+
+    def closed(n):
+        return dexp_count_closed(n // 3) + (n >= 5)
+
+    for n in (r.argmin, r.argmax, 10**6):
+        assert u.count(n) == closed(n)
+    assert r.lower_estimate == Fraction(closed(r.argmin), r.argmin)
+    assert r.upper_estimate == Fraction(closed(r.argmax), r.argmax)
 
 
 def test_density_scan_grid_for_opaque_sets():
